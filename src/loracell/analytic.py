@@ -14,11 +14,19 @@ only same-SF packets on the same channel collide, and collision events
 with more than two packets are neglected.  A packet involved in a
 two-packet collision may still be captured, with probability ``w_gw``
 at the gateway and ``w_ed`` at the device.
+
+The solver has a private batched form for rows that share every scalar
+of the scenario and differ only in their two SF distributions, such as
+the optimizer's gradient probes.  Per-SF vectors then carry a leading row
+axis, ``(K, 6)``, and per-row scalars (``p_on``, ``s_demod``, ...) are
+``(K,)`` arrays; the model functions below accept either form.  Each row
+stops when its own residual reaches the tolerance and is then frozen, so
+its numbers and sweep count are those of a scalar solve.  ``solve`` is
+the one-row call of the same code.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -102,30 +110,38 @@ def _vec(values) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
+def _col(values):
+    """Per-row scalars as a column that broadcasts against per-SF vectors."""
+    return values[..., None] if isinstance(values, np.ndarray) else values
+
+
+def _app_rates(cfg: ScenarioConfig, p_u, p_c) -> tuple[np.ndarray, np.ndarray]:
+    scale = cfg.lambda_total / cfg.c_channels
+    return p_c * scale * cfg.alpha, p_u * scale * (1.0 - cfg.alpha)
+
+
 def app_rates(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     """Application-layer packet rates per channel and SF [pck/s]."""
-    scale = cfg.lambda_total / cfg.c_channels
-    r_c_app = _vec(cfg.p_confirmed.p) * scale * cfg.alpha
-    r_u_app = _vec(cfg.p_unconfirmed.p) * scale * (1.0 - cfg.alpha)
-    return r_c_app, r_u_app
+    return _app_rates(cfg, _vec(cfg.p_unconfirmed.p), _vec(cfg.p_confirmed.p))
+
+
+def _first_success(p: np.ndarray, n: int) -> np.ndarray:
+    """Probability of first success at attempt j = 1..n, per entry of ``p``."""
+    p = p[..., None]
+    return p * (1.0 - p) ** np.arange(n, dtype=float)
 
 
 def attempt_distributions(s_ul, s_dl, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Probability of first success at exactly the j-th attempt, j = 1..n.
 
-    Returns two (6, n) arrays: uplink-only success and uplink-plus-ACK
+    Returns two (..., 6, n) arrays: uplink-only success and uplink-plus-ACK
     success.  Rows are geometric in the per-attempt success probability,
     so row sums are 1 - (1 - p)**n.
     """
     if n < 1:
         raise ValueError(f"attempt count must be >= 1, got {n}")
-    s_ul = _vec(s_ul).reshape(N_SF, 1)
-    s_dl = _vec(s_dl).reshape(N_SF, 1)
-    j = np.arange(n, dtype=float)
-    p_ul = s_ul * (1.0 - s_ul) ** j
-    q = s_ul * s_dl
-    p_dl = q * (1.0 - q) ** j
-    return p_ul, p_dl
+    s_ul = _vec(s_ul)
+    return _first_success(s_ul, n), _first_success(s_ul * _vec(s_dl), n)
 
 
 def phy_rates(cfg: ScenarioConfig, p_dl) -> TrafficRates:
@@ -136,29 +152,29 @@ def phy_rates(cfg: ScenarioConfig, p_dl) -> TrafficRates:
     is transmitted j times when it succeeds at attempt j < m, and m times
     otherwise, so the expected attempt count lies in [1, m].
     """
+    return _phy_rates(cfg, p_dl, *app_rates(cfg))
+
+
+def _phy_rates(cfg: ScenarioConfig, p_dl, r_c_app: np.ndarray,
+               r_u_app: np.ndarray) -> TrafficRates:
+    """``phy_rates`` for given application rates, which may differ by row."""
     p_dl = np.asarray(p_dl, dtype=float)
-    if p_dl.shape != (N_SF, cfg.m):
+    if p_dl.shape[-2:] != (N_SF, cfg.m):
         raise ValueError(f"p_dl must have shape ({N_SF}, {cfg.m}), got {p_dl.shape}")
-    if np.any(p_dl < -1e-12) or np.any(p_dl > 1.0 + 1e-12):
+    if p_dl.min() < -1e-12 or p_dl.max() > 1.0 + 1e-12:
         raise ValueError("p_dl entries must be probabilities in [0, 1]")
-    row_sums = p_dl.sum(axis=1)
-    if np.any(row_sums > 1.0 + 1e-9):
+    if p_dl.sum(axis=-1).max() > 1.0 + 1e-9:
         raise ValueError("p_dl rows must sum to at most 1")
 
     m = cfg.m
-    if m > 1:
-        head = p_dl[:, : m - 1]
-        j = np.arange(1, m, dtype=float)
-        attempts = head @ j + m * (1.0 - head.sum(axis=1))
-    else:
-        attempts = np.ones(N_SF)
-
-    r_c_app, r_u_app = app_rates(cfg)
+    head = p_dl[..., : m - 1]
+    attempts = ((head * np.arange(1, m, dtype=float)).sum(axis=-1)
+                + m * (1.0 - head.sum(axis=-1)))
     r_c_phy = r_c_app * attempts
     r_u_phy = r_u_app * cfg.h
     r_phy = r_c_phy + r_u_phy
-    total = float(r_phy.sum())
-    d = r_phy / total if total > 0.0 else np.zeros(N_SF)
+    total = r_phy.sum(axis=-1, keepdims=True)
+    d = r_phy / np.where(total > 0.0, total, np.inf)   # zeros when idle
     return TrafficRates(r_c_app, r_u_app, r_c_phy, r_u_phy, r_phy, d)
 
 
@@ -175,7 +191,7 @@ def interference_survival(t_data, r_phy, w_gw: float):
     return np.exp(-x) * (1.0 + x * w_gw)
 
 
-def gw_may_transmit(cfg: ScenarioConfig, rates: TrafficRates, k: int) -> float:
+def gw_may_transmit(cfg: ScenarioConfig, rates: TrafficRates, k: int) -> float | np.ndarray:
     """Probability that the gateway is free to transmit in sub-band k.
 
     With transmission prioritized (tau_k = 1) the gateway always may;
@@ -188,7 +204,7 @@ def gw_may_transmit(cfg: ScenarioConfig, rates: TrafficRates, k: int) -> float:
     if tau == 1:
         return 1.0
     t_data = _vec(cfg.airtimes.t_data)
-    return float(np.exp(-cfg.c_channels * float(rates.r_phy @ t_data)))
+    return np.exp(-cfg.c_channels * (rates.r_phy * t_data).sum(axis=-1))
 
 
 def demod_chain(cfg: ScenarioConfig, rates: TrafficRates) -> DemodChainState:
@@ -199,42 +215,46 @@ def demod_chain(cfg: ScenarioConfig, rates: TrafficRates) -> DemodChainState:
     probability that demodulators 1..j-1 are all locked.  With no
     traffic every demodulator is free and ``s_demod`` is 1.
     """
-    n = cfg.n_demodulators
     t_data = _vec(cfg.airtimes.t_data)
-    e_lock = float(rates.d @ t_data)
-    total = cfg.c_channels * float(rates.r_phy.sum())
-    if total <= 0.0:
-        return DemodChainState(e_lock, np.full(n, np.inf), np.zeros(n), 1.0)
+    e_lock = (rates.d * t_data).sum(axis=-1)
+    total = cfg.c_channels * rates.r_phy.sum(axis=-1)
+    # The recurrence runs unguarded, demodulator by demodulator, and its dead
+    # ends are patched afterwards: cheaper than testing every step of every row.
+    with np.errstate(divide="ignore", over="ignore"):
+        e_avail = [1.0 / total]
+        p_lock = [e_lock / (e_avail[0] + e_lock)]
+        for _ in range(1, cfg.n_demodulators):
+            e_avail.append(e_avail[-1] / p_lock[-1])
+            p_lock.append(e_lock / (e_avail[-1] + e_lock))
+    e_avail, p_lock = np.array(e_avail), np.array(p_lock)   # demodulator axis first
+    # Arrival stream to the later demodulators dies out geometrically: once a
+    # predecessor is never locked, or its idle time is infinite or would
+    # overflow, every later demodulator is idle.  The comparison also fails
+    # for a NaN lock probability, which only a row whose rates are already
+    # non-finite (and that therefore fails its checks) can produce.
+    dead = ~(e_avail[:-1] < p_lock[:-1] * 1e300)
+    if dead.any():
+        dead = np.logical_or.accumulate(dead, axis=0)
+        e_avail[1:][dead] = np.inf
+        p_lock[1:][dead] = 0.0
+    return DemodChainState(e_lock, e_avail.T, p_lock.T, 1.0 - p_lock.prod(axis=0))
 
-    e_avail = np.empty(n)
-    p_lock = np.empty(n)
-    e_avail[0] = 1.0 / total
-    for j in range(n):
-        if j > 0:
-            prev = e_avail[j - 1]
-            # Arrival stream to the later demodulators dies out geometrically;
-            # treat an overflowing idle time as an idle demodulator.
-            if p_lock[j - 1] <= 0.0 or not math.isfinite(prev) \
-                    or prev >= p_lock[j - 1] * 1e300:
-                e_avail[j:] = np.inf
-                p_lock[j:] = 0.0
-                break
-            e_avail[j] = prev / p_lock[j - 1]
-        p_lock[j] = e_lock / (e_avail[j] + e_lock)
-    s_demod = 1.0 - float(np.prod(p_lock))
-    return DemodChainState(e_lock, e_avail, p_lock, s_demod)
 
-
-def _subband(r: np.ndarray, t_ack: np.ndarray, delta: float, p_t: float,
+def _subband(r: np.ndarray, t_ack: np.ndarray, delta: float, p_t,
              c_channels: int) -> SubBandState:
-    total = float(r.sum())
-    if total <= 0.0:
-        # No ACK traffic: the sub-band is never duty-cycle blocked.
-        return SubBandState(r, np.zeros(N_SF), math.inf, 0.0, 1.0, 0.0, p_t)
-    b = r / total
+    total = r.sum(axis=-1)
+    idle = total <= 0.0
+    any_idle = idle.any()
+    if any_idle:
+        # No ACK traffic: the sub-band is never duty-cycle blocked.  A stand-in
+        # total of 1 gives b = 0, e_off = 0 and p_on = 1; e_on becomes infinite below.
+        total = total + idle
+    b = r / _col(total)
     e_on = 1.0 / (c_channels * total)
-    e_off = float(b @ ((1.0 + delta) * t_ack))
+    e_off = (b * ((1.0 + delta) * t_ack)).sum(axis=-1)
     p_on = e_on / (e_on + e_off)
+    if any_idle:
+        e_on = np.where(idle, np.inf, e_on)[()]   # [()] keeps a numpy scalar a scalar
     return SubBandState(r, b, e_on, e_off, p_on, 1.0 - p_on, p_t)
 
 
@@ -254,7 +274,7 @@ def subband_states(cfg: ScenarioConfig, rates: TrafficRates,
     r1 = rates.r_c_phy * s_ul
     sb1 = _subband(r1, t_ack1, cfg.delta_sb1, gw_may_transmit(cfg, rates, 1),
                    cfg.c_channels)
-    r2 = r1 * (sb1.p_off + sb1.p_on * (1.0 - sb1.p_t))
+    r2 = r1 * _col(sb1.p_off + sb1.p_on * (1.0 - sb1.p_t))
     sb2 = _subband(r2, t_ack2, cfg.delta_sb2, gw_may_transmit(cfg, rates, 2),
                    cfg.c_channels)
     return sb1, sb2
@@ -264,16 +284,14 @@ def _tx_window_fraction(sb: SubBandState, t_ack: np.ndarray, tau: int,
                         t_data: np.ndarray) -> np.ndarray:
     """Fraction of time an uplink arrival falls in a gateway TX window.
 
-    This is the mean vulnerable time per renewal cycle of the sub-band.
-    The printed ratio can exceed 1 when the vulnerability window is
-    longer than a whole renewal period (very aggressive ACK load, e.g.
-    with duty cycling disabled), so it is clamped to [0, 1] to remain a
-    probability.
+    This is the mean vulnerable time per renewal cycle of the sub-band,
+    which is 0 for an idle sub-band (infinite ON sojourn).  The printed
+    ratio can exceed 1 when the vulnerability window is longer than a
+    whole renewal period (very aggressive ACK load, e.g. with duty
+    cycling disabled), so it is capped at 1 to remain a probability.
     """
-    if not math.isfinite(sb.e_on):
-        return np.zeros(N_SF)
-    window = float(sb.b @ t_ack) + t_data * tau
-    return np.clip(window / (sb.e_on + sb.e_off), 0.0, 1.0)
+    window = _col((sb.b * t_ack).sum(axis=-1)) + t_data * tau
+    return np.minimum(window / _col(sb.e_on + sb.e_off), 1.0)
 
 
 def gw_tx_survival(cfg: ScenarioConfig, sb1: SubBandState,
@@ -312,6 +330,22 @@ def ack_interference_survival(cfg: ScenarioConfig, rates: TrafficRates) -> np.nd
     return np.minimum(clear + captured, 1.0)
 
 
+#: Largest ACK success probability an iterate may reach before it counts as broken.
+_S_DL_MAX = 1.0 + 1e-9
+
+
+def _exceeded(s_dl: np.ndarray) -> str:
+    return (f"downlink success probability exceeded 1 (max {float(s_dl.max())!r}); "
+            "broken iterate")
+
+
+def _dl_terms(sb1: SubBandState, sb2: SubBandState, s_int_ack1):
+    s_sb1 = _col(sb1.p_on * sb1.p_t) * s_int_ack1
+    fallthrough = sb1.p_off + sb1.p_on * (1.0 - sb1.p_t)
+    s_sb2 = fallthrough * sb2.p_on * sb2.p_t
+    return s_sb1, s_sb2, s_sb1 + _col(s_sb2)
+
+
 def dl_success(cfg: ScenarioConfig, sb1: SubBandState, sb2: SubBandState,
                s_int_ack1) -> tuple[np.ndarray, float, np.ndarray]:
     """Probability that an ACK for a received uplink reaches the device.
@@ -321,20 +355,89 @@ def dl_success(cfg: ScenarioConfig, sb1: SubBandState, sb2: SubBandState,
     falls through to RX2 on the dedicated sub-band, where transmission
     (once possible) is always received.
     """
-    s_int_ack1 = _vec(s_int_ack1)
-    s_sb1 = sb1.p_on * sb1.p_t * s_int_ack1
-    fallthrough = sb1.p_off + sb1.p_on * (1.0 - sb1.p_t)
-    s_sb2 = fallthrough * sb2.p_on * sb2.p_t
-    s_dl = s_sb1 + s_sb2
-    if np.any(s_dl > 1.0 + 1e-9):
-        raise ModelError(
-            f"downlink success probability exceeded 1 (max {float(s_dl.max())!r}); "
-            "broken iterate"
-        )
-    return s_sb1, float(s_sb2), s_dl
+    s_sb1, s_sb2, s_dl = _dl_terms(sb1, sb2, _vec(s_int_ack1))
+    if np.any(s_dl > _S_DL_MAX):
+        raise ModelError(_exceeded(s_dl))
+    return s_sb1, s_sb2, s_dl
 
 
 _CHECKED_QUANTITIES = ("r_phy", "s_int", "s_tx", "s_ul", "s_int_ack1", "s_dl")
+#: The per-SF vectors of a ``SteadyState``.
+_ROW_VECTORS = ("s_ul", "s_dl", "s_int", "s_tx", "f_tx1", "f_tx2", "s_int_ack1", "s_sb1")
+
+
+def _failures(state: SteadyState) -> dict[int, str]:
+    """ModelError message of each row whose sweep broke, by row index.
+
+    A row fails on the first broken check in the order of the scalar
+    sweep: ACK success above 1, then the finiteness of each quantity.
+    """
+    checked = (state.rates.r_phy, state.s_int, state.s_tx, state.s_ul,
+               state.s_int_ack1, state.s_dl)
+    finite = np.isfinite(np.concatenate(checked, axis=-1))
+    if finite.all() and state.s_dl.max() <= _S_DL_MAX:
+        return {}
+    checked = [np.atleast_2d(value) for value in checked]   # one row per state row
+    s_dl = np.atleast_2d(state.s_dl)
+    broken = ~np.atleast_2d(finite).all(axis=-1) | (s_dl > _S_DL_MAX).any(axis=-1)
+    failures = {}
+    for i in np.flatnonzero(broken):
+        if np.any(s_dl[i] > _S_DL_MAX):
+            failures[int(i)] = _exceeded(s_dl[i])
+        else:
+            name = next(name for name, value in zip(_CHECKED_QUANTITIES, checked)
+                        if not np.all(np.isfinite(value[i])))
+            failures[int(i)] = f"non-finite value in {name}"
+    return failures
+
+
+def _sweep(cfg: ScenarioConfig, r_c_app: np.ndarray, r_u_app: np.ndarray,
+           s_ul: np.ndarray, s_dl: np.ndarray) -> tuple[SteadyState, dict[int, str]]:
+    """One update sweep of K rows given their application rates.
+
+    The arrays are ``(K, 6)``, or ``(6,)`` for one row without a row axis.
+    Returns the new state and the failure message of each broken row.
+    """
+    rates = _phy_rates(cfg, _first_success(s_ul * s_dl, cfg.m), r_c_app, r_u_app)
+    demod = demod_chain(cfg, rates)
+    sb1, sb2 = subband_states(cfg, rates, s_ul)
+    s_int = interference_survival(cfg.airtimes.t_data, rates.r_phy, cfg.w_gw)
+    f_tx1, f_tx2, s_tx = gw_tx_survival(cfg, sb1, sb2)
+    new_ul = s_int * s_tx * _col(demod.s_demod)
+    s_int_ack1 = ack_interference_survival(cfg, rates)
+    s_sb1, s_sb2, new_dl = _dl_terms(sb1, sb2, s_int_ack1)
+    state = SteadyState(
+        s_ul=new_ul, s_dl=new_dl, s_int=s_int, s_tx=s_tx,
+        f_tx1=f_tx1, f_tx2=f_tx2, s_int_ack1=s_int_ack1,
+        s_sb1=s_sb1, s_sb2=s_sb2, rates=rates, sb1=sb1, sb2=sb2, demod=demod,
+        iterations=1, residual=math.inf, converged=False,
+    )
+    return state, _failures(state)
+
+
+def _row(state: SteadyState, index, **changes) -> SteadyState:
+    """One row of a batched state, with per-row scalars as floats.
+
+    ``index`` is the row number, or ``()`` for a state without a row axis.
+    """
+    def scalar(value):
+        return float(value[index]) if isinstance(value, (np.ndarray, np.generic)) else value
+
+    def subband(sb: SubBandState) -> SubBandState:
+        return SubBandState(sb.r[index], sb.b[index], scalar(sb.e_on), scalar(sb.e_off),
+                            scalar(sb.p_on), scalar(sb.p_off), scalar(sb.p_t))
+
+    demod = state.demod
+    values = {name: getattr(state, name)[index] for name in _ROW_VECTORS}
+    values.update(
+        s_sb2=scalar(state.s_sb2),
+        rates=TrafficRates(*(value[index] for value in vars(state.rates).values())),
+        sb1=subband(state.sb1), sb2=subband(state.sb2),
+        demod=DemodChainState(scalar(demod.e_lock), demod.e_avail[index],
+                              demod.p_lock[index], scalar(demod.s_demod)),
+        iterations=state.iterations, residual=state.residual, converged=state.converged)
+    values.update(changes)
+    return SteadyState(**values)
 
 
 def iterate(cfg: ScenarioConfig, s_ul, s_dl) -> SteadyState:
@@ -345,27 +448,10 @@ def iterate(cfg: ScenarioConfig, s_ul, s_dl) -> SteadyState:
     success, ACK interference, and the new downlink success.  The
     sub-band states are driven by the incoming ``s_ul`` iterate.
     """
-    p_ul, p_dl = attempt_distributions(s_ul, s_dl, cfg.m)
-    rates = phy_rates(cfg, p_dl)
-    demod = demod_chain(cfg, rates)
-    sb1, sb2 = subband_states(cfg, rates, s_ul)
-    s_int = interference_survival(cfg.airtimes.t_data, rates.r_phy, cfg.w_gw)
-    f_tx1, f_tx2, s_tx = gw_tx_survival(cfg, sb1, sb2)
-    new_ul = s_int * s_tx * demod.s_demod
-    s_int_ack1 = ack_interference_survival(cfg, rates)
-    s_sb1, s_sb2, new_dl = dl_success(cfg, sb1, sb2, s_int_ack1)
-
-    for name, value in zip(_CHECKED_QUANTITIES,
-                           (rates.r_phy, s_int, s_tx, new_ul, s_int_ack1, new_dl)):
-        if not np.all(np.isfinite(value)):
-            raise ModelError(f"non-finite value in {name}")
-
-    return SteadyState(
-        s_ul=new_ul, s_dl=new_dl, s_int=s_int, s_tx=s_tx,
-        f_tx1=f_tx1, f_tx2=f_tx2, s_int_ack1=s_int_ack1,
-        s_sb1=s_sb1, s_sb2=s_sb2, rates=rates, sb1=sb1, sb2=sb2, demod=demod,
-        iterations=1, residual=math.inf, converged=False,
-    )
+    state, failures = _sweep(cfg, *app_rates(cfg), _vec(s_ul), _vec(s_dl))
+    if failures:
+        raise ModelError(failures[0])
+    return _row(state, ())
 
 
 def solve(cfg: ScenarioConfig, tol: float = 1e-10, max_iter: int = 1000,
@@ -379,6 +465,23 @@ def solve(cfg: ScenarioConfig, tol: float = 1e-10, max_iter: int = 1000,
     with damping the stored intermediate quantities satisfy the update
     identities only approximately).
     """
+    [state] = _solve_rows(cfg, _vec(cfg.p_unconfirmed.p)[None],
+                          _vec(cfg.p_confirmed.p)[None], tol, max_iter, relaxation)
+    if isinstance(state, ModelError):
+        raise state
+    return state
+
+
+def _solve_rows(cfg: ScenarioConfig, p_unconfirmed, p_confirmed,
+                tol: float = 1e-10, max_iter: int = 1000,
+                relaxation: float = 1.0) -> list[SteadyState | ModelError]:
+    """Solve K scenarios that differ from ``cfg`` only in their SF distributions.
+
+    ``p_unconfirmed`` and ``p_confirmed`` are (K, 6) arrays.  Every row
+    iterates as :func:`solve` would and is frozen once its own residual
+    reaches ``tol``; a row whose sweep breaks yields its ``ModelError``
+    without stopping the others.  Returns one result per row, in order.
+    """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
@@ -386,29 +489,41 @@ def solve(cfg: ScenarioConfig, tol: float = 1e-10, max_iter: int = 1000,
     if not 0.0 < relaxation <= 1.0:
         raise ValueError(f"relaxation must be in (0, 1], got {relaxation}")
 
-    s_ul = np.ones(N_SF)
-    s_dl = np.ones(N_SF)
-    state = None
-    residual = math.inf
-    converged = False
-    iterations = 0
+    r_c_app, r_u_app = _app_rates(cfg, _vec(p_unconfirmed), _vec(p_confirmed))
+    rows = np.arange(len(r_c_app))     # original index of each active row
+    results: list = [None] * len(rows)
+    # A single row runs without its row axis: its per-row scalars are then
+    # numpy scalars, whose arithmetic costs a fraction of a one-element array's.
+    batched = len(rows) > 1
+    if not batched:
+        r_c_app, r_u_app = r_c_app[0], r_u_app[0]
+    s_ul = np.ones(r_c_app.shape)
+    s_dl = np.ones(r_c_app.shape)
     for iterations in range(1, max_iter + 1):
-        state = iterate(cfg, s_ul, s_dl)
+        state, failures = _sweep(cfg, r_c_app, r_u_app, s_ul, s_dl)
         new_ul, new_dl = state.s_ul, state.s_dl
         if relaxation < 1.0:
             new_ul = relaxation * new_ul + (1.0 - relaxation) * s_ul
             new_dl = relaxation * new_dl + (1.0 - relaxation) * s_dl
-        residual = max(float(np.max(np.abs(new_ul - s_ul))),
-                       float(np.max(np.abs(new_dl - s_dl))))
+        residual = np.maximum(np.abs(new_ul - s_ul).max(axis=-1),
+                              np.abs(new_dl - s_dl).max(axis=-1))
+        converged = residual <= tol
+        if failures or iterations == max_iter or converged.any():
+            done = failures.keys() | np.flatnonzero(converged | (iterations == max_iter)).tolist()
+            for i in done:
+                if i in failures:
+                    results[rows[i]] = ModelError(failures[i])
+                    continue
+                at = i if batched else ()
+                # With damping, the damped iterate is the solution vector.
+                results[rows[i]] = _row(
+                    state, at, s_ul=new_ul[at], s_dl=new_dl[at], iterations=iterations,
+                    residual=float(residual[at]), converged=bool(converged[at]))
+            if len(done) == len(rows):
+                break
+            active = np.ones(len(rows), dtype=bool)
+            active[list(done)] = False
+            rows, r_c_app, r_u_app = rows[active], r_c_app[active], r_u_app[active]
+            new_ul, new_dl = new_ul[active], new_dl[active]
         s_ul, s_dl = new_ul, new_dl
-        if residual <= tol:
-            converged = True
-            break
-
-    if relaxation < 1.0:
-        # Report the damped iterate as the solution vectors.
-        return dataclasses.replace(state, s_ul=s_ul, s_dl=s_dl,
-                                   iterations=iterations, residual=residual,
-                                   converged=converged)
-    return dataclasses.replace(state, iterations=iterations, residual=residual,
-                               converged=converged)
+    return results

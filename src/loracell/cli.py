@@ -140,18 +140,17 @@ def cmd_solve(args) -> int:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One swept scenario key with its value list and output selection."""
+    """One swept scenario key with its value list and output selection.
+
+    ``values`` come from ``_parse_values``, which checks that they are
+    non-empty and strictly monotone.
+    """
 
     axis: str
     values: tuple[float, ...]
     outputs: tuple[str, ...]
 
     def __post_init__(self):
-        if not self.values:
-            raise ValidationError("sweep values must be non-empty")
-        diffs = np.diff(self.values)
-        if len(self.values) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
-            raise ValidationError("sweep values must be strictly monotone")
         unknown = set(self.outputs) - set(_SWEEP_METRICS)
         if unknown:
             raise ValidationError(f"unknown sweep outputs: {sorted(unknown)}; "
@@ -338,7 +337,7 @@ def cmd_optimize(args) -> int:
         "lambda": r.lam, "m": r.m, "h": r.h, "value": r.value,
         "p_unconfirmed": list(r.p_unconfirmed), "p_confirmed": list(r.p_confirmed),
         "iterations": r.iterations, "evaluations": r.evaluations,
-        "start": r.start, "solver_converged": r.solver_converged,
+        "start": r.start, "solver_converged": r.solver_converged, "stop": r.stop,
     } for r in result.records]
     doc = {"command": "optimize", "config": cfg.to_dict(),
            "objective": args.objective,

@@ -6,13 +6,19 @@ limits (m, h).  The inner search is deterministic projected-gradient
 ascent with central-difference gradients and a backtracking line search,
 started from the uniform distribution; optional deterministic perturbed
 restarts can be enabled for rugged objectives.
+
+The 24 probes of one gradient share every scenario setting but their SF
+distributions, so they are solved together as one batched fixed point;
+each probe still counts as one objective evaluation, and its value equals
+a separate solve's.  The line search stays sequential, one solve per
+candidate step.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -26,6 +32,12 @@ OBJECTIVES: dict[str, dict[str, float]] = {
     # Uplink-oriented: average of unconfirmed and confirmed uplink delivery.
     "mean_uu_cu": {"uu": 0.5, "cu": 0.5},
 }
+
+#: Why an ascent stopped: the step cap, a step that moved the iterate less than
+#: ``step_tolerance``, a step that gained less than ``improvement_tol``, no
+#: line-search step that improved the objective, or a gradient that is zero or
+#: not finite (a probe failed).
+STOP_REASONS = ("step_cap", "small_step", "small_gain", "no_ascent", "flat_gradient")
 
 #: Scalar report fields that may carry objective weight (negative to minimize).
 _OBJECTIVE_METRICS = {"uu", "cu", "cd", "jain", "delta_ul", "delta_dl",
@@ -92,6 +104,7 @@ class GridRecord:
     evaluations: int         # objective evaluations across all starts
     start: str               # label of the winning starting point
     solver_converged: bool   # False if any inner solve failed to converge
+    stop: str                # why the winning ascent stopped, one of STOP_REASONS
 
 
 @dataclass(frozen=True)
@@ -162,66 +175,95 @@ class _Evaluator:
         self.evaluations = 0
         self.all_converged = True
 
-    def __call__(self, x: np.ndarray) -> float:
-        self.evaluations += 1
-        cfg = replace(
+    def _config(self, x: np.ndarray) -> ScenarioConfig:
+        return replace(
             self.cfg,
             p_unconfirmed=SfDistribution(tuple(x[:N_SF])),
             p_confirmed=SfDistribution(tuple(x[N_SF:])),
         )
+
+    def __call__(self, x: np.ndarray) -> float:
+        self.evaluations += 1
+        cfg = self._config(x)
         try:
             state = analytic.solve(cfg, tol=self.tol, max_iter=self.max_iter)
-        except analytic.ModelError:
+        except analytic.ModelError as exc:
+            state = exc
+        return self._value(state, cfg)
+
+    def many(self, xs: np.ndarray) -> np.ndarray:
+        """Objective at each row of ``xs``, solved as one batch; one evaluation per row."""
+        self.evaluations += len(xs)
+        cfgs = [self._config(x) for x in xs]
+        states = analytic._solve_rows(self.cfg, xs[:, :N_SF], xs[:, N_SF:],
+                                      tol=self.tol, max_iter=self.max_iter)
+        return np.array([self._value(state, cfg) for state, cfg in zip(states, cfgs)])
+
+    def _value(self, state: analytic.SteadyState | analytic.ModelError,
+               cfg: ScenarioConfig) -> float:
+        if isinstance(state, analytic.ModelError):
             self.all_converged = False
             return -np.inf
         if not state.converged:
             self.all_converged = False
-        report = metrics.compute_report(state, cfg)
+        if self.weights.keys() <= {"uu", "cu", "cd"}:
+            # The delivery ratios alone; the full report adds delays, fairness
+            # and losses at several times the cost.
+            report = dict(zip(("uu", "cu", "cd"), metrics.reliability(state, cfg)))
+        else:
+            report = vars(metrics.compute_report(state, cfg))
         value = 0.0
         for name, weight in self.weights.items():
-            metric = getattr(report, name)
+            metric = report[name]
             if metric is None:
                 raise ValueError(f"objective metric {name!r} is undefined for this scenario")
             value += weight * metric
         return value
 
 
-def _ascend(evaluate: Callable[[np.ndarray], float], x0: np.ndarray,
-            problem: OptimizationProblem) -> tuple[np.ndarray, float, int]:
-    """Projected-gradient ascent on the product of two simplices."""
-    h = problem.fd_step
+def _gradient(evaluate: _Evaluator, x: np.ndarray, h: float) -> np.ndarray:
+    """Central-difference gradient; its 2 x 12 probes are solved as one batch."""
+    basis = np.eye(2 * N_SF)
+    # Projecting the probe keeps the difference along the simplex tangent.
+    probes = np.array([_project_pair(x + sign * h * basis[i])
+                       for i in range(2 * N_SF) for sign in (1.0, -1.0)])
+    values = evaluate.many(probes)
+    return (values[0::2] - values[1::2]) / (2.0 * h)
+
+
+def _ascend(evaluate: _Evaluator, x0: np.ndarray,
+            problem: OptimizationProblem) -> tuple[np.ndarray, float, int, str]:
+    """Projected-gradient ascent on the product of two simplices.
+
+    Returns the final point, its value, the accepted steps and the stop
+    reason (see ``STOP_REASONS``).
+    """
     x = _project_pair(x0)
     fx = evaluate(x)
     alpha = 1.0
-    basis = np.eye(2 * N_SF)
     steps = 0
     for _ in range(problem.max_ascent_iters):
-        grad = np.empty(2 * N_SF)
-        for i in range(2 * N_SF):
-            # Projecting the probe keeps the difference along the simplex tangent.
-            f_plus = evaluate(_project_pair(x + h * basis[i]))
-            f_minus = evaluate(_project_pair(x - h * basis[i]))
-            grad[i] = (f_plus - f_minus) / (2.0 * h)
+        grad = _gradient(evaluate, x, problem.fd_step)
         if not np.all(np.isfinite(grad)) or not np.any(grad != 0.0):
-            break
+            return x, fx, steps, "flat_gradient"
         alpha = min(4.0 * alpha, 1.0)
-        accepted = False
         for _ in range(30):
             x_new = _project_pair(x + alpha * grad)
             f_new = evaluate(x_new)
             if f_new > fx + 1e-12:
-                accepted = True
                 break
             alpha *= 0.5
-        if not accepted:
-            break
+        else:
+            return x, fx, steps, "no_ascent"
         moved = float(np.max(np.abs(x_new - x)))
         gained = f_new - fx
         x, fx = x_new, f_new
         steps += 1
-        if moved < problem.step_tolerance or gained < problem.improvement_tol:
-            break
-    return x, fx, steps
+        if moved < problem.step_tolerance:
+            return x, fx, steps, "small_step"
+        if gained < problem.improvement_tol:
+            return x, fx, steps, "small_gain"
+    return x, fx, steps, "step_cap"
 
 
 def _solve_grid_point(args) -> GridRecord:
@@ -232,11 +274,11 @@ def _solve_grid_point(args) -> GridRecord:
     best_x = None
     best_value = -np.inf
     best_steps = 0
-    best_label = ""
+    best_label = best_stop = ""
     for label, x0 in _starting_points(problem.perturbed_restarts):
-        x, value, steps = _ascend(evaluator, x0, problem)
+        x, value, steps, stop = _ascend(evaluator, x0, problem)
         if value > best_value:
-            best_x, best_value, best_steps, best_label = x, value, steps, label
+            best_x, best_value, best_steps, best_label, best_stop = x, value, steps, label, stop
     return GridRecord(
         lam=lam, m=m, h=h,
         p_unconfirmed=tuple(float(v) for v in best_x[:N_SF]),
@@ -246,6 +288,7 @@ def _solve_grid_point(args) -> GridRecord:
         evaluations=evaluator.evaluations,
         start=best_label,
         solver_converged=evaluator.all_converged,
+        stop=best_stop,
     )
 
 

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dataclasses import replace
+
 from loracell.analytic import (
     ModelError,
     SubBandState,
+    _solve_rows,
     ack_interference_survival,
     app_rates,
     attempt_distributions,
@@ -428,6 +431,49 @@ class TestSolve:
             bumped = solve(cfg(lambda_total=float(lam) * 1.01, alpha=1.0, m=8))
             assert float(np.max(np.abs(bumped.s_ul - base.s_ul))) <= 0.05
             assert float(np.max(np.abs(bumped.s_dl - base.s_dl))) <= 0.05
+
+
+BATCH_DISTRIBUTIONS = (SfDistribution.equal(), SfDistribution.explora(), SF7_ONLY,
+                       SfDistribution((0.0, 0.0, 0.1, 0.2, 0.3, 0.4)))
+
+
+class TestBatchedRows:
+    """Rows solved together equal the scalar solve of each row."""
+
+    @pytest.mark.parametrize("base, max_iter", [
+        (cfg(lambda_total=1.0, alpha=0.3, m=8, h=8), 1000),
+        (cfg(lambda_total=5.0, alpha=0.0, m=4, h=3), 1000),        # idle sub-bands
+        (cfg(lambda_total=0.0, alpha=0.5, m=2), 1000),             # no traffic
+        (cfg(lambda_total=2.0, alpha=1.0, m=8, tau1=0, tau2=0,
+             delta_sb1=0.0, delta_sb2=0.0), 1000),
+        (cfg(lambda_total=0.3, alpha=0.7, m=3, h=2, tau1=1, tau2=0, c_channels=1), 1000),
+        (cfg(lambda_total=1.0, alpha=1.0, m=8), 4),                # stopped by max_iter
+    ])
+    def test_rows_match_scalar_solves(self, base, max_iter):
+        pairs = [(p_u, p_c) for p_u in BATCH_DISTRIBUTIONS for p_c in BATCH_DISTRIBUTIONS]
+        batched = _solve_rows(base, np.array([p_u.p for p_u, _ in pairs]),
+                              np.array([p_c.p for _, p_c in pairs]), max_iter=max_iter)
+        for (p_u, p_c), row in zip(pairs, batched):
+            alone = solve(replace(base, p_unconfirmed=p_u, p_confirmed=p_c),
+                          max_iter=max_iter)
+            assert np.max(np.abs(row.s_ul - alone.s_ul)) <= 1e-12
+            assert np.max(np.abs(row.s_dl - alone.s_dl)) <= 1e-12
+            assert row.iterations == alone.iterations
+            assert row.converged == alone.converged
+
+    def test_failed_row_leaves_the_others_unchanged(self):
+        base = cfg(lambda_total=1.0, alpha=0.3, m=8, h=8)
+        p = np.array([d.p for d in BATCH_DISTRIBUTIONS])
+        broken = p.copy()
+        broken[1, 0] = np.nan
+        clean = _solve_rows(base, p, p)
+        mixed = _solve_rows(base, broken, p)
+        assert isinstance(mixed[1], ModelError)
+        assert str(mixed[1]) == "non-finite value in r_phy"
+        for i in (0, 2, 3):
+            assert np.array_equal(mixed[i].s_ul, clean[i].s_ul)
+            assert np.array_equal(mixed[i].s_dl, clean[i].s_dl)
+            assert mixed[i].iterations == clean[i].iterations
 
 
 @given(st.floats(min_value=0.0, max_value=1.0),

@@ -12,6 +12,7 @@ from loracell.cli import (
     EXIT_VALIDATION,
     main,
 )
+from loracell.optimize import STOP_REASONS
 
 
 def run_cli(*argv):
@@ -233,3 +234,4 @@ class TestOptimize:
         assert doc["best"]["value"] == max(r["value"] for r in doc["records"])
         for record in doc["records"]:
             assert sum(record["p_confirmed"]) == pytest.approx(1.0, abs=1e-9)
+            assert record["stop"] in STOP_REASONS

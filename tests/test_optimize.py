@@ -8,7 +8,12 @@ from scipy import optimize as sciopt
 
 from loracell import analytic, metrics
 from loracell.optimize import (
+    OBJECTIVES,
+    STOP_REASONS,
     OptimizationProblem,
+    _Evaluator,
+    _gradient,
+    _project_pair,
     evaluate_configuration,
     optimize,
     project_to_simplex,
@@ -152,6 +157,33 @@ class TestOptimize:
         assert (best.m, best.h) in {(1, 1), (1, 8), (8, 1), (8, 8)}
         with pytest.raises(KeyError):
             result.best_for(123.0)
+
+
+    def test_stop_reason_recorded(self):
+        capped = optimize(tiny_problem(m_grid=(1,), h_grid=(1,)))
+        assert [r.stop for r in capped.records] == ["step_cap"]
+        assert capped.records[0].iterations == 8
+        short = optimize(tiny_problem(lambdas=(0.1,), m_grid=(8,), h_grid=(8,),
+                                      max_ascent_iters=60))
+        assert [r.stop for r in short.records] == ["small_step"]
+        idle = optimize(tiny_problem(lambdas=(1e-9,), max_ascent_iters=1))
+        assert {r.stop for r in idle.records} <= set(STOP_REASONS) - {"step_cap"}
+
+    def test_batched_gradient_matches_sequential_probes(self):
+        cfg = ScenarioConfig(lambda_total=1.0, alpha=0.3, m=8, h=8)
+        weights = OBJECTIVES["uu_plus_cd"]
+        x = np.full(12, 1.0 / 6.0)
+        h = 1e-4
+        batched = _Evaluator(cfg, weights, 1e-10, 1000)
+        grad = _gradient(batched, x, h)
+        sequential = _Evaluator(cfg, weights, 1e-10, 1000)
+        basis = np.eye(12)
+        want = [(sequential(_project_pair(x + h * basis[i]))
+                 - sequential(_project_pair(x - h * basis[i]))) / (2.0 * h)
+                for i in range(12)]
+        assert grad == pytest.approx(want, abs=1e-9)
+        assert batched.evaluations == sequential.evaluations == 24
+        assert batched.all_converged and sequential.all_converged
 
 
 class TestEvaluateConfiguration:
