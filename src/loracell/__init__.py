@@ -24,11 +24,11 @@ from .scenario import (
 )
 from .analytic import ModelError, SteadyState, solve
 from .metrics import MetricsReport, compute_report, jain_index
+# ``optimize`` stays the submodule; its search function is ``optimize.optimize``.
 from .optimize import (
     OptimizationProblem,
     OptimizationResult,
     evaluate_configuration,
-    optimize,
     project_to_simplex,
 )
 from .simulate import SimConfig, SimReport, SimulationError, run

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +29,6 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_SIMULATION = 5
-
-_SWEEP_METRICS = ("uu", "cu", "cd", "delta_ul", "delta_dl", "jain",
-                  "f_nmd", "f_gwtx", "f_int")
 
 
 def _fmt(value) -> str:
@@ -128,34 +124,14 @@ def cmd_solve(args) -> int:
             }
         _write_out(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
     else:
-        columns = list(_SWEEP_METRICS) + ["iterations", "residual", "converged"]
-        rep = report.to_dict()
-        row = [rep[k] for k in _SWEEP_METRICS] + [state.iterations, state.residual,
-                                                  state.converged]
+        columns = list(metrics.METRICS) + ["iterations", "residual", "converged"]
+        row = ([getattr(report, k) for k in metrics.METRICS]
+               + [state.iterations, state.residual, state.converged])
         _write_out(_csv(_config_header(cfg, "solve", solver), columns, [row]), args.out)
     return EXIT_OK if state.converged else EXIT_NO_CONVERGENCE
 
 
 # -- sweep -------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One swept scenario key with its value list and output selection.
-
-    ``values`` come from ``_parse_values``, which checks that they are
-    non-empty and strictly monotone.
-    """
-
-    axis: str
-    values: tuple[float, ...]
-    outputs: tuple[str, ...]
-
-    def __post_init__(self):
-        unknown = set(self.outputs) - set(_SWEEP_METRICS)
-        if unknown:
-            raise ValidationError(f"unknown sweep outputs: {sorted(unknown)}; "
-                                  f"available: {list(_SWEEP_METRICS)}")
-
 
 def _sweep_point(args) -> tuple[dict, int, float, bool]:
     base_dict, axis, value, tol, max_iter = args
@@ -199,16 +175,16 @@ def _parse_values(spec: str) -> list[float]:
 
 def cmd_sweep(args) -> int:
     base = _resolve_config(args)
-    spec = SweepSpec(
-        axis=args.axis,
-        values=tuple(_parse_values(args.values)),
-        outputs=tuple(s.strip() for s in args.outputs.split(","))
-        if args.outputs else _SWEEP_METRICS,
-    )
-    values, outputs = list(spec.values), list(spec.outputs)
+    values = _parse_values(args.values)
+    outputs = ([s.strip() for s in args.outputs.split(",")] if args.outputs
+               else list(metrics.METRICS))
+    unknown = set(outputs) - set(metrics.METRICS)
+    if unknown:
+        raise ValidationError(f"unknown sweep outputs: {sorted(unknown)}; "
+                              f"available: {list(metrics.METRICS)}")
 
     base_dict = base.to_dict()
-    points = [(base_dict, spec.axis, float(value), args.tol, args.max_iter)
+    points = [(base_dict, args.axis, float(value), args.tol, args.max_iter)
               for value in values]
     if args.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -255,19 +231,6 @@ def _sim_config(args, cfg: ScenarioConfig) -> simulate.SimConfig:
     )
 
 
-_REP_COLUMNS = ("rep", "offered_app", "offered_phy", "uu", "cu", "cd",
-                "delta_ul", "delta_dl", "jain", "f_nmd", "f_gwtx", "f_int",
-                "dc_violations")
-
-
-def _rep_row(idx, rep: simulate.ReplicationResult) -> list:
-    return [idx,
-            sum(rep.offered_app_u) + sum(rep.offered_app_c),
-            sum(rep.offered_phy),
-            rep.uu, rep.cu, rep.cd, rep.delta_ul, rep.delta_dl, rep.jain,
-            rep.f_nmd, rep.f_gwtx, rep.f_int, rep.dc_violations]
-
-
 def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
     sim_cfg = _sim_config(args, cfg)
@@ -279,27 +242,22 @@ def cmd_simulate(args) -> int:
              "sim_duration": sim_cfg.sim_duration,
              "warmup": sim_cfg.resolved_warmup(),
              "n_replications": sim_cfg.n_replications}
-    rows = [_rep_row(i, rep) for i, rep in enumerate(report.replications)]
-    means = ["mean", report.offered_app, report.offered_phy,
-             report.uu.mean, report.cu.mean, report.cd.mean,
-             report.delta_ul.mean, report.delta_dl.mean, report.jain.mean,
-             report.f_nmd.mean, report.f_gwtx.mean, report.f_int.mean,
-             report.dc_violations]
-    cis = ["ci95", None, None,
-           report.uu.halfwidth, report.cu.halfwidth, report.cd.halfwidth,
-           report.delta_ul.halfwidth, report.delta_dl.halfwidth,
-           report.jain.halfwidth,
-           report.f_nmd.halfwidth, report.f_gwtx.halfwidth,
-           report.f_int.halfwidth, None]
+    columns = ["rep", "offered_app", "offered_phy", *metrics.METRICS, "dc_violations"]
+    rows = [[i, sum(rep.offered_app_u) + sum(rep.offered_app_c), sum(rep.offered_phy)]
+            + [getattr(rep, name) for name in metrics.METRICS] + [rep.dc_violations]
+            for i, rep in enumerate(report.replications)]
+    summaries = [getattr(report, name) for name in metrics.METRICS]
+    means = (["mean", report.offered_app, report.offered_phy]
+             + [s.mean for s in summaries] + [report.dc_violations])
+    cis = ["ci95", None, None] + [s.halfwidth for s in summaries] + [None]
     if args.format == "doc":
         doc = {"command": "simulate", "config": cfg.to_dict(), "sim": extra,
-               "replications": [dict(zip(_REP_COLUMNS, row)) for row in rows],
-               "mean": dict(zip(_REP_COLUMNS, means)),
-               "ci95": dict(zip(_REP_COLUMNS, cis))}
+               "replications": [dict(zip(columns, row)) for row in rows],
+               "mean": dict(zip(columns, means)),
+               "ci95": dict(zip(columns, cis))}
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     else:
-        text = _csv(_config_header(cfg, "simulate", extra), list(_REP_COLUMNS),
-                    rows + [means, cis])
+        text = _csv(_config_header(cfg, "simulate", extra), columns, rows + [means, cis])
     _write_out(text, args.out)
     return EXIT_OK
 
@@ -362,6 +320,11 @@ def cmd_optimize(args) -> int:
 
 # -- compare -------------------------------------------------------------------
 
+#: The rows of ``compare``: the criterion-7 probabilities first, then the
+#: delays, then fairness.
+_COMPARE_ROWS = ("uu", "cu", "cd", "f_nmd", "f_gwtx", "f_int", "delta_ul", "delta_dl", "jain")
+
+
 def cmd_compare(args) -> int:
     cfg = _resolve_config(args)
     state = analytic.solve(cfg, tol=args.tol, max_iter=args.max_iter)
@@ -369,19 +332,9 @@ def cmd_compare(args) -> int:
     sim_cfg = _sim_config(args, cfg)
     sim_report = simulate.run(sim_cfg, workers=args.workers)
 
-    pairs = [
-        ("uu", report.uu, sim_report.uu),
-        ("cu", report.cu, sim_report.cu),
-        ("cd", report.cd, sim_report.cd),
-        ("f_nmd", report.f_nmd, sim_report.f_nmd),
-        ("f_gwtx", report.f_gwtx, sim_report.f_gwtx),
-        ("f_int", report.f_int, sim_report.f_int),
-        ("delta_ul", report.delta_ul, sim_report.delta_ul),
-        ("delta_dl", report.delta_dl, sim_report.delta_dl),
-        ("jain", report.jain, sim_report.jain),
-    ]
     rows = []
-    for name, model_value, summary in pairs:
+    for name in _COMPARE_ROWS:
+        model_value, summary = getattr(report, name), getattr(sim_report, name)
         sim_value = summary.mean
         diff = (abs(model_value - sim_value)
                 if model_value is not None and sim_value is not None else None)
@@ -452,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", required=True,
                    help="comma list, or start:stop:count[:log|lin]")
     p.add_argument("--outputs", default=None,
-                   help=f"comma list of metric columns (default all: {','.join(_SWEEP_METRICS)})")
+                   help=f"comma list of metric columns (default all: {','.join(metrics.METRICS)})")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_sweep, default_format="csv")
 

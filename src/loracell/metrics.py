@@ -16,6 +16,12 @@ from .analytic import SteadyState, attempt_distributions
 from .scenario import N_SF, ScenarioConfig
 
 
+#: The scalar metrics that the model, the simulator and the optimizer all
+#: report, in CLI column order; each is a field of ``MetricsReport``,
+#: ``simulate.ReplicationResult`` and ``simulate.SimReport``.
+METRICS = ("uu", "cu", "cd", "delta_ul", "delta_dl", "jain", "f_nmd", "f_gwtx", "f_int")
+
+
 class MetricsError(ValueError):
     """A metric is undefined for the given state (e.g. no traffic to measure)."""
 
@@ -44,21 +50,9 @@ class MetricsReport:
     f_int: float                   # PHY loss share: interference
 
     def to_dict(self) -> dict:
-        return {
-            "uu": self.uu,
-            "cu": self.cu,
-            "cd": self.cd,
-            "uu_per_sf": list(self.uu_per_sf),
-            "cu_per_sf": list(self.cu_per_sf),
-            "cd_per_sf": list(self.cd_per_sf),
-            "delta_ul": self.delta_ul,
-            "delta_dl": self.delta_dl,
-            "jain": self.jain,
-            "retx_dist": None if self.retx_dist is None else list(self.retx_dist),
-            "f_nmd": self.f_nmd,
-            "f_gwtx": self.f_gwtx,
-            "f_int": self.f_int,
-        }
+        """Plain JSON-ready mapping: tuples become lists, ``None`` stays."""
+        return {name: list(v) if isinstance(v, tuple) else v
+                for name, v in vars(self).items()}
 
 
 def reliability(state: SteadyState, cfg: ScenarioConfig):

@@ -39,10 +39,6 @@ OBJECTIVES: dict[str, dict[str, float]] = {
 #: not finite (a probe failed).
 STOP_REASONS = ("step_cap", "small_step", "small_gain", "no_ascent", "flat_gradient")
 
-#: Scalar report fields that may carry objective weight (negative to minimize).
-_OBJECTIVE_METRICS = {"uu", "cu", "cd", "jain", "delta_ul", "delta_dl",
-                      "f_nmd", "f_gwtx", "f_int"}
-
 
 @dataclass(frozen=True)
 class OptimizationProblem:
@@ -83,10 +79,11 @@ class OptimizationProblem:
                 ) from None
         else:
             weights = {str(k): float(v) for k, v in self.objective.items()}
-        unknown = set(weights) - _OBJECTIVE_METRICS
+        # Any of metrics.METRICS may carry weight (negative to minimize).
+        unknown = set(weights) - set(metrics.METRICS)
         if unknown:
             raise ValueError(f"unknown objective metrics {sorted(unknown)}; "
-                             f"available: {sorted(_OBJECTIVE_METRICS)}")
+                             f"available: {sorted(metrics.METRICS)}")
         return weights
 
 

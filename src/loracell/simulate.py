@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as sps
 
+from .metrics import METRICS, MetricsError, jain_index
 from .scenario import N_SF, ScenarioConfig, ValidationError
 
 # Event kinds, in no particular priority (ties break on schedule order).
@@ -683,20 +684,14 @@ class _Replication:
         )
 
     def _jain(self) -> float | None:
-        shares = []
-        for i in range(N_SF):
-            if self.offered_app_u[i] > 0:
-                shares.append(self.delivered_app_u[i] / self.offered_app_u[i])
-        for i in range(N_SF):
-            if self.offered_app_c[i] > 0:
-                shares.append(self.delivered_app_c[i] / self.offered_app_c[i])
-        if not shares:
+        shares = [self.delivered_app_u[i] / self.offered_app_u[i]
+                  for i in range(N_SF) if self.offered_app_u[i] > 0]
+        shares += [self.delivered_app_c[i] / self.offered_app_c[i]
+                   for i in range(N_SF) if self.offered_app_c[i] > 0]
+        try:
+            return jain_index(shares)
+        except MetricsError:  # no traffic, or none of it delivered
             return None
-        x = np.asarray(shares)
-        denom = float(np.sum(x * x))
-        if denom == 0.0:
-            return None
-        return float(x.sum() ** 2 / (len(x) * denom))
 
 
 def _run_one(args) -> ReplicationResult:
@@ -724,15 +719,10 @@ def run(sim_cfg: SimConfig, workers: int = 1) -> SimReport:
     else:
         reps = [_run_one(job) for job in jobs]
 
-    def col(name):
-        return _summary([getattr(rep, name) for rep in reps])
-
     return SimReport(
         config=sim_cfg,
         replications=tuple(reps),
-        uu=col("uu"), cu=col("cu"), cd=col("cd"),
-        delta_ul=col("delta_ul"), delta_dl=col("delta_dl"), jain=col("jain"),
-        f_nmd=col("f_nmd"), f_gwtx=col("f_gwtx"), f_int=col("f_int"),
+        **{name: _summary([getattr(rep, name) for rep in reps]) for name in METRICS},
         offered_app=sum(sum(r.offered_app_u) + sum(r.offered_app_c) for r in reps),
         offered_phy=sum(sum(r.offered_phy) for r in reps),
         delivered_phy=sum(sum(r.delivered_phy) for r in reps),

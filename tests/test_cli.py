@@ -12,6 +12,7 @@ from loracell.cli import (
     EXIT_VALIDATION,
     main,
 )
+from loracell.metrics import METRICS
 from loracell.optimize import STOP_REASONS
 
 
@@ -102,7 +103,7 @@ class TestSweep:
         assert code == EXIT_OK
         _, columns, rows = read_csv(out)
         assert len(rows) == 1
-        assert columns[0] == "lambda_total"
+        assert columns == ["lambda_total", *METRICS, "iterations", "residual", "converged"]
 
     def test_log_sweep_reproduces_monotone_uplink_ratio(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -176,7 +177,8 @@ class TestSimulate:
         run_cli("simulate", "--devices", "20", "--duration", "100",
                 "--warmup", "10", "--replications", "1", "--seed", "77",
                 "--set", "lambda_total=0.5", "--out", str(out))
-        header, _, rows = read_csv(out)
+        header, columns, rows = read_csv(out)
+        assert columns == ["rep", "offered_app", "offered_phy", *METRICS, "dc_violations"]
         assert any(l.startswith("# seed: 77") for l in header)
         assert rows[-2]["rep"] == "mean"
         assert rows[-1]["rep"] == "ci95"

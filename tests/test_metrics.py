@@ -1,13 +1,17 @@
 """Metric oracles: delivery ratios, delays, fairness, losses."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loracell import analytic
+from loracell import analytic, simulate
 from loracell.metrics import (
+    METRICS,
     MetricsError,
+    MetricsReport,
     compute_report,
     delays,
     fairness,
@@ -262,10 +266,22 @@ class TestReport:
         assert 0.0 <= report.uu <= 1.0
 
     def test_report_serializes_to_plain_dict(self):
-        state, cfg = solved(lambda_total=1.0, alpha=1.0, m=4)
-        doc = compute_report(state, cfg).to_dict()
-        assert set(doc) == {"uu", "cu", "cd", "uu_per_sf", "cu_per_sf", "cd_per_sf",
-                            "delta_ul", "delta_dl", "jain", "retx_dist",
-                            "f_nmd", "f_gwtx", "f_int"}
-        assert isinstance(doc["retx_dist"], list)
-        assert len(doc["retx_dist"]) == cfg.m + 1
+        for alpha in (1.0, 0.0):
+            state, cfg = solved(lambda_total=1.0, alpha=alpha, m=4)
+            doc = compute_report(state, cfg).to_dict()
+            assert set(doc) == {"uu", "cu", "cd", "uu_per_sf", "cu_per_sf", "cd_per_sf",
+                                "delta_ul", "delta_dl", "jain", "retx_dist",
+                                "f_nmd", "f_gwtx", "f_int"}
+            for key in ("uu_per_sf", "cu_per_sf", "cd_per_sf"):
+                assert isinstance(doc[key], list) and len(doc[key]) == 6
+            if alpha > 0.0:
+                assert isinstance(doc["retx_dist"], list)
+                assert len(doc["retx_dist"]) == cfg.m + 1
+            else:
+                assert doc["delta_ul"] is None and doc["delta_dl"] is None
+                assert doc["retx_dist"] is None
+
+    @pytest.mark.parametrize("report_type", [MetricsReport, simulate.ReplicationResult,
+                                             simulate.SimReport])
+    def test_every_registered_metric_is_a_report_field(self, report_type):
+        assert set(METRICS) <= {f.name for f in fields(report_type)}

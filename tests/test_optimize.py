@@ -78,6 +78,12 @@ class TestProjection:
             project_to_simplex(np.array([np.nan, 0.0, 0.0]))
 
 
+def test_package_attribute_names_the_module():
+    import loracell.optimize as module
+
+    assert callable(module.optimize)
+
+
 def tiny_problem(**kw):
     defaults = dict(
         base_cfg=ScenarioConfig(alpha=0.3),
@@ -150,6 +156,8 @@ class TestOptimize:
                                m_grid=(1,), h_grid=(1,), max_ascent_iters=2)
         result = optimize(problem)
         assert np.isfinite(result.best_value)
+        for name in metrics.METRICS:
+            assert tiny_problem(objective={name: 1.0}).objective_weights() == {name: 1.0}
 
     def test_best_for_lambda_tie_breaks_lexicographically(self):
         result = optimize(tiny_problem(lambdas=(1e-9,), max_ascent_iters=1))

@@ -86,6 +86,7 @@ class TestDegenerateCells:
         assert report.uu.mean is None
         assert report.cd.mean is None
         assert report.f_int.mean is None
+        assert report.jain.mean is None
 
     def test_single_device_uncontended_always_acknowledged(self):
         report = run(sim(
