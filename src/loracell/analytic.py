@@ -15,13 +15,14 @@ with more than two packets are neglected.  A packet involved in a
 two-packet collision may still be captured, with probability ``w_gw``
 at the gateway and ``w_ed`` at the device.
 
-The solver has a private batched form for rows that share every scalar
-of the scenario and differ only in their two SF distributions, such as
-the optimizer's gradient probes.  Per-SF vectors then carry a leading row
-axis, ``(K, 6)``, and per-row scalars (``p_on``, ``s_demod``, ...) are
-``(K,)`` arrays; the model functions below accept either form.  Each row
-stops when its own residual reaches the tolerance and is then frozen, so
-its numbers and sweep count are those of a scalar solve.  ``solve`` is
+``solve_many`` solves many scenarios at once.  Those that agree on the
+fields fixing array shapes, loop counts or the ``gw_may_transmit`` branch
+(``m``, ``tau1``, ``tau2``, ``n_demodulators``) and on the airtimes form one
+batch: per-SF vectors gain a leading row axis, ``(K, 6)``, per-row scalars
+(``p_on``, ``s_demod``, the other scenario fields such as ``h`` or ``w_gw``,
+...) become ``(K,)`` arrays, and the model functions below accept either form.
+Each row stops when its own residual reaches the tolerance and is then
+frozen, so its numbers and sweep count are those of its own ``solve``,
 the one-row call of the same code.
 """
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -115,14 +117,11 @@ def _col(values):
     return values[..., None] if isinstance(values, np.ndarray) else values
 
 
-def _app_rates(cfg: ScenarioConfig, p_u, p_c) -> tuple[np.ndarray, np.ndarray]:
-    scale = cfg.lambda_total / cfg.c_channels
-    return p_c * scale * cfg.alpha, p_u * scale * (1.0 - cfg.alpha)
-
-
 def app_rates(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     """Application-layer packet rates per channel and SF [pck/s]."""
-    return _app_rates(cfg, _vec(cfg.p_unconfirmed.p), _vec(cfg.p_confirmed.p))
+    scale = cfg.lambda_total / cfg.c_channels
+    return (_vec(cfg.p_confirmed.p) * scale * cfg.alpha,
+            _vec(cfg.p_unconfirmed.p) * scale * (1.0 - cfg.alpha))
 
 
 def _first_success(p: np.ndarray, n: int) -> np.ndarray:
@@ -144,20 +143,16 @@ def attempt_distributions(s_ul, s_dl, n: int) -> tuple[np.ndarray, np.ndarray]:
     return _first_success(s_ul, n), _first_success(s_ul * _vec(s_dl), n)
 
 
-def phy_rates(cfg: ScenarioConfig, p_dl) -> TrafficRates:
+def phy_rates(cfg: ScenarioConfig, p_dl, app=None) -> TrafficRates:
     """PHY-layer rates including repetitions and retransmissions.
 
     ``p_dl[i, j-1]`` is the probability that a confirmed packet at SF i is
     delivered and acknowledged at exactly attempt j.  A confirmed packet
     is transmitted j times when it succeeds at attempt j < m, and m times
-    otherwise, so the expected attempt count lies in [1, m].
+    otherwise, so the expected attempt count lies in [1, m].  ``app`` is
+    ``app_rates(cfg)`` when the caller has it already.
     """
-    return _phy_rates(cfg, p_dl, *app_rates(cfg))
-
-
-def _phy_rates(cfg: ScenarioConfig, p_dl, r_c_app: np.ndarray,
-               r_u_app: np.ndarray) -> TrafficRates:
-    """``phy_rates`` for given application rates, which may differ by row."""
+    r_c_app, r_u_app = app_rates(cfg) if app is None else app
     p_dl = np.asarray(p_dl, dtype=float)
     if p_dl.shape[-2:] != (N_SF, cfg.m):
         raise ValueError(f"p_dl must have shape ({N_SF}, {cfg.m}), got {p_dl.shape}")
@@ -171,7 +166,7 @@ def _phy_rates(cfg: ScenarioConfig, p_dl, r_c_app: np.ndarray,
     attempts = ((head * np.arange(1, m, dtype=float)).sum(axis=-1)
                 + m * (1.0 - head.sum(axis=-1)))
     r_c_phy = r_c_app * attempts
-    r_u_phy = r_u_app * cfg.h
+    r_u_phy = r_u_app * _col(cfg.h)
     r_phy = r_c_phy + r_u_phy
     total = r_phy.sum(axis=-1, keepdims=True)
     d = r_phy / np.where(total > 0.0, total, np.inf)   # zeros when idle
@@ -188,7 +183,7 @@ def interference_survival(t_data, r_phy, w_gw: float):
     are treated as always destructive.
     """
     x = 2.0 * np.asarray(t_data, dtype=float) * np.asarray(r_phy, dtype=float)
-    return np.exp(-x) * (1.0 + x * w_gw)
+    return np.exp(-x) * (1.0 + x * _col(w_gw))
 
 
 def gw_may_transmit(cfg: ScenarioConfig, rates: TrafficRates, k: int) -> float | np.ndarray:
@@ -251,7 +246,7 @@ def _subband(r: np.ndarray, t_ack: np.ndarray, delta: float, p_t,
         total = total + idle
     b = r / _col(total)
     e_on = 1.0 / (c_channels * total)
-    e_off = (b * ((1.0 + delta) * t_ack)).sum(axis=-1)
+    e_off = (b * (_col(1.0 + delta) * t_ack)).sum(axis=-1)
     p_on = e_on / (e_on + e_off)
     if any_idle:
         e_on = np.where(idle, np.inf, e_on)[()]   # [()] keeps a numpy scalar a scalar
@@ -326,7 +321,7 @@ def ack_interference_survival(cfg: ScenarioConfig, rates: TrafficRates) -> np.nd
     r = rates.r_phy
     clear = np.exp(-r * (t_ack1 + cfg.tau1 * t_data))
     both = t_ack1 + t_data
-    captured = r * both * np.exp(-r * both) * cfg.w_ed
+    captured = r * both * np.exp(-r * both) * _col(cfg.w_ed)
     return np.minimum(clear + captured, 1.0)
 
 
@@ -391,14 +386,14 @@ def _failures(state: SteadyState) -> dict[int, str]:
     return failures
 
 
-def _sweep(cfg: ScenarioConfig, r_c_app: np.ndarray, r_u_app: np.ndarray,
-           s_ul: np.ndarray, s_dl: np.ndarray) -> tuple[SteadyState, dict[int, str]]:
-    """One update sweep of K rows given their application rates.
+def _sweep(cfg: ScenarioConfig, app, s_ul: np.ndarray,
+           s_dl: np.ndarray) -> tuple[SteadyState, dict[int, str]]:
+    """One update sweep of K rows given their application rates ``app``.
 
     The arrays are ``(K, 6)``, or ``(6,)`` for one row without a row axis.
     Returns the new state and the failure message of each broken row.
     """
-    rates = _phy_rates(cfg, _first_success(s_ul * s_dl, cfg.m), r_c_app, r_u_app)
+    rates = phy_rates(cfg, _first_success(s_ul * s_dl, cfg.m), app)
     demod = demod_chain(cfg, rates)
     sb1, sb2 = subband_states(cfg, rates, s_ul)
     s_int = interference_survival(cfg.airtimes.t_data, rates.r_phy, cfg.w_gw)
@@ -448,7 +443,7 @@ def iterate(cfg: ScenarioConfig, s_ul, s_dl) -> SteadyState:
     success, ACK interference, and the new downlink success.  The
     sub-band states are driven by the incoming ``s_ul`` iterate.
     """
-    state, failures = _sweep(cfg, *app_rates(cfg), _vec(s_ul), _vec(s_dl))
+    state, failures = _sweep(cfg, app_rates(cfg), _vec(s_ul), _vec(s_dl))
     if failures:
         raise ModelError(failures[0])
     return _row(state, ())
@@ -465,22 +460,28 @@ def solve(cfg: ScenarioConfig, tol: float = 1e-10, max_iter: int = 1000,
     with damping the stored intermediate quantities satisfy the update
     identities only approximately).
     """
-    [state] = _solve_rows(cfg, _vec(cfg.p_unconfirmed.p)[None],
-                          _vec(cfg.p_confirmed.p)[None], tol, max_iter, relaxation)
+    [state] = solve_many([cfg], tol, max_iter, relaxation)
     if isinstance(state, ModelError):
         raise state
     return state
 
 
-def _solve_rows(cfg: ScenarioConfig, p_unconfirmed, p_confirmed,
-                tol: float = 1e-10, max_iter: int = 1000,
-                relaxation: float = 1.0) -> list[SteadyState | ModelError]:
-    """Solve K scenarios that differ from ``cfg`` only in their SF distributions.
+#: Fields that fix array shapes, loop counts or the ``gw_may_transmit`` branch,
+#: and the airtimes, which the model reads as per-SF vectors: configs solved as
+#: one batch must agree on them.
+_SHARED = ("m", "tau1", "tau2", "n_demodulators", "airtimes")
+#: Scalars that the sweep reads from the config and that may differ by row.
+_PER_ROW = ("h", "delta_sb1", "delta_sb2", "c_channels", "w_gw", "w_ed")
 
-    ``p_unconfirmed`` and ``p_confirmed`` are (K, 6) arrays.  Every row
-    iterates as :func:`solve` would and is frozen once its own residual
-    reaches ``tol``; a row whose sweep breaks yields its ``ModelError``
-    without stopping the others.  Returns one result per row, in order.
+
+def solve_many(cfgs, tol: float = 1e-10, max_iter: int = 1000,
+               relaxation: float = 1.0) -> list[SteadyState | ModelError]:
+    """Solve every config as :func:`solve` would; one result per config, in order.
+
+    Configs that agree on ``m``, ``tau1``, ``tau2``, ``n_demodulators`` and
+    the airtimes are iterated together as one batch.  A row is frozen once
+    its own residual reaches ``tol``, and a row whose sweep breaks yields
+    its ``ModelError`` without stopping the others.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -488,19 +489,33 @@ def _solve_rows(cfg: ScenarioConfig, p_unconfirmed, p_confirmed,
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if not 0.0 < relaxation <= 1.0:
         raise ValueError(f"relaxation must be in (0, 1], got {relaxation}")
+    groups: dict[tuple, list[int]] = {}
+    for i, cfg in enumerate(cfgs):
+        groups.setdefault(tuple(getattr(cfg, name) for name in _SHARED), []).append(i)
+    results: list = [None] * len(cfgs)
+    if len(groups) != 1:
+        for rows in groups.values():
+            group = solve_many([cfgs[i] for i in rows], tol, max_iter, relaxation)
+            for i, result in zip(rows, group):
+                results[i] = result
+        return results
 
-    r_c_app, r_u_app = _app_rates(cfg, _vec(p_unconfirmed), _vec(p_confirmed))
-    rows = np.arange(len(r_c_app))     # original index of each active row
-    results: list = [None] * len(rows)
-    # A single row runs without its row axis: its per-row scalars are then
-    # numpy scalars, whose arithmetic costs a fraction of a one-element array's.
+    rows = list(range(len(cfgs)))     # index in ``cfgs`` of each active row
     batched = len(rows) > 1
-    if not batched:
-        r_c_app, r_u_app = r_c_app[0], r_u_app[0]
-    s_ul = np.ones(r_c_app.shape)
-    s_dl = np.ones(r_c_app.shape)
+    if batched:
+        # One scenario for all rows: each per-row field is a (K,) array, rates (K, 6).
+        cfg = SimpleNamespace(**{name: getattr(cfgs[0], name) for name in _SHARED},
+                              **{name: np.array([getattr(c, name) for c in cfgs])
+                                 for name in _PER_ROW})
+        app = tuple(np.array(rates) for rates in zip(*map(app_rates, cfgs)))
+    else:
+        # A single row runs on its own config without a row axis: its per-row
+        # scalars are then numpy scalars, whose arithmetic costs a fraction of
+        # a one-element array's.
+        cfg, app = cfgs[0], app_rates(cfgs[0])
+    s_ul = s_dl = np.ones(app[0].shape)
     for iterations in range(1, max_iter + 1):
-        state, failures = _sweep(cfg, r_c_app, r_u_app, s_ul, s_dl)
+        state, failures = _sweep(cfg, app, s_ul, s_dl)
         new_ul, new_dl = state.s_ul, state.s_dl
         if relaxation < 1.0:
             new_ul = relaxation * new_ul + (1.0 - relaxation) * s_ul
@@ -521,9 +536,11 @@ def _solve_rows(cfg: ScenarioConfig, p_unconfirmed, p_confirmed,
                     residual=float(residual[at]), converged=bool(converged[at]))
             if len(done) == len(rows):
                 break
-            active = np.ones(len(rows), dtype=bool)
-            active[list(done)] = False
-            rows, r_c_app, r_u_app = rows[active], r_c_app[active], r_u_app[active]
+            active = [i for i in range(len(rows)) if i not in done]
+            rows = [rows[i] for i in active]
+            cfg = SimpleNamespace(**{name: value[active] if name in _PER_ROW else value
+                                     for name, value in vars(cfg).items()})
+            app = tuple(rates[active] for rates in app)
             new_ul, new_dl = new_ul[active], new_dl[active]
         s_ul, s_dl = new_ul, new_dl
     return results

@@ -48,7 +48,7 @@ def _write_out(text: str, out: str | None):
         Path(out).write_text(text)
 
 
-def _apply_override(data: dict, item: str):
+def _apply_override(data: dict, item: str) -> dict:
     if "=" not in item:
         raise ValidationError(f"--set expects key=value, got {item!r}")
     key, _, raw = item.partition("=")
@@ -63,6 +63,7 @@ def _apply_override(data: dict, item: str):
         if not isinstance(node, dict):
             raise ValidationError(f"--set path {key!r} does not name a mapping")
     node[parts[-1]] = value
+    return data
 
 
 def _resolve_config(args) -> ScenarioConfig:
@@ -133,16 +134,6 @@ def cmd_solve(args) -> int:
 
 # -- sweep -------------------------------------------------------------------
 
-def _sweep_point(args) -> tuple[dict, int, float, bool]:
-    base_dict, axis, value, tol, max_iter = args
-    data = json.loads(json.dumps(base_dict))  # deep copy of plain scalars
-    _apply_override(data, f"{axis}={_fmt(value)}")
-    cfg = load_scenario(data)
-    state = analytic.solve(cfg, tol=tol, max_iter=max_iter)
-    report = metrics.compute_report(state, cfg).to_dict()
-    return report, state.iterations, state.residual, state.converged
-
-
 def _parse_values(spec: str) -> list[float]:
     if ":" in spec:
         parts = spec.split(":")
@@ -183,23 +174,17 @@ def cmd_sweep(args) -> int:
         raise ValidationError(f"unknown sweep outputs: {sorted(unknown)}; "
                               f"available: {list(metrics.METRICS)}")
 
-    base_dict = base.to_dict()
-    points = [(base_dict, args.axis, float(value), args.tol, args.max_iter)
-              for value in values]
-    if args.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            solved = list(pool.map(_sweep_point, points))
-    else:
-        solved = [_sweep_point(p) for p in points]
+    cfgs = [load_scenario(_apply_override(base.to_dict(), f"{args.axis}={_fmt(value)}"))
+            for value in values]
+    states = analytic.solve_many(cfgs, tol=args.tol, max_iter=args.max_iter)
 
     rows = []
-    all_converged = True
-    for value, (rep, iterations, residual, converged) in zip(values, solved):
-        all_converged = all_converged and converged
-        rows.append([value] + [rep[k] for k in outputs]
-                    + [iterations, residual, converged])
+    for value, cfg, state in zip(values, cfgs, states):
+        if isinstance(state, analytic.ModelError):
+            raise state
+        report = metrics.compute_report(state, cfg)
+        rows.append([value] + [getattr(report, k) for k in outputs]
+                    + [state.iterations, state.residual, state.converged])
 
     columns = [args.axis] + outputs + ["iterations", "residual", "converged"]
     header = _config_header(base, "sweep", {"axis": args.axis, "values": args.values})
@@ -209,7 +194,7 @@ def cmd_sweep(args) -> int:
                "rows": [dict(zip(columns, row)) for row in rows]}
         text = json.dumps(doc, sort_keys=True, indent=2, default=_fmt) + "\n"
     _write_out(text, args.out)
-    return EXIT_OK if all_converged else EXIT_NO_CONVERGENCE
+    return EXIT_OK if all(state.converged for state in states) else EXIT_NO_CONVERGENCE
 
 
 # -- simulate ------------------------------------------------------------------
@@ -406,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list, or start:stop:count[:log|lin]")
     p.add_argument("--outputs", default=None,
                    help=f"comma list of metric columns (default all: {','.join(metrics.METRICS)})")
-    p.add_argument("--workers", type=int, default=1)
+    # Accepted so that existing invocations keep working; it has no effect.
+    p.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_sweep, default_format="csv")
 
     p = subs.add_parser("simulate", help="run the Monte-Carlo simulator")
@@ -440,10 +426,7 @@ def main(argv=None) -> int:
         args.format = args.default_format
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except yaml.YAMLError as exc:
+    except (ParseError, yaml.YAMLError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValidationError as exc:

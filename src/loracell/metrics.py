@@ -32,7 +32,8 @@ class MetricsReport:
 
     ``delta_ul``, ``delta_dl`` and ``retx_dist`` are ``None`` when there
     is no confirmed traffic to measure them on (``alpha`` = 0, or no
-    confirmed packet can succeed).
+    confirmed packet can succeed), and ``jain`` is ``None`` when no
+    (traffic type, SF) population has any success.
     """
 
     uu: float
@@ -43,7 +44,7 @@ class MetricsReport:
     cd_per_sf: tuple[float, ...]
     delta_ul: float | None         # mean first-attempt-to-gateway delay [s]
     delta_dl: float | None         # mean first-attempt-to-ACK delay [s]
-    jain: float
+    jain: float | None
     retx_dist: tuple[float, ...] | None   # success share per attempt 1..m, then failure share
     f_nmd: float                   # PHY loss share: no free demodulator
     f_gwtx: float                  # PHY loss share: gateway transmitting
@@ -125,7 +126,10 @@ def jain_index(x) -> float:
     total = float(x.sum())
     if total <= 0.0:
         raise MetricsError("fairness undefined for an all-zero allocation vector")
-    return float(total * total / (x.size * float(np.sum(x * x))))
+    squares = float(np.sum(x * x))
+    if squares < np.finfo(float).tiny:
+        return jain_index(x / x.max())   # the squares underflow; the index is scale-free
+    return float(total * total / (x.size * squares))
 
 
 def fairness_categories(state: SteadyState, cfg: ScenarioConfig) -> np.ndarray:
@@ -193,13 +197,16 @@ def compute_report(state: SteadyState, cfg: ScenarioConfig) -> MetricsReport:
         delta_ul = delta_dl = None
     retx = tuple(float(v) for v in retx_distribution(state, cfg)) if cfg.alpha > 0.0 else None
     f_nmd, f_gwtx, f_int = loss_decomposition(state, cfg)
+    categories = fairness_categories(state, cfg)
+    # Undefined, not an error, when no population has any success.
+    jain = None if categories.size and not categories.any() else jain_index(categories)
     return MetricsReport(
         uu=uu, cu=cu, cd=cd,
         uu_per_sf=tuple(float(v) for v in uu_i),
         cu_per_sf=tuple(float(v) for v in cu_i),
         cd_per_sf=tuple(float(v) for v in cd_i),
         delta_ul=delta_ul, delta_dl=delta_dl,
-        jain=fairness(state, cfg),
+        jain=jain,
         retx_dist=retx,
         f_nmd=f_nmd, f_gwtx=f_gwtx, f_int=f_int,
     )

@@ -7,11 +7,10 @@ ascent with central-difference gradients and a backtracking line search,
 started from the uniform distribution; optional deterministic perturbed
 restarts can be enabled for rugged objectives.
 
-The 24 probes of one gradient share every scenario setting but their SF
-distributions, so they are solved together as one batched fixed point;
-each probe still counts as one objective evaluation, and its value equals
-a separate solve's.  The line search stays sequential, one solve per
-candidate step.
+The 24 probes of one gradient are solved together as one batched fixed
+point (``analytic.solve_many``); each probe still counts as one objective
+evaluation, and its value equals a separate solve's.  The line search stays
+sequential, one ``analytic.solve`` per candidate step.
 """
 
 from __future__ import annotations
@@ -173,11 +172,8 @@ class _Evaluator:
         self.all_converged = True
 
     def _config(self, x: np.ndarray) -> ScenarioConfig:
-        return replace(
-            self.cfg,
-            p_unconfirmed=SfDistribution(tuple(x[:N_SF])),
-            p_confirmed=SfDistribution(tuple(x[N_SF:])),
-        )
+        return replace(self.cfg, p_unconfirmed=SfDistribution(tuple(x[:N_SF])),
+                       p_confirmed=SfDistribution(tuple(x[N_SF:])))
 
     def __call__(self, x: np.ndarray) -> float:
         self.evaluations += 1
@@ -192,8 +188,7 @@ class _Evaluator:
         """Objective at each row of ``xs``, solved as one batch; one evaluation per row."""
         self.evaluations += len(xs)
         cfgs = [self._config(x) for x in xs]
-        states = analytic._solve_rows(self.cfg, xs[:, :N_SF], xs[:, N_SF:],
-                                      tol=self.tol, max_iter=self.max_iter)
+        states = analytic.solve_many(cfgs, tol=self.tol, max_iter=self.max_iter)
         return np.array([self._value(state, cfg) for state, cfg in zip(states, cfgs)])
 
     def _value(self, state: analytic.SteadyState | analytic.ModelError,
@@ -322,9 +317,11 @@ def evaluate_configuration(cfg: ScenarioConfig, lambda_values,
                            tol: float = 1e-10,
                            max_iter: int = 1000) -> tuple[metrics.MetricsReport, ...]:
     """Solve one configuration across traffic loads; one report per load."""
+    cfgs = [replace(cfg, lambda_total=float(lam)) for lam in lambda_values]
+    states = analytic.solve_many(cfgs, tol=tol, max_iter=max_iter)
     reports = []
-    for lam in lambda_values:
-        cfg_lam = replace(cfg, lambda_total=float(lam))
-        state = analytic.solve(cfg_lam, tol=tol, max_iter=max_iter)
+    for state, cfg_lam in zip(states, cfgs):
+        if isinstance(state, analytic.ModelError):
+            raise state
         reports.append(metrics.compute_report(state, cfg_lam))
     return tuple(reports)

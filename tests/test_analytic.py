@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 from loracell.analytic import (
     ModelError,
     SubBandState,
-    _solve_rows,
     ack_interference_survival,
     app_rates,
     attempt_distributions,
@@ -24,6 +23,7 @@ from loracell.analytic import (
     iterate,
     phy_rates,
     solve,
+    solve_many,
     subband_states,
 )
 from loracell.scenario import ScenarioConfig, SfDistribution
@@ -437,6 +437,17 @@ BATCH_DISTRIBUTIONS = (SfDistribution.equal(), SfDistribution.explora(), SF7_ONL
                        SfDistribution((0.0, 0.0, 0.1, 0.2, 0.3, 0.4)))
 
 
+def assert_same_state(got, want):
+    """Every field of two solver results is equal, bit for bit."""
+    assert type(got) is type(want)
+    for f in fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if is_dataclass(b):
+            assert_same_state(a, b)
+        else:
+            assert np.array_equal(a, b), f.name
+
+
 class TestBatchedRows:
     """Rows solved together equal the scalar solve of each row."""
 
@@ -450,24 +461,41 @@ class TestBatchedRows:
         (cfg(lambda_total=1.0, alpha=1.0, m=8), 4),                # stopped by max_iter
     ])
     def test_rows_match_scalar_solves(self, base, max_iter):
-        pairs = [(p_u, p_c) for p_u in BATCH_DISTRIBUTIONS for p_c in BATCH_DISTRIBUTIONS]
-        batched = _solve_rows(base, np.array([p_u.p for p_u, _ in pairs]),
-                              np.array([p_c.p for _, p_c in pairs]), max_iter=max_iter)
-        for (p_u, p_c), row in zip(pairs, batched):
-            alone = solve(replace(base, p_unconfirmed=p_u, p_confirmed=p_c),
-                          max_iter=max_iter)
-            assert np.max(np.abs(row.s_ul - alone.s_ul)) <= 1e-12
-            assert np.max(np.abs(row.s_dl - alone.s_dl)) <= 1e-12
-            assert row.iterations == alone.iterations
-            assert row.converged == alone.converged
+        cfgs = [replace(base, p_unconfirmed=p_u, p_confirmed=p_c)
+                for p_u in BATCH_DISTRIBUTIONS for p_c in BATCH_DISTRIBUTIONS]
+        for row, c in zip(solve_many(cfgs, max_iter=max_iter), cfgs):
+            assert_same_state(row, solve(c, max_iter=max_iter))
+
+    @pytest.mark.parametrize("max_iter", [1000, 6])
+    def test_rows_differing_in_every_field_match_their_own_solves(self, max_iter):
+        base = cfg(lambda_total=1.0, alpha=0.5, m=4, h=2)
+        per_row = [replace(base, **{name: value})
+                   for name, values in (("lambda_total", (0.0, 0.05, 3.0, 20.0)),
+                                        ("alpha", (0.0, 0.3, 1.0)),
+                                        ("h", (1, 8)),
+                                        ("delta_sb1", (0.0, 9.0)),
+                                        ("delta_sb2", (0.0, 99.0)),
+                                        ("c_channels", (1, 2, 8)),
+                                        ("w_gw", (0.0, 1.0)),
+                                        ("w_ed", (0.0, 1.0)),
+                                        ("p_confirmed", (SF7_ONLY,)))
+                   for value in values]
+        shape = [replace(base, m=1), replace(base, m=8), replace(base, tau1=0),
+                 replace(base, tau2=0, c_channels=1), replace(base, n_demodulators=1)]
+        rng = np.random.default_rng(7)
+        cfgs = per_row + shape + [random_config(rng) for _ in range(20)]
+        cfgs = [cfgs[i] for i in rng.permutation(len(cfgs))]   # groups interleave
+        for row, c in zip(solve_many(cfgs, max_iter=max_iter), cfgs):
+            assert_same_state(row, solve(c, max_iter=max_iter))
 
     def test_failed_row_leaves_the_others_unchanged(self):
         base = cfg(lambda_total=1.0, alpha=0.3, m=8, h=8)
-        p = np.array([d.p for d in BATCH_DISTRIBUTIONS])
-        broken = p.copy()
-        broken[1, 0] = np.nan
-        clean = _solve_rows(base, p, p)
-        mixed = _solve_rows(base, broken, p)
+        cfgs = [replace(base, p_unconfirmed=d, p_confirmed=d) for d in BATCH_DISTRIBUTIONS]
+        broken = list(cfgs)
+        broken[1] = replace(cfgs[1])
+        object.__setattr__(broken[1], "lambda_total", math.nan)
+        clean = solve_many(cfgs)
+        mixed = solve_many(broken)
         assert isinstance(mixed[1], ModelError)
         assert str(mixed[1]) == "non-finite value in r_phy"
         for i in (0, 2, 3):

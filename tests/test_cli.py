@@ -75,6 +75,15 @@ class TestSolve:
         assert code == EXIT_NO_CONVERGENCE
         assert json.loads(out.read_text())["solver"]["converged"] is False
 
+    def test_undefined_fairness_leaves_an_empty_cell(self, tmp_path):
+        # Every (traffic type, SF) population has zero success at this load.
+        out = tmp_path / "solve.csv"
+        code = run_cli("solve", "--set", "lambda_total=1e5", "--set", "alpha=1",
+                       "--format", "csv", "--out", str(out))
+        assert code == EXIT_OK
+        [row] = read_csv(out)[2]
+        assert row["jain"] == "" and float(row["cu"]) == 0.0
+
     def test_full_state_included_on_request(self, tmp_path):
         out = tmp_path / "solve.json"
         run_cli("solve", "--set", "lambda_total=0.5", "--set", "alpha=1",
@@ -149,6 +158,42 @@ class TestSweep:
         config = json.loads(config_line.split(":", 1)[1])
         assert config["m"] == 3
         assert config["delta_sb1"] == 99.0
+
+    @pytest.mark.parametrize("axis, values", [("m", (1, 2, 4, 8)),
+                                              ("delta_sb1", (0.0, 9.0, 99.0))])
+    def test_rows_equal_solve_rows(self, tmp_path, axis, values):
+        common = ("--set", "lambda_total=2", "--set", "alpha=0.5", "--set", "h=2")
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--axis", axis, "--values", ",".join(map(str, values)),
+                       *common, "--out", str(out)) == EXIT_OK
+        _, _, rows = read_csv(out)
+        assert len(rows) == len(values)
+        for value, row in zip(values, rows):
+            alone = tmp_path / "solve.csv"
+            assert run_cli("solve", "--set", f"{axis}={value}", *common,
+                           "--format", "csv", "--out", str(alone)) == EXIT_OK
+            [want] = read_csv(alone)[2]
+            assert row == {axis: repr(float(value)), **want}
+
+    def test_capped_sweep_writes_every_row(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code = run_cli("sweep", "--axis", "lambda_total", "--values", "0,0.5,1,2",
+                       "--set", "alpha=1", "--set", "m=8", "--max-iter", "5",
+                       "--out", str(out))
+        assert code == EXIT_NO_CONVERGENCE
+        _, _, rows = read_csv(out)
+        assert [r["lambda_total"] for r in rows] == ["0.0", "0.5", "1.0", "2.0"]
+        assert {r["converged"] for r in rows} == {"true", "false"}
+
+    def test_workers_accepted_without_effect_and_hidden(self, tmp_path, capsys):
+        outs = [tmp_path / "one.csv", tmp_path / "two.csv"]
+        for out, workers in zip(outs, ("1", "2")):
+            assert run_cli("sweep", "--axis", "lambda_total", "--values", "0.5,1",
+                           "--workers", workers, "--out", str(out)) == EXIT_OK
+        assert outs[0].read_text() == outs[1].read_text()
+        with pytest.raises(SystemExit):
+            run_cli("sweep", "--help")
+        assert "--workers" not in capsys.readouterr().out
 
     def test_non_monotone_values_rejected(self):
         assert run_cli("sweep", "--axis", "lambda_total",

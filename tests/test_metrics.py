@@ -148,6 +148,9 @@ class TestFairness:
         with pytest.raises(MetricsError):
             jain_index([])
 
+    def test_underflowing_squares_rescaled(self):
+        assert jain_index([1e-200, 2e-200]) == jain_index([1.0, 2.0])
+
     @given(st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=2, max_size=12),
            st.floats(min_value=0.1, max_value=100.0))
     @settings(max_examples=80)
@@ -280,6 +283,16 @@ class TestReport:
             else:
                 assert doc["delta_ul"] is None and doc["delta_dl"] is None
                 assert doc["retx_dist"] is None
+
+    def test_jain_undefined_only_when_no_population_succeeds(self, monkeypatch):
+        state, cfg = solved(lambda_total=1e5, alpha=1.0)
+        assert not fairness_categories(state, cfg).any()
+        assert compute_report(state, cfg).jain is None
+        # Any other fairness error still surfaces.
+        monkeypatch.setattr("loracell.metrics.fairness_categories",
+                            lambda state, cfg: np.array([-0.1, 0.5]))
+        with pytest.raises(MetricsError, match="non-negative"):
+            compute_report(state, cfg)
 
     @pytest.mark.parametrize("report_type", [MetricsReport, simulate.ReplicationResult,
                                              simulate.SimReport])
