@@ -29,7 +29,7 @@ the one-row call of the same code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -124,12 +124,6 @@ def app_rates(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
             _vec(cfg.p_unconfirmed.p) * scale * (1.0 - cfg.alpha))
 
 
-def _first_success(p: np.ndarray, n: int) -> np.ndarray:
-    """Probability of first success at attempt j = 1..n, per entry of ``p``."""
-    p = p[..., None]
-    return p * (1.0 - p) ** np.arange(n, dtype=float)
-
-
 def attempt_distributions(s_ul, s_dl, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Probability of first success at exactly the j-th attempt, j = 1..n.
 
@@ -139,8 +133,10 @@ def attempt_distributions(s_ul, s_dl, n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if n < 1:
         raise ValueError(f"attempt count must be >= 1, got {n}")
-    s_ul = _vec(s_ul)
-    return _first_success(s_ul, n), _first_success(s_ul * _vec(s_dl), n)
+    j = np.arange(n, dtype=float)
+    p_ul = _vec(s_ul)[..., None]
+    p_dl = p_ul * _vec(s_dl)[..., None]
+    return p_ul * (1.0 - p_ul) ** j, p_dl * (1.0 - p_dl) ** j
 
 
 def phy_rates(cfg: ScenarioConfig, p_dl, app=None) -> TrafficRates:
@@ -325,22 +321,6 @@ def ack_interference_survival(cfg: ScenarioConfig, rates: TrafficRates) -> np.nd
     return np.minimum(clear + captured, 1.0)
 
 
-#: Largest ACK success probability an iterate may reach before it counts as broken.
-_S_DL_MAX = 1.0 + 1e-9
-
-
-def _exceeded(s_dl: np.ndarray) -> str:
-    return (f"downlink success probability exceeded 1 (max {float(s_dl.max())!r}); "
-            "broken iterate")
-
-
-def _dl_terms(sb1: SubBandState, sb2: SubBandState, s_int_ack1):
-    s_sb1 = _col(sb1.p_on * sb1.p_t) * s_int_ack1
-    fallthrough = sb1.p_off + sb1.p_on * (1.0 - sb1.p_t)
-    s_sb2 = fallthrough * sb2.p_on * sb2.p_t
-    return s_sb1, s_sb2, s_sb1 + _col(s_sb2)
-
-
 def dl_success(cfg: ScenarioConfig, sb1: SubBandState, sb2: SubBandState,
                s_int_ack1) -> tuple[np.ndarray, float, np.ndarray]:
     """Probability that an ACK for a received uplink reaches the device.
@@ -348,24 +328,26 @@ def dl_success(cfg: ScenarioConfig, sb1: SubBandState, sb2: SubBandState,
     RX1 succeeds if SB1 is ON, the gateway may transmit there, and the
     ACK survives interference on the shared channel.  Otherwise the ACK
     falls through to RX2 on the dedicated sub-band, where transmission
-    (once possible) is always received.
+    (once possible) is always received.  Returns the RX1 term, the RX2
+    term and their sum; a sum above 1 marks a broken iterate, which the
+    sweep's failure check reports.
     """
-    s_sb1, s_sb2, s_dl = _dl_terms(sb1, sb2, _vec(s_int_ack1))
-    if np.any(s_dl > _S_DL_MAX):
-        raise ModelError(_exceeded(s_dl))
-    return s_sb1, s_sb2, s_dl
+    s_sb1 = _col(sb1.p_on * sb1.p_t) * _vec(s_int_ack1)
+    fallthrough = sb1.p_off + sb1.p_on * (1.0 - sb1.p_t)
+    s_sb2 = fallthrough * sb2.p_on * sb2.p_t
+    return s_sb1, s_sb2, s_sb1 + _col(s_sb2)
 
 
+#: Largest ACK success probability an iterate may reach before it counts as broken.
+_S_DL_MAX = 1.0 + 1e-9
 _CHECKED_QUANTITIES = ("r_phy", "s_int", "s_tx", "s_ul", "s_int_ack1", "s_dl")
-#: The per-SF vectors of a ``SteadyState``.
-_ROW_VECTORS = ("s_ul", "s_dl", "s_int", "s_tx", "f_tx1", "f_tx2", "s_int_ack1", "s_sb1")
 
 
 def _failures(state: SteadyState) -> dict[int, str]:
     """ModelError message of each row whose sweep broke, by row index.
 
-    A row fails on the first broken check in the order of the scalar
-    sweep: ACK success above 1, then the finiteness of each quantity.
+    A row fails on the first broken check: ACK success above 1, then the
+    finiteness of each quantity in the order of the sweep.
     """
     checked = (state.rates.r_phy, state.s_int, state.s_tx, state.s_ul,
                state.s_int_ack1, state.s_dl)
@@ -378,7 +360,8 @@ def _failures(state: SteadyState) -> dict[int, str]:
     failures = {}
     for i in np.flatnonzero(broken):
         if np.any(s_dl[i] > _S_DL_MAX):
-            failures[int(i)] = _exceeded(s_dl[i])
+            failures[int(i)] = ("downlink success probability exceeded 1 "
+                                f"(max {float(s_dl[i].max())!r}); broken iterate")
         else:
             name = next(name for name, value in zip(_CHECKED_QUANTITIES, checked)
                         if not np.all(np.isfinite(value[i])))
@@ -393,14 +376,15 @@ def _sweep(cfg: ScenarioConfig, app, s_ul: np.ndarray,
     The arrays are ``(K, 6)``, or ``(6,)`` for one row without a row axis.
     Returns the new state and the failure message of each broken row.
     """
-    rates = phy_rates(cfg, _first_success(s_ul * s_dl, cfg.m), app)
+    _, p_dl = attempt_distributions(s_ul, s_dl, cfg.m)
+    rates = phy_rates(cfg, p_dl, app)
     demod = demod_chain(cfg, rates)
     sb1, sb2 = subband_states(cfg, rates, s_ul)
     s_int = interference_survival(cfg.airtimes.t_data, rates.r_phy, cfg.w_gw)
     f_tx1, f_tx2, s_tx = gw_tx_survival(cfg, sb1, sb2)
     new_ul = s_int * s_tx * _col(demod.s_demod)
     s_int_ack1 = ack_interference_survival(cfg, rates)
-    s_sb1, s_sb2, new_dl = _dl_terms(sb1, sb2, s_int_ack1)
+    s_sb1, s_sb2, new_dl = dl_success(cfg, sb1, sb2, s_int_ack1)
     state = SteadyState(
         s_ul=new_ul, s_dl=new_dl, s_int=s_int, s_tx=s_tx,
         f_tx1=f_tx1, f_tx2=f_tx2, s_int_ack1=s_int_ack1,
@@ -410,29 +394,20 @@ def _sweep(cfg: ScenarioConfig, app, s_ul: np.ndarray,
     return state, _failures(state)
 
 
-def _row(state: SteadyState, index, **changes) -> SteadyState:
-    """One row of a batched state, with per-row scalars as floats.
+def _take(obj, i: int, **changes):
+    """Row ``i`` of a batched result dataclass, nested dataclasses included.
 
-    ``index`` is the row number, or ``()`` for a state without a row axis.
+    Every array field has the row axis first; other fields are shared.
     """
-    def scalar(value):
-        return float(value[index]) if isinstance(value, (np.ndarray, np.generic)) else value
-
-    def subband(sb: SubBandState) -> SubBandState:
-        return SubBandState(sb.r[index], sb.b[index], scalar(sb.e_on), scalar(sb.e_off),
-                            scalar(sb.p_on), scalar(sb.p_off), scalar(sb.p_t))
-
-    demod = state.demod
-    values = {name: getattr(state, name)[index] for name in _ROW_VECTORS}
-    values.update(
-        s_sb2=scalar(state.s_sb2),
-        rates=TrafficRates(*(value[index] for value in vars(state.rates).values())),
-        sb1=subband(state.sb1), sb2=subband(state.sb2),
-        demod=DemodChainState(scalar(demod.e_lock), demod.e_avail[index],
-                              demod.p_lock[index], scalar(demod.s_demod)),
-        iterations=state.iterations, residual=state.residual, converged=state.converged)
+    values = {}
+    for name, value in vars(obj).items():
+        if isinstance(value, np.ndarray):
+            value = value[i]
+        elif is_dataclass(value):
+            value = _take(value, i)
+        values[name] = value
     values.update(changes)
-    return SteadyState(**values)
+    return type(obj)(**values)
 
 
 def iterate(cfg: ScenarioConfig, s_ul, s_dl) -> SteadyState:
@@ -441,12 +416,15 @@ def iterate(cfg: ScenarioConfig, s_ul, s_dl) -> SteadyState:
     Recomputes, in order: attempt distributions, PHY rates, demodulator
     chain, sub-band states, interference/TX survivals, the new uplink
     success, ACK interference, and the new downlink success.  The
-    sub-band states are driven by the incoming ``s_ul`` iterate.
+    sub-band states are driven by the incoming ``s_ul`` iterate.  Raises
+    ``ModelError`` when the sweep breaks (ACK success above 1, or a
+    non-finite quantity): the same per-row check with which
+    :func:`solve_many` names the broken row of a batch.
     """
     state, failures = _sweep(cfg, app_rates(cfg), _vec(s_ul), _vec(s_dl))
     if failures:
         raise ModelError(failures[0])
-    return _row(state, ())
+    return state
 
 
 def solve(cfg: ScenarioConfig, tol: float = 1e-10, max_iter: int = 1000,
@@ -531,9 +509,10 @@ def solve_many(cfgs, tol: float = 1e-10, max_iter: int = 1000,
                     continue
                 at = i if batched else ()
                 # With damping, the damped iterate is the solution vector.
-                results[rows[i]] = _row(
-                    state, at, s_ul=new_ul[at], s_dl=new_dl[at], iterations=iterations,
-                    residual=float(residual[at]), converged=bool(converged[at]))
+                changes = dict(s_ul=new_ul[at], s_dl=new_dl[at], iterations=iterations,
+                               residual=float(residual[at]), converged=bool(converged[at]))
+                results[rows[i]] = (_take(state, i, **changes) if batched
+                                    else replace(state, **changes))
             if len(done) == len(rows):
                 break
             active = [i for i in range(len(rows)) if i not in done]

@@ -48,14 +48,8 @@ def _write_out(text: str, out: str | None):
         Path(out).write_text(text)
 
 
-def _apply_override(data: dict, item: str) -> dict:
-    if "=" not in item:
-        raise ValidationError(f"--set expects key=value, got {item!r}")
-    key, _, raw = item.partition("=")
-    try:
-        value = yaml.safe_load(raw)
-    except yaml.YAMLError as exc:
-        raise ParseError(f"cannot parse --set value {raw!r}: {exc}") from exc
+def _set_path(data: dict, key: str, value) -> dict:
+    """Set the dotted ``key`` of a scenario mapping to ``value``."""
     node = data
     parts = key.strip().split(".")
     for part in parts[:-1]:
@@ -64,6 +58,17 @@ def _apply_override(data: dict, item: str) -> dict:
             raise ValidationError(f"--set path {key!r} does not name a mapping")
     node[parts[-1]] = value
     return data
+
+
+def _apply_override(data: dict, item: str) -> dict:
+    if "=" not in item:
+        raise ValidationError(f"--set expects key=value, got {item!r}")
+    key, _, raw = item.partition("=")
+    try:
+        value = yaml.safe_load(raw)
+    except yaml.YAMLError as exc:
+        raise ParseError(f"cannot parse --set value {raw!r}: {exc}") from exc
+    return _set_path(data, key, value)
 
 
 def _resolve_config(args) -> ScenarioConfig:
@@ -174,8 +179,7 @@ def cmd_sweep(args) -> int:
         raise ValidationError(f"unknown sweep outputs: {sorted(unknown)}; "
                               f"available: {list(metrics.METRICS)}")
 
-    cfgs = [load_scenario(_apply_override(base.to_dict(), f"{args.axis}={_fmt(value)}"))
-            for value in values]
+    cfgs = [load_scenario(_set_path(base.to_dict(), args.axis, value)) for value in values]
     states = analytic.solve_many(cfgs, tol=args.tol, max_iter=args.max_iter)
 
     rows = []

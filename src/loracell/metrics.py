@@ -141,14 +141,9 @@ def fairness_categories(state: SteadyState, cfg: ScenarioConfig) -> np.ndarray:
     excluded so they cannot depress the index.
     """
     _, _, _, uu_i, cu_i, _ = reliability(state, cfg)
-    x = []
-    for i in range(N_SF):
-        if (1.0 - cfg.alpha) * cfg.p_unconfirmed.p[i] > 0.0:
-            x.append(float(uu_i[i]))
-    for i in range(N_SF):
-        if cfg.alpha * cfg.p_confirmed.p[i] > 0.0:
-            x.append(float(cu_i[i]))
-    return np.asarray(x)
+    unconfirmed = (1.0 - cfg.alpha) * np.asarray(cfg.p_unconfirmed.p) > 0.0
+    confirmed = cfg.alpha * np.asarray(cfg.p_confirmed.p) > 0.0
+    return np.concatenate((uu_i[unconfirmed], cu_i[confirmed]))
 
 
 def fairness(state: SteadyState, cfg: ScenarioConfig) -> float:

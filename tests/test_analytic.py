@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dataclasses import fields, is_dataclass, replace
 
+from loracell import analytic
 from loracell.analytic import (
     ModelError,
     SubBandState,
@@ -328,11 +329,6 @@ class TestDlSuccess:
                                 np.full(6, 0.9))
         assert s_dl == pytest.approx(np.full(6, 0.74), abs=1e-12)
 
-    def test_broken_iterate_detected(self):
-        c = cfg()
-        with pytest.raises(ModelError, match="exceeded 1"):
-            dl_success(c, self._band(1.0, 1.0), self._band(1.0, 1.0), np.full(6, 1.5))
-
 
 class TestAttemptDistributions:
     def test_geometric_form(self):
@@ -502,6 +498,51 @@ class TestBatchedRows:
             assert np.array_equal(mixed[i].s_ul, clean[i].s_ul)
             assert np.array_equal(mixed[i].s_dl, clean[i].s_dl)
             assert mixed[i].iterations == clean[i].iterations
+
+    def test_broken_iterate_detected(self, monkeypatch):
+        # ACK success above 1 is checked once, in the sweep: ``iterate`` raises,
+        # and ``solve_many`` turns it into the ModelError of each broken row.
+        monkeypatch.setattr(analytic, "ack_interference_survival",
+                            lambda cfg, rates: np.full(rates.r_phy.shape, 1.5))
+        c = cfg(lambda_total=0.001, alpha=1.0)
+        with pytest.raises(ModelError, match="exceeded 1"):
+            iterate(c, np.ones(6), np.ones(6))
+        rows = solve_many([c, replace(c, lambda_total=0.002)])
+        assert len(rows) == 2
+        for row in rows:
+            assert isinstance(row, ModelError) and "exceeded 1" in str(row)
+
+
+#: The model functions one sweep composes, each called once per sweep.
+SWEEP_TERMS = ("phy_rates", "demod_chain", "subband_states", "interference_survival",
+               "gw_tx_survival", "ack_interference_survival", "attempt_distributions",
+               "dl_success")
+
+
+class TestSweepComposition:
+    """The sweep calls every model term through the module, once per sweep."""
+
+    def count_calls(self, monkeypatch):
+        calls = dict.fromkeys(SWEEP_TERMS, 0)
+        for name in SWEEP_TERMS:
+            def counted(*args, _name=name, _fn=getattr(analytic, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(analytic, name, counted)
+        return calls
+
+    def test_one_row_solve_calls_each_term_once_per_sweep(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        state = solve(cfg(lambda_total=1.0, alpha=1.0, m=8))
+        assert state.iterations > 1
+        assert calls == dict.fromkeys(SWEEP_TERMS, state.iterations)
+
+    def test_batch_calls_each_term_once_per_batch_sweep(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        rows = solve_many([cfg(lambda_total=lam, alpha=0.5, m=4) for lam in (0.1, 1.0, 5.0)])
+        sweeps = max(row.iterations for row in rows)
+        assert len({row.iterations for row in rows}) > 1   # rows freeze at different sweeps
+        assert calls == dict.fromkeys(SWEEP_TERMS, sweeps)
 
 
 @given(st.floats(min_value=0.0, max_value=1.0),

@@ -160,7 +160,8 @@ class TestSweep:
         assert config["delta_sb1"] == 99.0
 
     @pytest.mark.parametrize("axis, values", [("m", (1, 2, 4, 8)),
-                                              ("delta_sb1", (0.0, 9.0, 99.0))])
+                                              ("delta_sb1", (0.0, 9.0, 99.0)),
+                                              ("lambda_total", (1e-05, 0.001))])
     def test_rows_equal_solve_rows(self, tmp_path, axis, values):
         common = ("--set", "lambda_total=2", "--set", "alpha=0.5", "--set", "h=2")
         out = tmp_path / "sweep.csv"
@@ -170,7 +171,7 @@ class TestSweep:
         assert len(rows) == len(values)
         for value, row in zip(values, rows):
             alone = tmp_path / "solve.csv"
-            assert run_cli("solve", "--set", f"{axis}={value}", *common,
+            assert run_cli("solve", *common, "--set", f"{axis}={value}",
                            "--format", "csv", "--out", str(alone)) == EXIT_OK
             [want] = read_csv(alone)[2]
             assert row == {axis: repr(float(value)), **want}
