@@ -184,8 +184,9 @@ class ScenarioConfig:
     def __post_init__(self):
         self._set_float("lambda_total", minimum=0.0)
         self._set_float("alpha", minimum=0.0, maximum=1.0)
-        self._set_int("h", minimum=1)
-        self._set_int("m", minimum=1)
+        # LoRaWAN's 4-bit NbTrans field (LinkADRReq) caps both at 15.
+        self._set_int("h", minimum=1, maximum=15)
+        self._set_int("m", minimum=1, maximum=15)
         self._set_float("delta_sb1", minimum=0.0)
         self._set_float("delta_sb2", minimum=0.0)
         self._set_int("tau1", minimum=0, maximum=1)

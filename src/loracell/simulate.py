@@ -13,13 +13,17 @@ and overlapping two or more is always lost.  ``geometric`` places
 devices on a disc, applies log-distance path loss and lets a reception
 survive if its power exceeds the maximum concurrent sum of same-SF
 interferers by the co-channel rejection margin.
+
+A listener (the gateway receiving an uplink, or a device receiving its
+RX1 acknowledgement) is the list of same-channel same-SF transmissions
+that overlap it.  Their received powers are evaluated only when the
+reception resolves, by one capture rule shared by uplinks and ACKs.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,7 +198,7 @@ def place_devices(sim_cfg: SimConfig, seed) -> tuple[np.ndarray, np.ndarray, np.
 
 class _Device:
     __slots__ = ("idx", "confirmed", "sfi", "x", "y", "power", "next_allowed",
-                 "queue", "busy", "attempts", "first_attempt", "counted",
+                 "queued", "busy", "attempts", "first_attempt", "counted",
                  "delivered_time")
 
     def __init__(self, idx, confirmed, sfi, x, y, power):
@@ -205,7 +209,7 @@ class _Device:
         self.y = y
         self.power = power          # received power at the gateway (geometric mode)
         self.next_allowed = 0.0     # duty-cycle gate for the next uplink
-        self.queue = deque()
+        self.queued = 0             # arrivals waiting for the radio
         self.busy = False
         self.attempts = 0
         self.first_attempt = 0.0
@@ -227,28 +231,7 @@ class _Tx:
         self.end = end
         self.counted = counted
         self.fate = None            # set when lost at arrival or aborted
-        self.rx = None
-
-
-class _Listen:
-    """An ongoing reception collecting same-channel same-SF interferers."""
-
-    __slots__ = ("n_int", "interferers", "power_at", "tx")
-
-    def __init__(self, power_at):
-        self.n_int = 0
-        self.interferers = []       # (power, start, end), geometric mode only
-        self.power_at = power_at    # callable tx -> received interferer power, or None
-        self.tx = None              # the gateway-side uplink being received, if any
-
-    def snapshot(self, on_air_txs):
-        for tx in on_air_txs:
-            self.add(tx)
-
-    def add(self, tx):
-        self.n_int += 1
-        if self.power_at is not None:
-            self.interferers.append((self.power_at(tx), tx.start, tx.end))
+        self.rx = None              # interferers while the gateway receives it
 
 
 def _max_concurrent_power(interferers, start, end) -> float:
@@ -316,14 +299,13 @@ class _Replication:
         ]
 
         # Gateway state.
-        self.free_demods = sc.n_demodulators
-        self.receptions = {}            # tx uid -> _Listen (GW side)
+        self.receptions = {}            # tx uid -> _Tx being demodulated
         self.tx_until = 0.0             # gateway radio busy transmitting until
         self.sb1_free_at = 0.0          # duty-cycle gates per sub-band
         self.sb2_free_at = 0.0
 
         self.on_air = {}                # (ch, sfi) -> {uid: _Tx}
-        self.listeners = {}             # (ch, sfi) -> {uid: _Listen}
+        self.listeners = {}             # (ch, sfi) -> {uid: [interfering _Tx]}
 
         self.heap = []
         self.seq = 0
@@ -379,7 +361,7 @@ class _Replication:
 
     def start_packet(self, dev, now):
         dev.busy = True
-        dev.queue.popleft()
+        dev.queued -= 1
         dev.attempts = 0
         dev.delivered_time = None
         dev.counted = False
@@ -399,7 +381,7 @@ class _Replication:
             elif dev.delivered_time is not None:
                 self.delivered_app_u[dev.sfi] += 1
         dev.busy = False
-        if dev.queue:
+        if dev.queued:
             self.start_packet(dev, now)
 
     def confirmed_attempt_failed(self, dev, ul_end):
@@ -412,18 +394,38 @@ class _Replication:
 
     # -- gateway helpers ---------------------------------------------------
 
-    def abort_receptions(self, now):
-        """Gateway starts transmitting: every ongoing reception is lost."""
-        for uid, listen in list(self.receptions.items()):
-            tx = listen.tx
-            tx.fate = _OUT_GWTX
-            tx.rx = None
-            del self.receptions[uid]
-            del self.listeners[(tx.ch, tx.sfi)][uid]
-            self.free_demods += 1
+    def power_at(self, tx, dev) -> float:
+        """Received power of ``tx`` at device ``dev``, or at the gateway if None."""
+        if dev is None:
+            return tx.device.power
+        dist = max(math.hypot(tx.device.x - dev.x, tx.device.y - dev.y), 1.0)
+        return dist ** (-self.cfg.path_loss_exponent)
 
-    def gw_busy_receiving(self) -> bool:
-        return bool(self.receptions)
+    def captured(self, interferers, dev, power, start, end, w) -> bool:
+        """Whether a reception of ``power`` at ``dev`` over [start, end] survives."""
+        if self.geometric:
+            peak = _max_concurrent_power(
+                [(self.power_at(tx, dev), tx.start, tx.end) for tx in interferers],
+                start, end)
+            return peak == 0.0 or power >= self.margin * peak
+        n = len(interferers)
+        return n == 0 or (n == 1 and self.rng.random() < w)
+
+    def gw_blocked(self, now, free_at, tau) -> bool:
+        """The gateway cannot answer in a window whose sub-band frees at ``free_at``."""
+        return now < self.tx_until or now < free_at or (tau == 0 and bool(self.receptions))
+
+    def gw_transmit(self, now, airtime, tau):
+        """Key the gateway radio; with ``tau`` = 1 every ongoing reception is lost."""
+        if tau == 1:
+            for tx in self.receptions.values():
+                tx.fate = _OUT_GWTX
+                tx.rx = None
+                del self.listeners[(tx.ch, tx.sfi)][tx.uid]
+            self.receptions.clear()
+        if self.receptions:
+            raise SimulationError("gateway would transmit while receiving")
+        self.tx_until = now + airtime
 
     # -- event handlers ----------------------------------------------------
 
@@ -431,7 +433,7 @@ class _Replication:
         if now >= self.duration:
             return
         self.next_arrival(dev, now)
-        dev.queue.append(now)
+        dev.queued += 1
         if not dev.busy:
             self.start_packet(dev, now)
 
@@ -442,16 +444,16 @@ class _Replication:
         airtime = self.t_data[sfi]
         end = now + airtime
         ch = int(self.rng.integers(self.sc.c_channels))
+        counted = self.warmup <= now <= self.duration
         dev.attempts += 1
         if dev.attempts == 1:
             dev.first_attempt = now
-            dev.counted = self.warmup <= now <= self.duration
-            if dev.counted:
+            dev.counted = counted
+            if counted:
                 if dev.confirmed:
                     self.offered_app_c[sfi] += 1
                 else:
                     self.offered_app_u[sfi] += 1
-        counted = self.warmup <= now <= self.duration
         if counted:
             self.offered_phy[sfi] += 1
         dev.next_allowed = end + self.sc.delta_sb1 * airtime
@@ -461,38 +463,30 @@ class _Replication:
         key = (ch, sfi)
         air = self.on_air.setdefault(key, {})
         ears = self.listeners.setdefault(key, {})
-        for listen in ears.values():
-            listen.add(tx)
+        for interferers in ears.values():
+            interferers.append(tx)
 
         if now < self.tx_until:
             tx.fate = _OUT_GWTX          # gateway radio is transmitting
-        elif self.free_demods == 0:
+        elif len(self.receptions) == self.sc.n_demodulators:
             tx.fate = _OUT_NMD           # all demodulators locked
         else:
-            self.free_demods -= 1
-            listen = _Listen(self._gw_power_fn() if self.geometric else None)
-            listen.snapshot(air.values())
-            listen.tx = tx
-            tx.rx = listen
-            self.receptions[tx.uid] = listen
-            ears[tx.uid] = listen
+            tx.rx = list(air.values())
+            self.receptions[tx.uid] = tx
+            ears[tx.uid] = tx.rx
         air[tx.uid] = tx
         self.schedule(end, _EV_TX_END, tx)
         self.emit(now, dev.idx, sfi, ch, "ul_start", "")
-
-    def _gw_power_fn(self):
-        return lambda tx: tx.device.power
 
     def on_tx_end(self, now, tx):
         key = (tx.ch, tx.sfi)
         del self.on_air[key][tx.uid]
         dev = tx.device
         if tx.rx is not None:
-            listen = tx.rx
             del self.receptions[tx.uid]
             del self.listeners[key][tx.uid]
-            self.free_demods += 1
-            outcome = self.resolve_uplink(listen, tx)
+            ok = self.captured(tx.rx, None, dev.power, tx.start, tx.end, self.sc.w_gw)
+            outcome = _OUT_DELIVERED if ok else _OUT_INTERFERENCE
         else:
             outcome = tx.fate
         if tx.counted:
@@ -522,69 +516,34 @@ class _Replication:
             else:
                 self.finish_packet(dev, acked=False, now=now + 2.0)
 
-    def resolve_uplink(self, listen, tx) -> int:
-        if self.geometric:
-            peak = _max_concurrent_power(listen.interferers, tx.start, tx.end)
-            ok = peak == 0.0 or tx.device.power >= self.margin * peak
-            return _OUT_DELIVERED if ok else _OUT_INTERFERENCE
-        if listen.n_int == 0:
-            return _OUT_DELIVERED
-        if listen.n_int == 1 and self.rng.random() < self.sc.w_gw:
-            return _OUT_DELIVERED
-        return _OUT_INTERFERENCE
-
     def on_rx1(self, now, ctx):
         dev, sfi, ch, ul_end = ctx
-        blocked = (
-            now < self.tx_until
-            or now < self.sb1_free_at
-            or (self.sc.tau1 == 0 and self.gw_busy_receiving())
-        )
-        if blocked:
+        if self.gw_blocked(now, self.sb1_free_at, self.sc.tau1):
             self.schedule(ul_end + 2.0, _EV_RX2, ctx)
             return
         airtime = self.t_ack1[sfi]
-        if self.sc.tau1 == 1:
-            self.abort_receptions(now)
-        if self.gw_busy_receiving():
-            raise SimulationError("gateway would transmit while receiving")
-        self.tx_until = now + airtime
+        self.gw_transmit(now, airtime, self.sc.tau1)
         self.sb1_free_at = now + airtime * (1.0 + self.sc.delta_sb1)
         if dev.counted:
             self.dl_sb1_sent += 1
         key = (ch, sfi)
-        listen = _Listen((lambda t: self._ed_power(t, dev)) if self.geometric else None)
-        listen.snapshot(self.on_air.setdefault(key, {}).values())
+        interferers = list(self.on_air.setdefault(key, {}).values())
         self.uid += 1
-        ears = self.listeners.setdefault(key, {})
-        ears[self.uid] = listen
+        self.listeners.setdefault(key, {})[self.uid] = interferers
         self.schedule(now + airtime, _EV_ACK_END,
-                      (dev, sfi, ch, ul_end, 1, listen, self.uid, now))
+                      (dev, sfi, ch, ul_end, 1, interferers, self.uid, now))
         self.emit(now, dev.idx, sfi, ch, "ack1_start", "")
-
-    def _ed_power(self, tx, dev):
-        dist = max(math.hypot(tx.device.x - dev.x, tx.device.y - dev.y), 1.0)
-        return dist ** (-self.cfg.path_loss_exponent)
 
     def on_rx2(self, now, ctx):
         dev, sfi, ch, ul_end = ctx
-        blocked = (
-            now < self.tx_until
-            or now < self.sb2_free_at
-            or (self.sc.tau2 == 0 and self.gw_busy_receiving())
-        )
-        if blocked:
+        if self.gw_blocked(now, self.sb2_free_at, self.sc.tau2):
             if dev.counted:
                 self.dl_no_window += 1
             self.emit(now, dev.idx, sfi, ch, "ack_dropped", "no_window")
             self.confirmed_attempt_failed(dev, ul_end)
             return
         airtime = self.t_ack2[sfi]
-        if self.sc.tau2 == 1:
-            self.abort_receptions(now)
-        if self.gw_busy_receiving():
-            raise SimulationError("gateway would transmit while receiving")
-        self.tx_until = now + airtime
+        self.gw_transmit(now, airtime, self.sc.tau2)
         self.sb2_free_at = now + airtime * (1.0 + self.sc.delta_sb2)
         if dev.counted:
             self.dl_sb2_sent += 1
@@ -593,19 +552,10 @@ class _Replication:
         self.emit(now, dev.idx, sfi, ch, "ack2_start", "")
 
     def on_ack_end(self, now, ctx):
-        dev, sfi, ch, ul_end, window, listen, listen_uid, start = ctx
+        dev, sfi, ch, ul_end, window, interferers, listen_uid, start = ctx
         if window == 1:
             del self.listeners[(ch, sfi)][listen_uid]
-            if self.geometric:
-                peak = _max_concurrent_power(listen.interferers, start, now)
-                ok = peak == 0.0 or dev.power >= self.margin * peak
-            elif listen.n_int == 0:
-                ok = True
-            elif listen.n_int == 1:
-                ok = self.rng.random() < self.sc.w_ed
-            else:
-                ok = False
-            if not ok:
+            if not self.captured(interferers, dev, dev.power, start, now, self.sc.w_ed):
                 if dev.counted:
                     self.dl_rx1_corrupted += 1
                 self.emit(now, dev.idx, sfi, ch, "ack1_end", "corrupted")

@@ -68,6 +68,14 @@ class TestSolve:
     def test_unknown_key_is_validation_error(self):
         assert run_cli("solve", "--set", "lambda_totale=1") == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("override, message", [
+        ("m=16", "m must be <= 15"),
+        ("h=100000000000000000000", "h must be <= 15"),
+    ])
+    def test_retransmission_limits_capped_at_fifteen(self, override, message, capsys):
+        assert run_cli("solve", "--set", override) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+
     def test_non_convergence_exit_code(self, tmp_path):
         out = tmp_path / "solve.json"
         code = run_cli("solve", "--set", "lambda_total=1", "--set", "alpha=1",
@@ -203,6 +211,10 @@ class TestSweep:
     def test_unknown_output_rejected(self):
         assert run_cli("sweep", "--axis", "lambda_total", "--values", "1",
                        "--outputs", "nope") == EXIT_VALIDATION
+
+    def test_huge_retransmission_limit_rejected(self, capsys):
+        assert run_cli("sweep", "--axis", "m", "--values", "1e20") == EXIT_VALIDATION
+        assert "m must be <= 15" in capsys.readouterr().err
 
 
 class TestSimulate:

@@ -167,9 +167,9 @@ def scenario_documents(draw):
     if draw(st.booleans()):
         doc["alpha"] = draw(st.floats(min_value=0.0, max_value=1.0))
     if draw(st.booleans()):
-        doc["m"] = draw(st.integers(min_value=1, max_value=16))
+        doc["m"] = draw(st.integers(min_value=1, max_value=15))
     if draw(st.booleans()):
-        doc["h"] = draw(st.integers(min_value=1, max_value=16))
+        doc["h"] = draw(st.integers(min_value=1, max_value=15))
     if draw(st.booleans()):
         doc["delta_sb1"] = draw(st.floats(min_value=0.0, max_value=1e3))
     if draw(st.booleans()):
@@ -189,7 +189,7 @@ class TestFuzzedDocuments:
         cfg = load_scenario(doc, renormalize=True)
         assert 0.0 <= cfg.alpha <= 1.0
         assert cfg.lambda_total >= 0.0
-        assert cfg.m >= 1 and cfg.h >= 1
+        assert 1 <= cfg.m <= 15 and 1 <= cfg.h <= 15
         assert cfg.tau1 in (0, 1) and cfg.tau2 in (0, 1)
         for dist in (cfg.p_unconfirmed, cfg.p_confirmed):
             assert abs(sum(dist.p) - 1.0) <= 1e-9

@@ -1,5 +1,6 @@
 """Simulator invariants: determinism, conservation, duty-cycle audit, limits."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,14 @@ import pytest
 
 from loracell import analytic, metrics
 from loracell.scenario import ScenarioConfig, SfDistribution, ValidationError
-from loracell.simulate import SimConfig, loss_breakdown, place_devices, run
+from loracell.simulate import (
+    SimConfig,
+    SimulationError,
+    _max_concurrent_power,
+    loss_breakdown,
+    place_devices,
+    run,
+)
 
 SF7_ONLY = SfDistribution((1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
 
@@ -227,14 +235,43 @@ class TestModelAgreement:
         assert report_sim.cd.mean == pytest.approx(report_model.cd, abs=0.05)
 
 
+class TestPeakInterference:
+    def test_overlapping_interferers_sum(self):
+        assert _max_concurrent_power([(1.0, 0.0, 2.0), (2.0, 1.0, 3.0)], 0.0, 3.0) == 3.0
+
+    def test_disjoint_interferer_does_not_add(self):
+        assert _max_concurrent_power([(1.0, 0.0, 1.0), (2.0, 1.5, 2.5)], 0.0, 3.0) == 2.0
+
+    def test_windows_clipped_to_the_reception(self):
+        interferers = [(1.0, 0.0, 1.5), (4.0, 1.2, 5.0), (8.0, 2.5, 3.0)]
+        assert _max_concurrent_power(interferers, 0.0, 5.0) == 12.0
+        # Inside [1.6, 2] only the 4.0 interferer is on the air.
+        assert _max_concurrent_power(interferers, 1.6, 2.0) == 4.0
+        assert _max_concurrent_power([(8.0, 2.5, 3.0)], 1.0, 2.0) == 0.0
+
+    def test_touching_edges_do_not_overlap(self):
+        assert _max_concurrent_power([(1.0, 0.0, 1.0), (2.0, 1.0, 2.0)], 0.0, 2.0) == 2.0
+        assert _max_concurrent_power([(1.0, 2.0, 3.0)], 0.0, 2.0) == 0.0
+
+    def test_no_interferers_gives_zero(self):
+        assert _max_concurrent_power([], 0.0, 1.0) == 0.0
+
+
+class TestEventBudget:
+    def test_exceeding_max_events_raises(self):
+        with pytest.raises(SimulationError, match="event budget exceeded"):
+            run(sim(scenario_kw={"lambda_total": 5.0}, max_events=1000))
+
+
 class TestTrace:
     def test_trace_lines_written_when_enabled(self, tmp_path):
         path = tmp_path / "events.log"
-        run(sim(scenario_kw={"lambda_total": 1.0, "alpha": 1.0, "m": 1},
-                n_devices=20, sim_duration=100.0, warmup=0.0,
-                n_replications=1, trace_path=str(path)))
+        cfg = sim(scenario_kw={"lambda_total": 1.0, "alpha": 1.0, "m": 1},
+                  n_devices=20, sim_duration=100.0, warmup=0.0, n_replications=1)
+        traced = run(dataclasses.replace(cfg, trace_path=str(path)))
         lines = path.read_text().strip().splitlines()
         assert lines
         first = lines[0].split()
         assert len(first) >= 5
         float(first[0])  # leading timestamp parses
+        assert dataclasses.replace(traced, config=cfg) == run(cfg)
