@@ -34,7 +34,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .scenario import N_SF, ScenarioConfig
+from .scenario import N_SF, ScenarioConfig, ValidationError
 
 
 class ModelError(RuntimeError):
@@ -462,11 +462,11 @@ def solve_many(cfgs, tol: float = 1e-10, max_iter: int = 1000,
     its ``ModelError`` without stopping the others.
     """
     if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+        raise ValidationError(f"tol must be positive, got {tol}")
     if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+        raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     if not 0.0 < relaxation <= 1.0:
-        raise ValueError(f"relaxation must be in (0, 1], got {relaxation}")
+        raise ValidationError(f"relaxation must be in (0, 1], got {relaxation}")
     groups: dict[tuple, list[int]] = {}
     for i, cfg in enumerate(cfgs):
         groups.setdefault(tuple(getattr(cfg, name) for name in _SHARED), []).append(i)

@@ -41,13 +41,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_out(text: str, out: str | None):
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
-
-
 def _set_path(data: dict, key: str, value) -> dict:
     """Set the dotted ``key`` of a scenario mapping to ``value``."""
     node = data
@@ -98,12 +91,17 @@ def _config_header(cfg: ScenarioConfig, command: str, extra: dict | None = None)
     return lines
 
 
-def _csv(lines_header: list[str], columns: list[str], rows: list[list]) -> str:
-    out = list(lines_header)
-    out.append(",".join(columns))
-    for row in rows:
-        out.append(",".join(_fmt(v) for v in row))
-    return "\n".join(out) + "\n"
+def _emit(args, doc: dict, header: list[str], columns: list[str], rows: list[list]):
+    """Write ``doc`` as JSON or the CSV table, per ``--format``, to ``--out`` or stdout."""
+    if args.format == "doc":
+        text = json.dumps(doc, sort_keys=True, indent=2, default=_fmt) + "\n"
+    else:
+        lines = [*header, ",".join(columns), *(",".join(map(_fmt, row)) for row in rows)]
+        text = "\n".join(lines) + "\n"
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        Path(args.out).write_text(text)
 
 
 # -- solve -------------------------------------------------------------------
@@ -114,26 +112,23 @@ def cmd_solve(args) -> int:
     report = metrics.compute_report(state, cfg)
     solver = {"converged": state.converged, "iterations": state.iterations,
               "residual": state.residual, "tol": args.tol, "max_iter": args.max_iter}
-    if args.format == "doc":
-        doc = {"command": "solve", "config": cfg.to_dict(), "solver": solver,
-               "metrics": report.to_dict()}
-        if args.full_state:
-            doc["steady_state"] = {
-                "s_ul": list(state.s_ul), "s_dl": list(state.s_dl),
-                "s_int": list(state.s_int), "s_tx": list(state.s_tx),
-                "f_tx1": list(state.f_tx1), "f_tx2": list(state.f_tx2),
-                "s_int_ack1": list(state.s_int_ack1),
-                "s_sb1": list(state.s_sb1), "s_sb2": state.s_sb2,
-                "r_phy": list(state.rates.r_phy), "d": list(state.rates.d),
-                "s_demod": state.demod.s_demod,
-                "p_lock": list(state.demod.p_lock),
-            }
-        _write_out(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
-    else:
-        columns = list(metrics.METRICS) + ["iterations", "residual", "converged"]
-        row = ([getattr(report, k) for k in metrics.METRICS]
-               + [state.iterations, state.residual, state.converged])
-        _write_out(_csv(_config_header(cfg, "solve", solver), columns, [row]), args.out)
+    doc = {"command": "solve", "config": cfg.to_dict(), "solver": solver,
+           "metrics": report.to_dict()}
+    if args.full_state:
+        doc["steady_state"] = {
+            "s_ul": list(state.s_ul), "s_dl": list(state.s_dl),
+            "s_int": list(state.s_int), "s_tx": list(state.s_tx),
+            "f_tx1": list(state.f_tx1), "f_tx2": list(state.f_tx2),
+            "s_int_ack1": list(state.s_int_ack1),
+            "s_sb1": list(state.s_sb1), "s_sb2": state.s_sb2,
+            "r_phy": list(state.rates.r_phy), "d": list(state.rates.d),
+            "s_demod": state.demod.s_demod,
+            "p_lock": list(state.demod.p_lock),
+        }
+    columns = list(metrics.METRICS) + ["iterations", "residual", "converged"]
+    row = ([getattr(report, k) for k in metrics.METRICS]
+           + [state.iterations, state.residual, state.converged])
+    _emit(args, doc, _config_header(cfg, "solve", solver), columns, [row])
     return EXIT_OK if state.converged else EXIT_NO_CONVERGENCE
 
 
@@ -191,13 +186,10 @@ def cmd_sweep(args) -> int:
                     + [state.iterations, state.residual, state.converged])
 
     columns = [args.axis] + outputs + ["iterations", "residual", "converged"]
+    doc = {"command": "sweep", "config": base.to_dict(), "axis": args.axis,
+           "rows": [dict(zip(columns, row)) for row in rows]}
     header = _config_header(base, "sweep", {"axis": args.axis, "values": args.values})
-    text = _csv(header, columns, rows)
-    if args.format == "doc":
-        doc = {"command": "sweep", "config": base.to_dict(), "axis": args.axis,
-               "rows": [dict(zip(columns, row)) for row in rows]}
-        text = json.dumps(doc, sort_keys=True, indent=2, default=_fmt) + "\n"
-    _write_out(text, args.out)
+    _emit(args, doc, header, columns, rows)
     return EXIT_OK if all(state.converged for state in states) else EXIT_NO_CONVERGENCE
 
 
@@ -239,15 +231,11 @@ def cmd_simulate(args) -> int:
     means = (["mean", report.offered_app, report.offered_phy]
              + [s.mean for s in summaries] + [report.dc_violations])
     cis = ["ci95", None, None] + [s.halfwidth for s in summaries] + [None]
-    if args.format == "doc":
-        doc = {"command": "simulate", "config": cfg.to_dict(), "sim": extra,
-               "replications": [dict(zip(columns, row)) for row in rows],
-               "mean": dict(zip(columns, means)),
-               "ci95": dict(zip(columns, cis))}
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    else:
-        text = _csv(_config_header(cfg, "simulate", extra), columns, rows + [means, cis])
-    _write_out(text, args.out)
+    doc = {"command": "simulate", "config": cfg.to_dict(), "sim": extra,
+           "replications": [dict(zip(columns, row)) for row in rows],
+           "mean": dict(zip(columns, means)),
+           "ci95": dict(zip(columns, cis))}
+    _emit(args, doc, _config_header(cfg, "simulate", extra), columns, rows + [means, cis])
     return EXIT_OK
 
 
@@ -292,18 +280,13 @@ def cmd_optimize(args) -> int:
            "lambdas": list(lambdas),
            "best": {"value": result.best_value, "config": result.best_cfg.to_dict()},
            "records": records}
-    if args.format == "csv":
-        columns = ["lambda", "m", "h", "value", "iterations", "evaluations",
-                   "start", "solver_converged"] \
-            + [f"p_u_sf{s}" for s in range(7, 13)] + [f"p_c_sf{s}" for s in range(7, 13)]
-        rows = [[r.lam, r.m, r.h, r.value, r.iterations, r.evaluations, r.start,
-                 r.solver_converged] + list(r.p_unconfirmed) + list(r.p_confirmed)
-                for r in result.records]
-        text = _csv(_config_header(cfg, "optimize", {"objective": args.objective}),
-                    columns, rows)
-    else:
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    _write_out(text, args.out)
+    keys = ["lambda", "m", "h", "value", "iterations", "evaluations", "start", "solver_converged"]
+    columns = (keys + [f"p_u_sf{s}" for s in range(7, 13)]
+               + [f"p_c_sf{s}" for s in range(7, 13)])
+    rows = [[rec[k] for k in keys] + rec["p_unconfirmed"] + rec["p_confirmed"]
+            for rec in records]
+    _emit(args, doc, _config_header(cfg, "optimize", {"objective": args.objective}),
+          columns, rows)
     return EXIT_OK
 
 
@@ -330,15 +313,10 @@ def cmd_compare(args) -> int:
         rows.append([name, model_value, sim_value, diff, summary.halfwidth])
     extra = {"seed": sim_cfg.seed, "n_replications": sim_cfg.n_replications,
              "sim_duration": sim_cfg.sim_duration}
-    if args.format == "doc":
-        doc = {"command": "compare", "config": cfg.to_dict(), "sim": extra,
-               "rows": [dict(zip(("metric", "analytic", "simulated", "abs_diff",
-                                  "sim_ci95"), row)) for row in rows]}
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    else:
-        text = _csv(_config_header(cfg, "compare", extra),
-                    ["metric", "analytic", "simulated", "abs_diff", "sim_ci95"], rows)
-    _write_out(text, args.out)
+    columns = ["metric", "analytic", "simulated", "abs_diff", "sim_ci95"]
+    doc = {"command": "compare", "config": cfg.to_dict(), "sim": extra,
+           "rows": [dict(zip(columns, row)) for row in rows]}
+    _emit(args, doc, _config_header(cfg, "compare", extra), columns, rows)
     return EXIT_OK if state.converged else EXIT_NO_CONVERGENCE
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import SteadyState, attempt_distributions
-from .scenario import N_SF, ScenarioConfig
+from .scenario import ScenarioConfig
 
 
 #: The scalar metrics that the model, the simulator and the optimizer all
@@ -100,20 +100,19 @@ def delays(state: SteadyState, cfg: ScenarioConfig) -> tuple[float, float]:
         raise MetricsError("downlink delay undefined: no confirmed packet can succeed")
 
     j0 = np.arange(cfg.m, dtype=float)  # attempt index j-1
-    delta_ul = 0.0
-    delta_dl = 0.0
-    for i in range(N_SF):
-        ul_total = float(p_ul[i].sum())
-        if ul_total > 0.0:
-            weights = p_ul[i] / ul_total
-            delta_ul += p_c[i] * float(weights @ (t_data[i] + j0 * gamma[i]))
-        dl_total = float(p_dl[i].sum())
-        if dl_total > 0.0:
-            weights = p_dl[i] / dl_total
-            delta_dl += p_c[i] * float(
-                weights @ (t_data[i] + j0 * gamma[i] + (j0 + 1.0) * phi[i])
-            )
-    return float(delta_ul), float(delta_dl)
+    t_ul = t_data[:, None] + j0 * gamma[:, None]
+    t_dl = t_ul + (j0 + 1.0) * phi[:, None]
+    return _mean_delay(p_c, p_ul, t_ul), _mean_delay(p_c, p_dl, t_dl)
+
+
+def _mean_delay(p_c: np.ndarray, p: np.ndarray, t: np.ndarray) -> float:
+    """Sum over SFs i of ``p_c[i]`` times the ``p[i]``-weighted mean of ``t[i]`` (0 if
+    ``p[i]`` is all zero), bit-identical to a per-SF loop of ``weights @ t[i]``."""
+    total = p.sum(axis=1)
+    keep = total > 0.0
+    weights = p / np.where(keep, total, 1.0)[:, None]
+    per_sf = np.where(keep, (weights[:, None, :] @ t[:, :, None])[:, 0, 0], 0.0)
+    return float(sum(p_c * per_sf))
 
 
 def jain_index(x) -> float:

@@ -64,6 +64,8 @@ class OptimizationProblem:
             raise ValueError("m_grid and h_grid must be non-empty")
         if any(m < 1 for m in self.m_grid) or any(h < 1 for h in self.h_grid):
             raise ValueError("grid entries must be >= 1")
+        if self.max_ascent_iters < 0:
+            raise ValueError(f"max_ascent_iters must be >= 0, got {self.max_ascent_iters}")
         weights = self.objective_weights()
         if any(not np.isfinite(w) for w in weights.values()):
             raise ValueError("objective weights must be finite")

@@ -28,6 +28,8 @@ N_SF = len(SPREADING_FACTORS)
 DEFAULT_DATA_AIRTIME: tuple[float, ...] = (0.051, 0.102, 0.185, 0.329, 0.659, 1.318)
 #: Airtime of a payload-less ACK at 125 kHz, per SF 7..12 [s].
 DEFAULT_ACK_AIRTIME: tuple[float, ...] = (0.041, 0.072, 0.144, 0.247, 0.495, 0.991)
+#: The airtime columns of :class:`AirtimeTable`, in field order.
+_AIRTIME_KEYS = ("t_data", "t_ack1", "t_ack2")
 
 #: EXPLoRa SF shares as commonly tabulated.  They add up to 0.998 because of
 #: rounding in the source table; :func:`preset` renormalizes them.
@@ -45,13 +47,6 @@ class ParseError(ValueError):
 
 class ValidationError(ValueError):
     """A scenario value violates one of the documented invariants."""
-
-
-def sf_index(sf: int) -> int:
-    """Map a spreading factor in 7..12 to its 0-based vector index."""
-    if sf not in SPREADING_FACTORS:
-        raise ValidationError(f"spreading factor must be in {SPREADING_FACTORS}, got {sf}")
-    return sf - SPREADING_FACTORS[0]
 
 
 def _as_float_tuple(name: str, values) -> tuple[float, ...]:
@@ -79,7 +74,7 @@ class AirtimeTable:
     t_ack2: tuple[float, ...] = (DEFAULT_ACK_AIRTIME[-1],) * N_SF
 
     def __post_init__(self):
-        for name in ("t_data", "t_ack1", "t_ack2"):
+        for name in _AIRTIME_KEYS:
             vals = _as_float_tuple(f"airtimes.{name}", getattr(self, name))
             object.__setattr__(self, name, vals)
             if any(not math.isfinite(v) or v <= 0.0 for v in vals):
@@ -91,11 +86,7 @@ class AirtimeTable:
                 raise ValidationError(f"airtimes.{name} must be strictly increasing in SF")
 
     def to_dict(self) -> dict:
-        return {
-            "t_data": list(self.t_data),
-            "t_ack1": list(self.t_ack1),
-            "t_ack2": list(self.t_ack2),
-        }
+        return {name: list(getattr(self, name)) for name in _AIRTIME_KEYS}
 
 
 @dataclass(frozen=True)
@@ -231,30 +222,19 @@ class ScenarioConfig:
         object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
-        """Plain-scalar mapping with exactly the field names, plus schema_version."""
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "lambda_total": self.lambda_total,
-            "alpha": self.alpha,
-            "p_unconfirmed": list(self.p_unconfirmed.p),
-            "p_confirmed": list(self.p_confirmed.p),
-            "h": self.h,
-            "m": self.m,
-            "delta_sb1": self.delta_sb1,
-            "delta_sb2": self.delta_sb2,
-            "tau1": self.tau1,
-            "tau2": self.tau2,
-            "c_channels": self.c_channels,
-            "mu_retx": self.mu_retx,
-            "w_gw": self.w_gw,
-            "w_ed": self.w_ed,
-            "airtimes": self.airtimes.to_dict(),
-            "n_demodulators": self.n_demodulators,
-        }
+        """Plain-scalar mapping: schema_version, then every field in field order."""
+        data = {"schema_version": SCHEMA_VERSION}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, SfDistribution):
+                value = list(value.p)
+            elif isinstance(value, AirtimeTable):
+                value = value.to_dict()
+            data[f.name] = value
+        return data
 
 
 _CONFIG_KEYS = {f.name for f in fields(ScenarioConfig)} | {"schema_version"}
-_AIRTIME_KEYS = {"t_data", "t_ack1", "t_ack2"}
 
 
 def _parse_distribution(name: str, value, renormalize: bool) -> SfDistribution:
@@ -269,12 +249,11 @@ def _parse_airtimes(value) -> AirtimeTable:
     if isinstance(value, AirtimeTable):
         return value
     if not isinstance(value, Mapping):
-        raise ValidationError("airtimes must be a mapping with t_data/t_ack1/t_ack2 lists")
-    unknown = set(value) - _AIRTIME_KEYS
+        raise ValidationError(f"airtimes must be a mapping with {'/'.join(_AIRTIME_KEYS)} lists")
+    unknown = set(value).difference(_AIRTIME_KEYS)
     if unknown:
         raise ValidationError(f"unknown airtimes keys: {sorted(unknown)}")
-    kwargs = {k: value[k] for k in _AIRTIME_KEYS if k in value}
-    return AirtimeTable(**kwargs)
+    return AirtimeTable(**value)
 
 
 def load_scenario(source, renormalize: bool = False) -> ScenarioConfig:

@@ -85,6 +85,10 @@ class SimConfig:
             raise ValidationError("radius_m must be positive")
         if self.sim_duration <= 0:
             raise ValidationError("sim_duration must be positive")
+        if not math.isfinite(self.sim_duration):
+            raise ValidationError(f"sim_duration must be finite, got {self.sim_duration}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.warmup is not None and not 0 <= self.warmup < self.sim_duration:
             raise ValidationError("need sim_duration > warmup >= 0")
 

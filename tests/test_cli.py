@@ -278,6 +278,49 @@ class TestCompare:
         assert {"uu", "cu", "cd", "f_nmd", "f_gwtx", "f_int"} <= set(by_metric)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("solve", "--tol", "0"), "tol must be positive"),
+    (("solve", "--max-iter", "0"), "max_iter must be >= 1"),
+    (("sweep", "--axis", "lambda_total", "--values", "1", "--tol", "-1"),
+     "tol must be positive"),
+    (("compare", "--max-iter", "0"), "max_iter must be >= 1"),
+    (("simulate", "--seed", "-1"), "seed must be >= 0"),
+    (("simulate", "--duration", "nan"), "sim_duration must be finite"),
+    (("simulate", "--duration", "inf"), "sim_duration must be finite"),
+    (("optimize", "--lambdas", "1", "--max-ascent-iters", "-3"),
+     "max_ascent_iters must be >= 0"),
+])
+def test_out_of_range_options_are_validation_errors(argv, message, capsys):
+    assert run_cli(*argv) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+
+
+_SMALL_SIM = ("--devices", "20", "--duration", "100", "--warmup", "10",
+              "--replications", "1", "--set", "lambda_total=0.5", "--set", "alpha=0.5")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "doc"])
+@pytest.mark.parametrize("argv", [
+    ("solve", "--full-state"),
+    ("sweep", "--axis", "lambda_total", "--values", "0.5,1"),
+    ("simulate", *_SMALL_SIM),
+    ("compare", *_SMALL_SIM),
+    ("optimize", "--lambdas", "0.2", "--m-grid", "2", "--h-grid", "1",
+     "--max-ascent-iters", "2"),
+], ids=lambda argv: argv[0])
+def test_out_file_bytes_equal_stdout_bytes(argv, fmt, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--format", fmt) == EXIT_OK
+    stdout = capsys.readouterr().out
+    assert run_cli(*argv, "--format", fmt, "--out", str(out)) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout.encode()
+    if fmt == "doc":
+        assert json.loads(stdout)["command"] == argv[0]
+    else:
+        assert stdout.startswith(f"# loracell {argv[0]}\n")
+
+
 class TestOptimize:
     def test_empty_grid_rejected(self):
         assert run_cli("optimize", "--lambdas", "1", "--m-grid", "",

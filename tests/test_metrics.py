@@ -1,6 +1,6 @@
 """Metric oracles: delivery ratios, delays, fairness, losses."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -127,6 +127,33 @@ class TestDelays:
                             * (t_data[i] + j * gamma[i] + (j + 1) * phi[i]))
         assert delta_ul == pytest.approx(want_ul, abs=1e-12)
         assert delta_dl == pytest.approx(want_dl, abs=1e-12)
+
+    def test_equals_per_sf_loop_bit_for_bit(self):
+        def loop_delays(state, cfg):
+            p_c = np.asarray(cfg.p_confirmed.p)
+            t_data = np.asarray(cfg.airtimes.t_data)
+            gamma = (cfg.delta_sb1 + 1.0) * t_data + cfg.mu_retx
+            phi = (state.s_sb1 * (1.0 + np.asarray(cfg.airtimes.t_ack1))
+                   + state.s_sb2 * (2.0 + np.asarray(cfg.airtimes.t_ack2)))
+            p_ul, p_dl = analytic.attempt_distributions(state.s_ul, state.s_dl, cfg.m)
+            j0 = np.arange(cfg.m, dtype=float)
+            delta_ul = delta_dl = 0.0
+            for i in range(6):
+                if p_ul[i].sum() > 0.0:
+                    weights = p_ul[i] / float(p_ul[i].sum())
+                    delta_ul += p_c[i] * float(weights @ (t_data[i] + j0 * gamma[i]))
+                if p_dl[i].sum() > 0.0:
+                    weights = p_dl[i] / float(p_dl[i].sum())
+                    delta_dl += p_c[i] * float(
+                        weights @ (t_data[i] + j0 * gamma[i] + (j0 + 1.0) * phi[i]))
+            return float(delta_ul), float(delta_dl)
+
+        rng = np.random.default_rng(11)
+        cfgs = [replace(random_config(rng), m=int(rng.integers(1, 16))) for _ in range(150)]
+        cfgs += [ScenarioConfig(lambda_total=lam, alpha=1.0, m=m, p_confirmed=dist)
+                 for lam in (0.0, 3.0) for m in (1, 15) for dist in (SF7_ONLY, SF12_ONLY)]
+        for cfg, state in zip(cfgs, analytic.solve_many(cfgs)):
+            assert delays(state, cfg) == loop_delays(state, cfg)
 
 
 class TestFairness:

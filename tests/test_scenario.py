@@ -1,8 +1,10 @@
 """Scenario loading, validation and round-trip serialization."""
 
 import math
+from dataclasses import fields
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +14,7 @@ from loracell.scenario import (
     EXPLORA_RAW,
     AirtimeTable,
     ParseError,
+    ScenarioConfig,
     SfDistribution,
     ValidationError,
     load_scenario,
@@ -151,6 +154,16 @@ class TestRoundTrip:
         cfg = load_scenario(doc)
         again = load_scenario(scenario_to_yaml(cfg))
         assert again == cfg
+
+    def test_yaml_keys_follow_field_order_with_plain_values(self):
+        cfg = load_scenario("p_confirmed: explora")
+        keys = list(yaml.safe_load(scenario_to_yaml(cfg)))
+        assert keys == ["schema_version", *(f.name for f in fields(ScenarioConfig))]
+        data = cfg.to_dict()
+        assert data["p_confirmed"] == list(cfg.p_confirmed.p)
+        assert data["airtimes"] == {"t_data": list(DEFAULT_DATA_AIRTIME),
+                                    "t_ack1": list(DEFAULT_ACK_AIRTIME),
+                                    "t_ack2": [DEFAULT_ACK_AIRTIME[-1]] * 6}
 
     def test_round_trip_preserves_floats_exactly(self):
         cfg = load_scenario("lambda_total: 0.1\nw_ed: 0.5682")
