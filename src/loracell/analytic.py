@@ -461,7 +461,7 @@ def solve_many(cfgs, tol: float = 1e-10, max_iter: int = 1000,
     its own residual reaches ``tol``, and a row whose sweep breaks yields
     its ``ModelError`` without stopping the others.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValidationError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")

@@ -18,36 +18,38 @@ A listener (the gateway receiving an uplink, or a device receiving its
 RX1 acknowledgement) is the list of same-channel same-SF transmissions
 that overlap it.  Their received powers are evaluated only when the
 reception resolves, by one capture rule shared by uplinks and ACKs.
+
+Each replication places its devices with its own generator, then spawns
+one child stream per purpose (channel choice, retransmission timeout,
+capture coin, inter-arrival gap).  Streams are drawn in blocks, so event
+handlers make no scalar generator call, and each purpose sees the same
+numbers whatever the others consume.
 """
 
 from __future__ import annotations
 
-import heapq
+import itertools
 import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 import numpy as np
-from scipy import stats as sps
 
 from .metrics import METRICS, MetricsError, jain_index
 from .scenario import N_SF, ScenarioConfig, ValidationError
 
-# Event kinds, in no particular priority (ties break on schedule order).
-_EV_ARRIVAL = 0
-_EV_TX_START = 1
-_EV_TX_END = 2
-_EV_RX1 = 3
-_EV_RX2 = 4
-_EV_ACK_END = 5
-
-# Uplink PHY outcomes.
+# Uplink PHY outcomes, also the row of each outcome's per-SF counter.
 _OUT_DELIVERED = 0
 _OUT_INTERFERENCE = 1
 _OUT_GWTX = 2
 _OUT_NMD = 3
 
+_OUTCOME_NAMES = ("delivered", "interference", "gw_tx", "no_demod")
+
 _ARRIVAL_MODELS = ("poisson", "periodic")
 _CAPTURE_MODELS = ("probabilistic", "geometric")
+
+_BLOCK = 1024  # draws per refill of a random stream
 
 
 class SimulationError(RuntimeError):
@@ -83,6 +85,9 @@ class SimConfig:
             raise ValidationError(f"capture_model must be one of {_CAPTURE_MODELS}")
         if self.radius_m <= 0:
             raise ValidationError("radius_m must be positive")
+        for name in ("radius_m", "path_loss_exponent", "cr_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sim_duration <= 0:
             raise ValidationError("sim_duration must be positive")
         if not math.isfinite(self.sim_duration):
@@ -259,6 +264,12 @@ def _max_concurrent_power(interferers, start, end) -> float:
     return peak
 
 
+def _stream(draw):
+    """Yield the values of ``draw(_BLOCK)`` one at a time, refilling forever."""
+    while True:
+        yield from draw(_BLOCK).tolist()
+
+
 def _summary(values) -> MetricSummary:
     defined = [v for v in values if v is not None]
     if not defined:
@@ -266,8 +277,11 @@ def _summary(values) -> MetricSummary:
     mean = float(np.mean(defined))
     if len(defined) < 2:
         return MetricSummary(mean, None, tuple(values))
+    from scipy.special import stdtrit  # imported here: scipy is slow to load
+
+    n = len(defined)
     sd = float(np.std(defined, ddof=1))
-    half = float(sps.t.ppf(0.975, len(defined) - 1) * sd / math.sqrt(len(defined)))
+    half = float(stdtrit(n - 1, 0.975) * sd / math.sqrt(n))
     return MetricSummary(mean, half, tuple(values))
 
 
@@ -276,11 +290,15 @@ def _ratio(num, den) -> float | None:
 
 
 class _Replication:
-    """One single-threaded event loop; state is local to a replication."""
+    """One single-threaded event loop; state is local to a replication.
+
+    A heap entry is ``(time, seq, handler, payload)``: ``seq`` breaks ties
+    in schedule order and ``handler(time, payload)`` runs the event.
+    """
 
     def __init__(self, sim_cfg: SimConfig, rng: np.random.Generator, seed_label: int):
         self.cfg = sim_cfg
-        self.sc = sim_cfg.scenario
+        self.sc = sc = sim_cfg.scenario
         self.rng = rng
         self.seed_label = seed_label
         self.warmup = sim_cfg.resolved_warmup()
@@ -288,7 +306,6 @@ class _Replication:
         self.geometric = sim_cfg.capture_model == "geometric"
         self.margin = 10.0 ** (sim_cfg.cr_db / 10.0)
 
-        sc = self.sc
         self.t_data = sc.airtimes.t_data
         self.t_ack1 = sc.airtimes.t_ack1
         self.t_ack2 = sc.airtimes.t_ack2
@@ -302,26 +319,42 @@ class _Replication:
             for i in range(sim_cfg.n_devices)
         ]
 
+        # One block-drawn stream per purpose.  The draw closures capture
+        # locals only, never ``self``, so a finished replication holds no
+        # reference cycle and is freed at once.
+        ch_rng, timeout_rng, coin_rng, gap_rng = rng.spawn(4)
+        n_ch = sc.c_channels
+        lo, hi = sc.mu_retx - 1.0, sc.mu_retx + 1.0
+        per_device = sc.lambda_total / sim_cfg.n_devices
+        period = 1.0 / per_device if per_device > 0.0 else math.inf
+        self.period = period
+        self.next_channel = _stream(lambda k: ch_rng.integers(n_ch, size=k)).__next__
+        self.next_timeout = _stream(
+            lambda k: np.maximum(timeout_rng.uniform(lo, hi, k), 0.0)).__next__
+        self.next_coin = _stream(coin_rng.random).__next__
+        if sim_cfg.arrival_model == "poisson":
+            self.next_gap = _stream(lambda k: gap_rng.exponential(period, k)).__next__
+        else:
+            self.next_gap = itertools.repeat(period).__next__
+
         # Gateway state.
         self.receptions = {}            # tx uid -> _Tx being demodulated
         self.tx_until = 0.0             # gateway radio busy transmitting until
         self.sb1_free_at = 0.0          # duty-cycle gates per sub-band
         self.sb2_free_at = 0.0
 
-        self.on_air = {}                # (ch, sfi) -> {uid: _Tx}
-        self.listeners = {}             # (ch, sfi) -> {uid: [interfering _Tx]}
+        self.on_air = {(ch, sfi): {} for ch in range(n_ch) for sfi in range(N_SF)}
+        self.listeners = {key: {} for key in self.on_air}  # key -> {uid: [interfering _Tx]}
 
         self.heap = []
-        self.seq = 0
+        self.seq = itertools.count()
         self.uid = 0
-        self.events = 0
 
-        z = np.zeros(N_SF, dtype=np.int64)
-        self.offered_app_u = z.copy(); self.offered_app_c = z.copy()
-        self.delivered_app_u = z.copy(); self.delivered_app_c = z.copy()
-        self.acked_app_c = z.copy()
-        self.offered_phy = z.copy(); self.delivered_phy = z.copy()
-        self.lost_int = z.copy(); self.lost_gwtx = z.copy(); self.lost_nmd = z.copy()
+        self.offered_app_u = [0] * N_SF; self.offered_app_c = [0] * N_SF
+        self.delivered_app_u = [0] * N_SF; self.delivered_app_c = [0] * N_SF
+        self.acked_app_c = [0] * N_SF
+        self.offered_phy = [0] * N_SF
+        self.phy_outcomes = tuple([0] * N_SF for _ in _OUTCOME_NAMES)  # row per _OUT_*
         self.dl_sb1_sent = 0; self.dl_sb2_sent = 0
         self.dl_no_window = 0; self.dl_rx1_corrupted = 0
         self.ul_delay_sum = 0.0; self.ul_delay_n = 0
@@ -331,9 +364,8 @@ class _Replication:
 
     # -- event plumbing ----------------------------------------------------
 
-    def schedule(self, time, kind, payload):
-        heapq.heappush(self.heap, (time, self.seq, kind, payload))
-        self.seq += 1
+    def schedule(self, time, handler, payload):
+        heappush(self.heap, (time, next(self.seq), handler, payload))
 
     def emit(self, time, device_idx, sfi, ch, kind, outcome):
         if self.trace is not None:
@@ -342,24 +374,14 @@ class _Replication:
     # -- traffic generation ------------------------------------------------
 
     def first_arrivals(self):
-        sc = self.sc
-        if sc.lambda_total <= 0.0:
+        if self.sc.lambda_total <= 0.0:
             return
-        per_device = sc.lambda_total / self.cfg.n_devices
         if self.cfg.arrival_model == "poisson":
-            for dev in self.devices:
-                self.schedule(self.rng.exponential(1.0 / per_device), _EV_ARRIVAL, dev)
+            times = [self.next_gap() for _ in self.devices]
         else:
-            period = 1.0 / per_device
-            for dev in self.devices:
-                self.schedule(self.rng.uniform(0.0, period), _EV_ARRIVAL, dev)
-
-    def next_arrival(self, dev, now):
-        per_device = self.sc.lambda_total / self.cfg.n_devices
-        if self.cfg.arrival_model == "poisson":
-            self.schedule(now + self.rng.exponential(1.0 / per_device), _EV_ARRIVAL, dev)
-        else:
-            self.schedule(now + 1.0 / per_device, _EV_ARRIVAL, dev)
+            times = self.rng.uniform(0.0, self.period, len(self.devices)).tolist()
+        for dev, time in zip(self.devices, times):
+            self.schedule(time, self.on_arrival, dev)
 
     # -- device MAC --------------------------------------------------------
 
@@ -369,7 +391,7 @@ class _Replication:
         dev.attempts = 0
         dev.delivered_time = None
         dev.counted = False
-        self.schedule(max(now, dev.next_allowed), _EV_TX_START, dev)
+        self.schedule(max(now, dev.next_allowed), self.on_tx_start, dev)
 
     def finish_packet(self, dev, acked, now):
         if dev.counted:
@@ -391,8 +413,8 @@ class _Replication:
     def confirmed_attempt_failed(self, dev, ul_end):
         fail_at = ul_end + 2.0  # failure is known when the second window closes
         if dev.attempts < self.sc.m:
-            timeout = max(self.rng.uniform(self.sc.mu_retx - 1.0, self.sc.mu_retx + 1.0), 0.0)
-            self.schedule(max(fail_at + timeout, dev.next_allowed), _EV_TX_START, dev)
+            self.schedule(max(fail_at + self.next_timeout(), dev.next_allowed),
+                          self.on_tx_start, dev)
         else:
             self.finish_packet(dev, acked=False, now=fail_at)
 
@@ -413,7 +435,7 @@ class _Replication:
                 start, end)
             return peak == 0.0 or power >= self.margin * peak
         n = len(interferers)
-        return n == 0 or (n == 1 and self.rng.random() < w)
+        return n == 0 or (n == 1 and self.next_coin() < w)
 
     def gw_blocked(self, now, free_at, tau) -> bool:
         """The gateway cannot answer in a window whose sub-band frees at ``free_at``."""
@@ -436,7 +458,7 @@ class _Replication:
     def on_arrival(self, now, dev):
         if now >= self.duration:
             return
-        self.next_arrival(dev, now)
+        self.schedule(now + self.next_gap(), self.on_arrival, dev)
         dev.queued += 1
         if not dev.busy:
             self.start_packet(dev, now)
@@ -447,7 +469,7 @@ class _Replication:
         sfi = dev.sfi
         airtime = self.t_data[sfi]
         end = now + airtime
-        ch = int(self.rng.integers(self.sc.c_channels))
+        ch = self.next_channel()
         counted = self.warmup <= now <= self.duration
         dev.attempts += 1
         if dev.attempts == 1:
@@ -465,8 +487,8 @@ class _Replication:
         self.uid += 1
         tx = _Tx(self.uid, dev, sfi, ch, now, end, counted)
         key = (ch, sfi)
-        air = self.on_air.setdefault(key, {})
-        ears = self.listeners.setdefault(key, {})
+        air = self.on_air[key]
+        ears = self.listeners[key]
         for interferers in ears.values():
             interferers.append(tx)
 
@@ -479,7 +501,7 @@ class _Replication:
             self.receptions[tx.uid] = tx
             ears[tx.uid] = tx.rx
         air[tx.uid] = tx
-        self.schedule(end, _EV_TX_END, tx)
+        self.schedule(end, self.on_tx_end, tx)
         self.emit(now, dev.idx, sfi, ch, "ul_start", "")
 
     def on_tx_end(self, now, tx):
@@ -494,36 +516,28 @@ class _Replication:
         else:
             outcome = tx.fate
         if tx.counted:
-            if outcome == _OUT_DELIVERED:
-                self.delivered_phy[tx.sfi] += 1
-            elif outcome == _OUT_INTERFERENCE:
-                self.lost_int[tx.sfi] += 1
-            elif outcome == _OUT_GWTX:
-                self.lost_gwtx[tx.sfi] += 1
-            else:
-                self.lost_nmd[tx.sfi] += 1
-        self.emit(now, dev.idx, tx.sfi, tx.ch, "ul_end",
-                  ("delivered", "interference", "gw_tx", "no_demod")[outcome])
+            self.phy_outcomes[outcome][tx.sfi] += 1
+        self.emit(now, dev.idx, tx.sfi, tx.ch, "ul_end", _OUTCOME_NAMES[outcome])
 
         delivered = outcome == _OUT_DELIVERED
         if delivered and dev.delivered_time is None:
             dev.delivered_time = now
         if dev.confirmed:
             if delivered:
-                self.schedule(now + 1.0, _EV_RX1, (dev, tx.sfi, tx.ch, now))
+                self.schedule(now + 1.0, self.on_rx1, (dev, tx.sfi, tx.ch, now))
             else:
                 self.confirmed_attempt_failed(dev, now)
         else:
             if dev.attempts < self.sc.h:
                 # Next copy after both receive windows, duty cycle allowing.
-                self.schedule(max(now + 2.0, dev.next_allowed), _EV_TX_START, dev)
+                self.schedule(max(now + 2.0, dev.next_allowed), self.on_tx_start, dev)
             else:
                 self.finish_packet(dev, acked=False, now=now + 2.0)
 
     def on_rx1(self, now, ctx):
         dev, sfi, ch, ul_end = ctx
         if self.gw_blocked(now, self.sb1_free_at, self.sc.tau1):
-            self.schedule(ul_end + 2.0, _EV_RX2, ctx)
+            self.schedule(ul_end + 2.0, self.on_rx2, ctx)
             return
         airtime = self.t_ack1[sfi]
         self.gw_transmit(now, airtime, self.sc.tau1)
@@ -531,10 +545,10 @@ class _Replication:
         if dev.counted:
             self.dl_sb1_sent += 1
         key = (ch, sfi)
-        interferers = list(self.on_air.setdefault(key, {}).values())
+        interferers = list(self.on_air[key].values())
         self.uid += 1
-        self.listeners.setdefault(key, {})[self.uid] = interferers
-        self.schedule(now + airtime, _EV_ACK_END,
+        self.listeners[key][self.uid] = interferers
+        self.schedule(now + airtime, self.on_ack_end,
                       (dev, sfi, ch, ul_end, 1, interferers, self.uid, now))
         self.emit(now, dev.idx, sfi, ch, "ack1_start", "")
 
@@ -551,7 +565,7 @@ class _Replication:
         self.sb2_free_at = now + airtime * (1.0 + self.sc.delta_sb2)
         if dev.counted:
             self.dl_sb2_sent += 1
-        self.schedule(now + airtime, _EV_ACK_END,
+        self.schedule(now + airtime, self.on_ack_end,
                       (dev, sfi, ch, ul_end, 2, None, None, now))
         self.emit(now, dev.idx, sfi, ch, "ack2_start", "")
 
@@ -571,28 +585,21 @@ class _Replication:
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> ReplicationResult:
-        handlers = {
-            _EV_ARRIVAL: self.on_arrival,
-            _EV_TX_START: self.on_tx_start,
-            _EV_TX_END: self.on_tx_end,
-            _EV_RX1: self.on_rx1,
-            _EV_RX2: self.on_rx2,
-            _EV_ACK_END: self.on_ack_end,
-        }
         if self.cfg.trace_path is not None:
             self.trace = open(self.cfg.trace_path, "a")
+        heap = self.heap
+        budget = self.cfg.max_events
+        events = 0
         try:
             self.first_arrivals()
-            heap = self.heap
             while heap:
-                now, _, kind, payload = heapq.heappop(heap)
-                self.events += 1
-                if self.events > self.cfg.max_events:
-                    raise SimulationError(
-                        f"event budget exceeded ({self.cfg.max_events} events)"
-                    )
-                handlers[kind](now, payload)
+                now, _, handler, payload = heappop(heap)
+                events += 1
+                if events > budget:
+                    raise SimulationError(f"event budget exceeded ({budget} events)")
+                handler(now, payload)
         finally:
+            self.events = events
             if self.trace is not None:
                 self.trace.close()
                 self.trace = None
@@ -601,38 +608,35 @@ class _Replication:
     # -- reporting -----------------------------------------------------------
 
     def result(self) -> ReplicationResult:
-        def ints(arr):
-            return tuple(int(v) for v in arr)
-
-        off_u = int(self.offered_app_u.sum())
-        off_c = int(self.offered_app_c.sum())
-        off_phy = int(self.offered_phy.sum())
-        jain = self._jain()
+        delivered_phy, lost_int, lost_gwtx, lost_nmd = self.phy_outcomes
+        off_u = sum(self.offered_app_u)
+        off_c = sum(self.offered_app_c)
+        off_phy = sum(self.offered_phy)
         return ReplicationResult(
             seed=self.seed_label,
-            offered_app_u=ints(self.offered_app_u),
-            offered_app_c=ints(self.offered_app_c),
-            delivered_app_u=ints(self.delivered_app_u),
-            delivered_app_c=ints(self.delivered_app_c),
-            acked_app_c=ints(self.acked_app_c),
-            offered_phy=ints(self.offered_phy),
-            delivered_phy=ints(self.delivered_phy),
-            lost_interference=ints(self.lost_int),
-            lost_gwtx=ints(self.lost_gwtx),
-            lost_nmd=ints(self.lost_nmd),
+            offered_app_u=tuple(self.offered_app_u),
+            offered_app_c=tuple(self.offered_app_c),
+            delivered_app_u=tuple(self.delivered_app_u),
+            delivered_app_c=tuple(self.delivered_app_c),
+            acked_app_c=tuple(self.acked_app_c),
+            offered_phy=tuple(self.offered_phy),
+            delivered_phy=tuple(delivered_phy),
+            lost_interference=tuple(lost_int),
+            lost_gwtx=tuple(lost_gwtx),
+            lost_nmd=tuple(lost_nmd),
             dl_sb1_sent=self.dl_sb1_sent,
             dl_sb2_sent=self.dl_sb2_sent,
             dl_no_window=self.dl_no_window,
             dl_rx1_corrupted=self.dl_rx1_corrupted,
-            uu=_ratio(int(self.delivered_app_u.sum()), off_u),
-            cu=_ratio(int(self.delivered_app_c.sum()), off_c),
-            cd=_ratio(int(self.acked_app_c.sum()), off_c),
+            uu=_ratio(sum(self.delivered_app_u), off_u),
+            cu=_ratio(sum(self.delivered_app_c), off_c),
+            cd=_ratio(sum(self.acked_app_c), off_c),
             delta_ul=_ratio(self.ul_delay_sum, self.ul_delay_n),
             delta_dl=_ratio(self.dl_delay_sum, self.dl_delay_n),
-            jain=jain,
-            f_nmd=_ratio(int(self.lost_nmd.sum()), off_phy),
-            f_gwtx=_ratio(int(self.lost_gwtx.sum()), off_phy),
-            f_int=_ratio(int(self.lost_int.sum()), off_phy),
+            jain=self._jain(),
+            f_nmd=_ratio(sum(lost_nmd), off_phy),
+            f_gwtx=_ratio(sum(lost_gwtx), off_phy),
+            f_int=_ratio(sum(lost_int), off_phy),
             dc_violations=self.dc_violations,
             events=self.events,
         )

@@ -289,6 +289,11 @@ class TestCompare:
     (("simulate", "--duration", "inf"), "sim_duration must be finite"),
     (("optimize", "--lambdas", "1", "--max-ascent-iters", "-3"),
      "max_ascent_iters must be >= 0"),
+    (("solve", "--tol", "nan"), "tol must be positive"),
+    (("simulate", "--capture", "geometric", "--radius", "nan"), "radius_m must be finite"),
+    (("simulate", "--radius", "inf"), "radius_m must be finite"),
+    (("simulate", "--path-loss-exponent", "nan"), "path_loss_exponent must be finite"),
+    (("simulate", "--cr-db", "inf"), "cr_db must be finite"),
 ])
 def test_out_of_range_options_are_validation_errors(argv, message, capsys):
     assert run_cli(*argv) == EXIT_VALIDATION

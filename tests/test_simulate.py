@@ -1,17 +1,28 @@
 """Simulator invariants: determinism, conservation, duty-cycle audit, limits."""
 
 import dataclasses
+import gc
 import math
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
+import loracell
 from loracell import analytic, metrics
 from loracell.scenario import ScenarioConfig, SfDistribution, ValidationError
 from loracell.simulate import (
+    _BLOCK,
     SimConfig,
     SimulationError,
     _max_concurrent_power,
+    _Replication,
+    _summary,
     loss_breakdown,
     place_devices,
     run,
@@ -85,6 +96,39 @@ class TestDeterminism:
         cfg = sim(scenario_kw={"lambda_total": 2.0, "alpha": 0.5, "m": 2},
                   n_replications=3)
         assert run(cfg, workers=2) == run(cfg, workers=1)
+
+
+class TestBlockBoundaries:
+    def test_streams_refill_deterministically(self):
+        # Enough transmissions that every replication draws more than one
+        # block of channel numbers.
+        cfg = sim(scenario_kw={"lambda_total": 10.0, "alpha": 0.5, "m": 2},
+                  n_devices=200, sim_duration=600.0, warmup=10.0, n_replications=2)
+        report = run(cfg)
+        assert all(sum(rep.offered_phy) > _BLOCK for rep in report.replications)
+        assert run(cfg) == report
+        assert run(cfg, workers=2) == report
+        for rep in report.replications:
+            for i in range(6):
+                total = (rep.delivered_phy[i] + rep.lost_interference[i]
+                         + rep.lost_gwtx[i] + rep.lost_nmd[i])
+                assert total == rep.offered_phy[i]
+
+    @pytest.mark.parametrize("capture", ["probabilistic", "geometric"])
+    def test_finished_replication_freed_without_cycle_collector(self, capture):
+        # The stream closures must not capture the replication: a cycle
+        # would keep every finished replication alive until the collector runs.
+        cfg = sim(scenario_kw={"lambda_total": 2.0, "alpha": 0.5, "m": 2},
+                  capture_model=capture)
+        gc.disable()
+        try:
+            rep = _Replication(cfg, np.random.default_rng(1), seed_label=0)
+            rep.run()
+            ref = weakref.ref(rep)
+            del rep
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestDegenerateCells:
@@ -233,6 +277,24 @@ class TestModelAgreement:
                                    n_replications=3))
         assert report_sim.cu.mean == pytest.approx(report_model.cu, abs=0.05)
         assert report_sim.cd.mean == pytest.approx(report_model.cd, abs=0.05)
+
+
+class TestSummary:
+    @pytest.mark.parametrize("n", range(2, 31))
+    def test_halfwidth_is_students_t_interval(self, n):
+        values = [float(v) for v in np.random.default_rng(n).normal(0.5, 0.1, n)]
+        sd = float(np.std(values, ddof=1))
+        expected = float(stats.t.ppf(0.975, n - 1) * sd / math.sqrt(n))
+        assert _summary(values).halfwidth == expected
+
+    def test_importing_the_package_leaves_scipy_unloaded(self):
+        src = str(Path(loracell.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, loracell; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=60, check=True)
+        assert proc.stdout.strip() == "False"
 
 
 class TestPeakInterference:
