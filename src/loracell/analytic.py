@@ -7,7 +7,7 @@ finds a free demodulator), and ``s_dl``, the probability that the
 matching ACK reaches the device through one of its two receive windows.
 Both feed back into each other through retransmission traffic, gateway
 duty cycling and demodulator occupancy, so the model is solved by plain
-fixed-point iteration from the all-ones starting point.
+fixed-point iteration, by default from the all-ones starting point.
 
 Traffic is Poisson and spreading factors are treated as orthogonal:
 only same-SF packets on the same channel collide, and collision events
@@ -428,7 +428,7 @@ def iterate(cfg: ScenarioConfig, s_ul, s_dl) -> SteadyState:
 
 
 def solve(cfg: ScenarioConfig, tol: float = 1e-10, max_iter: int = 1000,
-          relaxation: float = 1.0) -> SteadyState:
+          relaxation: float = 1.0, start=None) -> SteadyState:
     """Solve the fixed point by iteration from the all-ones starting point.
 
     Stops when the sup-norm change of (s_ul, s_dl) between sweeps falls
@@ -436,12 +436,28 @@ def solve(cfg: ScenarioConfig, tol: float = 1e-10, max_iter: int = 1000,
     iterate is returned with ``converged`` False.  ``relaxation`` < 1
     damps the update (an escape hatch for pathological parameter sets;
     with damping the stored intermediate quantities satisfy the update
-    identities only approximately).
+    identities only approximately).  ``start``, a pair ``(s_ul, s_dl)`` of
+    per-SF probabilities, replaces the all-ones starting point, e.g. with
+    the fixed point of a nearby scenario.
     """
-    [state] = solve_many([cfg], tol, max_iter, relaxation)
+    [state] = solve_many([cfg], tol, max_iter, relaxation, start)
     if isinstance(state, ModelError):
         raise state
     return state
+
+
+def _start_vectors(start) -> tuple[np.ndarray, np.ndarray]:
+    """Validated copies of a starting point ``(s_ul, s_dl)``."""
+    try:
+        s_ul, s_dl = (np.array(v, dtype=float) for v in start)
+    except (TypeError, ValueError):
+        raise ValidationError("start must be a pair (s_ul, s_dl) of per-SF vectors") from None
+    for v in (s_ul, s_dl):
+        if v.shape != (N_SF,):
+            raise ValidationError(f"start vectors must have shape ({N_SF},), got {v.shape}")
+        if not np.all((v >= 0.0) & (v <= 1.0)):   # also false for NaN
+            raise ValidationError(f"start entries must be probabilities in [0, 1], got {v.tolist()}")
+    return s_ul, s_dl
 
 
 #: Fields that fix array shapes, loop counts or the ``gw_may_transmit`` branch,
@@ -453,14 +469,17 @@ _PER_ROW = ("h", "delta_sb1", "delta_sb2", "c_channels", "w_gw", "w_ed")
 
 
 def solve_many(cfgs, tol: float = 1e-10, max_iter: int = 1000,
-               relaxation: float = 1.0) -> list[SteadyState | ModelError]:
+               relaxation: float = 1.0, start=None) -> list[SteadyState | ModelError]:
     """Solve every config as :func:`solve` would; one result per config, in order.
 
     Configs that agree on ``m``, ``tau1``, ``tau2``, ``n_demodulators`` and
     the airtimes are iterated together as one batch.  A row is frozen once
     its own residual reaches ``tol``, and a row whose sweep breaks yields
-    its ``ModelError`` without stopping the others.
+    its ``ModelError`` without stopping the others.  Every row starts from
+    ``start`` when it is given.
     """
+    if start is not None:
+        start = _start_vectors(start)
     if not tol > 0.0:
         raise ValidationError(f"tol must be positive, got {tol}")
     if max_iter < 1:
@@ -473,7 +492,7 @@ def solve_many(cfgs, tol: float = 1e-10, max_iter: int = 1000,
     results: list = [None] * len(cfgs)
     if len(groups) != 1:
         for rows in groups.values():
-            group = solve_many([cfgs[i] for i in rows], tol, max_iter, relaxation)
+            group = solve_many([cfgs[i] for i in rows], tol, max_iter, relaxation, start)
             for i, result in zip(rows, group):
                 results[i] = result
         return results
@@ -491,7 +510,10 @@ def solve_many(cfgs, tol: float = 1e-10, max_iter: int = 1000,
         # scalars are then numpy scalars, whose arithmetic costs a fraction of
         # a one-element array's.
         cfg, app = cfgs[0], app_rates(cfgs[0])
-    s_ul = s_dl = np.ones(app[0].shape)
+    if start is None:
+        s_ul = s_dl = np.ones(app[0].shape)
+    else:
+        s_ul, s_dl = (np.broadcast_to(v, app[0].shape) for v in start)
     for iterations in range(1, max_iter + 1):
         state, failures = _sweep(cfg, app, s_ul, s_dl)
         new_ul, new_dl = state.s_ul, state.s_dl

@@ -62,15 +62,29 @@ def reliability(state: SteadyState, cfg: ScenarioConfig):
     An unconfirmed packet is delivered if any of its h copies reaches the
     gateway; a confirmed packet counts for CU when any of its m attempts
     reaches the gateway and for CD when the ACK also comes back.
+
+    A batched state, whose per-SF vectors are ``(K, 6)`` as in a batched
+    sweep of :mod:`~loracell.analytic`, gives ``(K,)`` ratios; the SF
+    distributions of ``cfg`` may then be ``(K, 6)`` arrays as well, one
+    row per state row.  Each row's ratios equal its one-row call's.
     """
     p_u = np.asarray(cfg.p_unconfirmed.p)
     p_c = np.asarray(cfg.p_confirmed.p)
     p_ul_h, _ = attempt_distributions(state.s_ul, state.s_dl, cfg.h)
     p_ul_m, p_dl_m = attempt_distributions(state.s_ul, state.s_dl, cfg.m)
-    uu_i = p_ul_h.sum(axis=1)
-    cu_i = p_ul_m.sum(axis=1)
-    cd_i = p_dl_m.sum(axis=1)
-    return float(p_u @ uu_i), float(p_c @ cu_i), float(p_c @ cd_i), uu_i, cu_i, cd_i
+    uu_i = p_ul_h.sum(axis=-1)
+    cu_i = p_ul_m.sum(axis=-1)
+    cd_i = p_dl_m.sum(axis=-1)
+    return _weighted(p_u, uu_i), _weighted(p_c, cu_i), _weighted(p_c, cd_i), uu_i, cu_i, cd_i
+
+
+def _weighted(p: np.ndarray, per_sf: np.ndarray):
+    """Share-weighted sum ``p @ per_sf`` of each row: a float for one row.
+
+    The stacked product is bit-identical to a per-row ``p @ per_sf``.
+    """
+    total = (p[..., None, :] @ per_sf[..., None])[..., 0, 0]
+    return float(total) if total.ndim == 0 else total
 
 
 def delays(state: SteadyState, cfg: ScenarioConfig) -> tuple[float, float]:

@@ -3,20 +3,35 @@
 Maximizes a weighted combination of the cell metrics over the two
 simplex-constrained SF distributions, grid-searching the retransmission
 limits (m, h).  The inner search is deterministic projected-gradient
-ascent with central-difference gradients and a backtracking line search,
-started from the uniform distribution; optional deterministic perturbed
-restarts can be enabled for rugged objectives.
+ascent with a backtracking line search, started from the uniform
+distribution; optional deterministic perturbed restarts can be enabled for
+rugged objectives.
 
-The 24 probes of one gradient are solved together as one batched fixed
-point (``analytic.solve_many``); each probe still counts as one objective
-evaluation, and its value equals a separate solve's.  The line search stays
-sequential, one ``analytic.solve`` per candidate step.
+The gradient differentiates through the fixed point instead of re-solving
+it (implicit differentiation, as in Bai, Kolter & Koltun, "Deep Equilibrium
+Models", 2019).  With z = (s_ul, s_dl) the fixed point of the sweep G at the
+SF shares x and Phi the objective of a sweep's state, the derivative of the
+objective along a direction d is
+
+    f'(d) = dPhi/dx d + dPhi/dz (I - dG/dz)^-1 dG/dx d.
+
+Gradient component i is [f'(d_i+) - f'(d_i-)] / 2h along the probe
+directions d_i+- = P(x +- h e_i) - x of a central difference (P projects
+onto the simplices, h is ``fd_step``), so at interior points it equals the
+central difference of the objective to O(h^2).  The partial derivatives
+are forward differences of one batched sweep (``analytic._sweep``) of 37
+rows at z: the base row, one row per unknown of z and one per probe
+direction; one 12 x 12 linear solve then combines them.  The line search
+solves one candidate at a time with ``analytic.solve``, warm-started from
+the current fixed point.  Every fixed-point solve and every derivative
+sweep counts as one objective evaluation.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Mapping
 
 import numpy as np
@@ -35,7 +50,7 @@ OBJECTIVES: dict[str, dict[str, float]] = {
 #: Why an ascent stopped: the step cap, a step that moved the iterate less than
 #: ``step_tolerance``, a step that gained less than ``improvement_tol``, no
 #: line-search step that improved the objective, or a gradient that is zero or
-#: not finite (a probe failed).
+#: not finite (the solve or the derivative sweep broke).
 STOP_REASONS = ("step_cap", "small_step", "small_gain", "no_ascent", "flat_gradient")
 
 
@@ -49,7 +64,7 @@ class OptimizationProblem:
     h_grid: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8)
     objective: str | Mapping[str, float] = "uu_plus_cd"
     simplex_tolerance: float = 1e-9
-    fd_step: float = 1e-4            # central-difference step along simplex tangents
+    fd_step: float = 1e-4            # half-width h of the probe directions P(x +- h e_i) - x
     max_ascent_iters: int = 60
     improvement_tol: float = 1e-6    # stop when an accepted step gains less than this
     step_tolerance: float = 1e-5     # stop when the iterate moves less than this
@@ -66,6 +81,12 @@ class OptimizationProblem:
             raise ValueError("grid entries must be >= 1")
         if self.max_ascent_iters < 0:
             raise ValueError(f"max_ascent_iters must be >= 0, got {self.max_ascent_iters}")
+        if not 0.0 < self.fd_step < np.inf:
+            raise ValueError(f"fd_step must be positive and finite, got {self.fd_step}")
+        if not self.solver_tol > 0.0:
+            raise ValueError(f"solver_tol must be positive, got {self.solver_tol}")
+        if self.solver_max_iter < 1:
+            raise ValueError(f"solver_max_iter must be >= 1, got {self.solver_max_iter}")
         weights = self.objective_weights()
         if any(not np.isfinite(w) for w in weights.values()):
             raise ValueError("objective weights must be finite")
@@ -99,7 +120,7 @@ class GridRecord:
     p_confirmed: tuple[float, ...]
     value: float
     iterations: int          # accepted ascent steps of the winning start
-    evaluations: int         # objective evaluations across all starts
+    evaluations: int         # fixed-point solves plus derivative sweeps, all starts
     start: str               # label of the winning starting point
     solver_converged: bool   # False if any inner solve failed to converge
     stop: str                # why the winning ascent stopped, one of STOP_REASONS
@@ -123,24 +144,26 @@ def project_to_simplex(v) -> np.ndarray:
     """Euclidean projection of a vector onto the probability simplex.
 
     Sort-based: find the largest support whose shifted entries stay
-    positive, then shift and clip.
+    positive, then shift and clip.  A 2-D array projects each row.
     """
     v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("expected a non-empty 1-D vector")
+    if v.ndim not in (1, 2) or v.shape[-1] == 0:
+        raise ValueError("expected a non-empty 1-D vector or a 2-D stack of them")
     if not np.all(np.isfinite(v)):
         raise ValueError("cannot project a non-finite vector")
-    u = np.sort(v)[::-1]
-    shifted = np.cumsum(u) - 1.0
-    idx = np.arange(1, v.size + 1)
-    rho = idx[u - shifted / idx > 0][-1]
-    theta = shifted[rho - 1] / rho
+    n = v.shape[-1]
+    u = np.sort(v, axis=-1)[..., ::-1]
+    shifted = np.cumsum(u, axis=-1) - 1.0
+    positive = u - shifted / np.arange(1, n + 1) > 0
+    rho = n - np.argmax(positive[..., ::-1], axis=-1)[..., None]   # last positive, 1-based
+    theta = np.take_along_axis(shifted, rho - 1, axis=-1) / rho
     return np.maximum(v - theta, 0.0)
 
 
 def _project_pair(x: np.ndarray) -> np.ndarray:
-    """Project the stacked (p_unconfirmed, p_confirmed) vector block-wise."""
-    return np.concatenate([project_to_simplex(x[:N_SF]), project_to_simplex(x[N_SF:])])
+    """Project the stacked (p_unconfirmed, p_confirmed) vector block-wise; rows of 2-D."""
+    return np.concatenate([project_to_simplex(x[..., :N_SF]),
+                           project_to_simplex(x[..., N_SF:])], axis=-1)
 
 
 def _starting_points(perturbed: bool) -> list[tuple[str, np.ndarray]]:
@@ -161,6 +184,11 @@ def _starting_points(perturbed: bool) -> list[tuple[str, np.ndarray]]:
     return starts
 
 
+#: Forward-difference step of the derivative sweep: the step in each unknown
+#: of the fixed point, and (times 1/h) the step along each probe direction.
+_DIFF_STEP = 1e-7
+
+
 class _Evaluator:
     """Objective evaluation for one grid point; tracks eval count and solver health."""
 
@@ -172,37 +200,61 @@ class _Evaluator:
         self.max_iter = max_iter
         self.evaluations = 0
         self.all_converged = True
+        # The delivery ratios alone, with a row axis; the full report adds
+        # delays, fairness and losses at several times the cost.
+        self.reliability_only = weights.keys() <= {"uu", "cu", "cd"}
 
     def _config(self, x: np.ndarray) -> ScenarioConfig:
         return replace(self.cfg, p_unconfirmed=SfDistribution(tuple(x[:N_SF])),
                        p_confirmed=SfDistribution(tuple(x[N_SF:])))
 
-    def __call__(self, x: np.ndarray) -> float:
+    def __call__(self, x: np.ndarray, start: analytic.SteadyState | None = None
+                 ) -> tuple[float, analytic.SteadyState | None]:
+        """Objective at ``x`` and its fixed point, None if the solve broke.
+
+        ``start`` is a fixed point to iterate from instead of all-ones.
+        """
         self.evaluations += 1
         cfg = self._config(x)
+        if start is not None:
+            # The two window terms of s_dl may round to a sum an ulp above 1.
+            start = (start.s_ul, np.minimum(start.s_dl, 1.0))
         try:
-            state = analytic.solve(cfg, tol=self.tol, max_iter=self.max_iter)
-        except analytic.ModelError as exc:
-            state = exc
-        return self._value(state, cfg)
-
-    def many(self, xs: np.ndarray) -> np.ndarray:
-        """Objective at each row of ``xs``, solved as one batch; one evaluation per row."""
-        self.evaluations += len(xs)
-        cfgs = [self._config(x) for x in xs]
-        states = analytic.solve_many(cfgs, tol=self.tol, max_iter=self.max_iter)
-        return np.array([self._value(state, cfg) for state, cfg in zip(states, cfgs)])
-
-    def _value(self, state: analytic.SteadyState | analytic.ModelError,
-               cfg: ScenarioConfig) -> float:
-        if isinstance(state, analytic.ModelError):
+            state = analytic.solve(cfg, tol=self.tol, max_iter=self.max_iter, start=start)
+        except analytic.ModelError:
             self.all_converged = False
-            return -np.inf
+            return -np.inf, None
         if not state.converged:
             self.all_converged = False
-        if self.weights.keys() <= {"uu", "cu", "cd"}:
-            # The delivery ratios alone; the full report adds delays, fairness
-            # and losses at several times the cost.
+        return self._objective(state, cfg), state
+
+    def sweep(self, xs: np.ndarray, zs: np.ndarray) -> np.ndarray | None:
+        """Fixed-point unknowns and objective after one sweep of each row.
+
+        Row i sweeps from the unknowns ``zs[i]`` = (s_ul, s_dl) with the SF
+        shares ``xs[i]``.  Returns the ``(K, 13)`` stack of the new unknowns
+        and the objective, or None if a row broke.
+        """
+        self.evaluations += 1
+        # The grid point's scenario with one pair of SF distributions per row,
+        # in the batched form that the model functions accept.
+        batch = SimpleNamespace(**{**vars(self.cfg),
+                                   "p_unconfirmed": SimpleNamespace(p=xs[:, :N_SF]),
+                                   "p_confirmed": SimpleNamespace(p=xs[:, N_SF:])})
+        state, failures = analytic._sweep(batch, analytic.app_rates(batch),
+                                          zs[:, :N_SF], zs[:, N_SF:])
+        if failures:
+            return None
+        if self.reliability_only:
+            values = self._objective(state, batch)
+        else:
+            values = [self._objective(analytic._take(state, i), self._config(x))
+                      for i, x in enumerate(xs)]
+        return np.column_stack([state.s_ul, state.s_dl, values])
+
+    def _objective(self, state: analytic.SteadyState, cfg: ScenarioConfig):
+        """Weighted objective of a state; one per row of a batched state and config."""
+        if self.reliability_only:
             report = dict(zip(("uu", "cu", "cd"), metrics.reliability(state, cfg)))
         else:
             report = vars(metrics.compute_report(state, cfg))
@@ -215,14 +267,34 @@ class _Evaluator:
         return value
 
 
-def _gradient(evaluate: _Evaluator, x: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference gradient; its 2 x 12 probes are solved as one batch."""
-    basis = np.eye(2 * N_SF)
-    # Projecting the probe keeps the difference along the simplex tangent.
-    probes = np.array([_project_pair(x + sign * h * basis[i])
-                       for i in range(2 * N_SF) for sign in (1.0, -1.0)])
-    values = evaluate.many(probes)
-    return (values[0::2] - values[1::2]) / (2.0 * h)
+def _gradient(evaluate: _Evaluator, x: np.ndarray, state: analytic.SteadyState,
+              h: float) -> np.ndarray:
+    """Gradient at ``x`` through its fixed point ``state`` (see the module docstring).
+
+    NaN when the derivative sweep breaks.
+    """
+    # Rows 2i and 2i+1 probe x + h e_i and x - h e_i; projecting them keeps
+    # the directions along the simplex tangent.
+    dirs = _project_pair(x + h * np.kron(np.eye(2 * N_SF), [[1.0], [-1.0]])) - x
+    eps = min(_DIFF_STEP, h)
+    z = np.concatenate([state.s_ul, state.s_dl])
+    n = z.size
+    dz = np.where(z > 0.5, -eps, eps)   # step into [0, 1]
+    t = eps / h                         # x + t d is on the simplices for t <= 1
+    zs = np.tile(z, (1 + n + len(dirs), 1))
+    zs[1:1 + n] += np.diag(dz)
+    xs = np.tile(x, (len(zs), 1))
+    xs[1 + n:] += t * dirs
+    rows = evaluate.sweep(xs, zs)
+    if rows is None:
+        return np.full(len(x), np.nan)
+    diffs = rows[1:] - rows[0]
+    by_z = diffs[:n] / dz[:, None]      # row j: d(G, Phi)/dz_j
+    by_dir = diffs[n:] / t              # row k: d(G, Phi)/dx along dirs[k]
+    # Adjoint form: one solve of (I - dG/dz)^T w = dPhi/dz.
+    w = np.linalg.solve(np.eye(n) - by_z[:, :n], by_z[:, n])
+    total = by_dir[:, n] + by_dir[:, :n] @ w
+    return (total[0::2] - total[1::2]) / (2.0 * h)
 
 
 def _ascend(evaluate: _Evaluator, x0: np.ndarray,
@@ -233,17 +305,19 @@ def _ascend(evaluate: _Evaluator, x0: np.ndarray,
     reason (see ``STOP_REASONS``).
     """
     x = _project_pair(x0)
-    fx = evaluate(x)
+    fx, state = evaluate(x)
     alpha = 1.0
     steps = 0
     for _ in range(problem.max_ascent_iters):
-        grad = _gradient(evaluate, x, problem.fd_step)
+        if state is None:
+            return x, fx, steps, "flat_gradient"
+        grad = _gradient(evaluate, x, state, problem.fd_step)
         if not np.all(np.isfinite(grad)) or not np.any(grad != 0.0):
             return x, fx, steps, "flat_gradient"
         alpha = min(4.0 * alpha, 1.0)
         for _ in range(30):
             x_new = _project_pair(x + alpha * grad)
-            f_new = evaluate(x_new)
+            f_new, state_new = evaluate(x_new, start=state)
             if f_new > fx + 1e-12:
                 break
             alpha *= 0.5
@@ -251,7 +325,7 @@ def _ascend(evaluate: _Evaluator, x0: np.ndarray,
             return x, fx, steps, "no_ascent"
         moved = float(np.max(np.abs(x_new - x)))
         gained = f_new - fx
-        x, fx = x_new, f_new
+        x, fx, state = x_new, f_new, state_new
         steps += 1
         if moved < problem.step_tolerance:
             return x, fx, steps, "small_step"

@@ -27,7 +27,7 @@ from loracell.analytic import (
     solve_many,
     subband_states,
 )
-from loracell.scenario import ScenarioConfig, SfDistribution
+from loracell.scenario import ScenarioConfig, SfDistribution, ValidationError
 
 SF7_ONLY = SfDistribution((1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
 
@@ -401,6 +401,23 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(cfg(), relaxation=0.0)
 
+    @pytest.mark.parametrize("start", [
+        (np.ones(5), np.ones(6)),                   # wrong shape
+        (np.ones(6), np.ones((2, 6))),
+        (np.ones(6),),                              # not a pair
+        (np.ones(6), np.ones(6), np.ones(6)),
+        (np.full(6, np.nan), np.ones(6)),           # not finite
+        (np.ones(6), np.full(6, np.inf)),
+        (np.full(6, 1.5), np.ones(6)),              # outside [0, 1]
+        (np.ones(6), np.full(6, -0.1)),
+        (np.ones(6), [1, 1, "x", 1, 1, 1]),
+    ])
+    def test_invalid_start_rejected(self, start):
+        with pytest.raises(ValidationError, match="start"):
+            solve(cfg(), start=start)
+        with pytest.raises(ValidationError, match="start"):
+            solve_many([cfg(), cfg(lambda_total=2.0)], start=start)
+
     def test_damped_iteration_reaches_same_fixed_point(self):
         c = cfg(lambda_total=1.0, alpha=1.0, m=8)
         plain = solve(c, tol=1e-12)
@@ -461,6 +478,23 @@ class TestBatchedRows:
                 for p_u in BATCH_DISTRIBUTIONS for p_c in BATCH_DISTRIBUTIONS]
         for row, c in zip(solve_many(cfgs, max_iter=max_iter), cfgs):
             assert_same_state(row, solve(c, max_iter=max_iter))
+
+    def test_warm_started_rows_match_their_own_solves(self):
+        base = cfg(lambda_total=1.0, alpha=0.3, m=8, h=8)
+        near = solve(replace(base, lambda_total=1.1))
+        start = (near.s_ul, near.s_dl)
+        cfgs = [replace(base, p_unconfirmed=p_u, p_confirmed=p_c)
+                for p_u in BATCH_DISTRIBUTIONS for p_c in BATCH_DISTRIBUTIONS]
+        cfgs += [replace(base, m=4), replace(base, lambda_total=0.0)]
+        for row, c in zip(solve_many(cfgs, start=start), cfgs):
+            assert_same_state(row, solve(c, start=start))
+        warm = solve(base, start=start)
+        cold = solve(base)
+        assert warm.iterations < cold.iterations
+        assert np.max(np.abs(warm.s_ul - cold.s_ul)) <= 1e-9
+        assert np.max(np.abs(warm.s_dl - cold.s_dl)) <= 1e-9
+        # Starting from all-ones explicitly is the default path.
+        assert_same_state(solve(base, start=(np.ones(6), np.ones(6))), cold)
 
     @pytest.mark.parametrize("max_iter", [1000, 6])
     def test_rows_differing_in_every_field_match_their_own_solves(self, max_iter):

@@ -1,6 +1,7 @@
 """Metric oracles: delivery ratios, delays, fairness, losses."""
 
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -79,6 +80,25 @@ class TestReliability:
         assert cu_i == pytest.approx(1 - (1 - state.s_ul) ** cfg.m, abs=1e-12)
         q = state.s_ul * state.s_dl
         assert cd_i == pytest.approx(1 - (1 - q) ** cfg.m, abs=1e-12)
+
+    def test_batched_rows_equal_one_row_calls(self):
+        rng = np.random.default_rng(4)
+        cfgs = [replace(random_config(rng), h=3, m=5) for _ in range(30)]
+        cfgs += [ScenarioConfig(lambda_total=0.0, h=3, m=5, p_unconfirmed=SF7_ONLY),
+                 ScenarioConfig(lambda_total=5.0, alpha=0.0, h=3, m=5)]
+        states = analytic.solve_many(cfgs)
+        rows = SimpleNamespace(s_ul=np.array([s.s_ul for s in states]),
+                               s_dl=np.array([s.s_dl for s in states]))
+        shares = SimpleNamespace(
+            h=3, m=5,
+            p_unconfirmed=SimpleNamespace(p=np.array([c.p_unconfirmed.p for c in cfgs])),
+            p_confirmed=SimpleNamespace(p=np.array([c.p_confirmed.p for c in cfgs])))
+        batched = reliability(rows, shares)
+        for i, (state, cfg) in enumerate(zip(states, cfgs)):
+            one = reliability(state, cfg)
+            assert all(type(v) is float for v in one[:3])
+            for got, want in zip(batched, one):
+                assert np.array_equal(got[i], want)
 
 
 class TestDelays:

@@ -18,7 +18,7 @@ from loracell.optimize import (
     optimize,
     project_to_simplex,
 )
-from loracell.scenario import ScenarioConfig, preset
+from loracell.scenario import N_SF, ScenarioConfig, preset
 
 
 def qp_projection(v):
@@ -76,6 +76,16 @@ class TestProjection:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             project_to_simplex(np.array([np.nan, 0.0, 0.0]))
+
+    def test_rows_equal_their_own_projection(self):
+        rng = np.random.default_rng(2)
+        rows = np.vstack([rng.normal(0.0, 2.0, (40, 6)), np.full((1, 6), 1.0 / 6.0),
+                          [[0.5, 0.5, 0.5, 0.0, 0.0, 0.0]], np.eye(6)])
+        projected = project_to_simplex(rows)
+        for row, got in zip(rows, projected):
+            assert np.array_equal(got, project_to_simplex(row))
+        pairs = np.hstack([rows, rows[::-1]])
+        assert np.array_equal(_project_pair(pairs), np.array([_project_pair(p) for p in pairs]))
 
 
 def test_package_attribute_names_the_module():
@@ -177,21 +187,77 @@ class TestOptimize:
         idle = optimize(tiny_problem(lambdas=(1e-9,), max_ascent_iters=1))
         assert {r.stop for r in idle.records} <= set(STOP_REASONS) - {"step_cap"}
 
-    def test_batched_gradient_matches_sequential_probes(self):
+    def test_invalid_fd_step_rejected(self):
+        for fd_step in (0.0, -1e-4, np.nan, np.inf):
+            with pytest.raises(ValueError, match="fd_step"):
+                tiny_problem(fd_step=fd_step)
+
+    def test_invalid_solver_tol_rejected(self):
+        for tol in (0.0, -1e-10, np.nan):
+            with pytest.raises(ValueError, match="solver_tol"):
+                tiny_problem(solver_tol=tol)
+
+    def test_invalid_solver_max_iter_rejected(self):
+        for max_iter in (0, -5):
+            with pytest.raises(ValueError, match="solver_max_iter"):
+                tiny_problem(solver_max_iter=max_iter)
+
+    def test_broken_derivative_sweep_gives_flat_gradient(self, monkeypatch):
+        # A failure in the batched derivative sweep (rows on a leading axis)
+        # stops the ascent; the one-row solves are left alone.
+        sweep = analytic._sweep
+
+        def breaking(cfg, app, s_ul, s_dl):
+            state, failures = sweep(cfg, app, s_ul, s_dl)
+            return state, ({3: "non-finite value in r_phy"} if s_ul.ndim == 2 else failures)
+
+        monkeypatch.setattr(analytic, "_sweep", breaking)
+        record = optimize(tiny_problem(lambdas=(1.0,), m_grid=(8,), h_grid=(8,))).records[0]
+        assert (record.stop, record.iterations, record.evaluations) == ("flat_gradient", 0, 2)
+        assert record.solver_converged
+
+
+def central_difference_gradient(evaluate, x, h):
+    """The optimizer's former gradient: central differences of fixed-point solves."""
+    basis = np.eye(2 * N_SF)
+    return np.array([(evaluate(_project_pair(x + h * basis[i]))[0]
+                      - evaluate(_project_pair(x - h * basis[i]))[0]) / (2.0 * h)
+                     for i in range(2 * N_SF)])
+
+
+class TestImplicitGradient:
+    """The gradient through the fixed point against the central differences it replaced."""
+
+    @pytest.mark.parametrize("lam", [1.0, 10.0])
+    @pytest.mark.parametrize("weights", [OBJECTIVES["uu_plus_cd"],
+                                         {"uu": 0.5, "jain": 1.0, "delta_dl": -0.01}])
+    def test_matches_central_differences_at_interior_points(self, lam, weights):
+        # Interior points only: at the boundary the projected probes are
+        # asymmetric and the central difference carries an O(h) term.
+        cfg = ScenarioConfig(lambda_total=lam, alpha=0.3, m=8, h=8)
+        rng = np.random.default_rng(5)
+        points = [np.full(2 * N_SF, 1.0 / N_SF)] + [
+            np.concatenate([rng.dirichlet(np.full(N_SF, 5.0)) for _ in range(2)])
+            for _ in range(2)]
+        for x in points:
+            evaluate = _Evaluator(cfg, weights, 1e-10, 1000)
+            _, state = evaluate(x)
+            grad = _gradient(evaluate, x, state, 1e-4)
+            assert evaluate.evaluations == 2   # one solve, one derivative sweep
+            want = central_difference_gradient(evaluate, x, 1e-4)
+            assert np.max(np.abs(grad - want)) <= 1e-6
+            assert evaluate.all_converged
+
+    def test_warm_start_keeps_the_objective(self):
         cfg = ScenarioConfig(lambda_total=1.0, alpha=0.3, m=8, h=8)
-        weights = OBJECTIVES["uu_plus_cd"]
-        x = np.full(12, 1.0 / 6.0)
-        h = 1e-4
-        batched = _Evaluator(cfg, weights, 1e-10, 1000)
-        grad = _gradient(batched, x, h)
-        sequential = _Evaluator(cfg, weights, 1e-10, 1000)
-        basis = np.eye(12)
-        want = [(sequential(_project_pair(x + h * basis[i]))
-                 - sequential(_project_pair(x - h * basis[i]))) / (2.0 * h)
-                for i in range(12)]
-        assert grad == pytest.approx(want, abs=1e-9)
-        assert batched.evaluations == sequential.evaluations == 24
-        assert batched.all_converged and sequential.all_converged
+        evaluate = _Evaluator(cfg, OBJECTIVES["uu_plus_cd"], 1e-10, 1000)
+        x = np.full(2 * N_SF, 1.0 / N_SF)
+        _, state = evaluate(x)
+        step = _project_pair(x + 0.05 * np.arange(2 * N_SF) / N_SF)
+        cold, cold_state = evaluate(step)
+        warm, warm_state = evaluate(step, start=state)
+        assert abs(warm - cold) <= 1e-9
+        assert warm_state.iterations < cold_state.iterations
 
 
 class TestEvaluateConfiguration:
