@@ -212,17 +212,27 @@ def _sim_config(args, cfg: ScenarioConfig) -> simulate.SimConfig:
     )
 
 
+def _sim_settings(sim_cfg: simulate.SimConfig) -> dict:
+    return {"seed": sim_cfg.seed, "n_devices": sim_cfg.n_devices,
+            "arrival_model": sim_cfg.arrival_model,
+            "capture_model": sim_cfg.capture_model,
+            "sim_duration": sim_cfg.sim_duration,
+            "warmup": sim_cfg.resolved_warmup(),
+            "n_replications": sim_cfg.n_replications}
+
+
+def _saturation(result) -> dict:
+    """The saturation fields of a ``ReplicationResult`` or ``SimReport``."""
+    return {"busy_at_arrival": list(result.busy_at_arrival),
+            "offered_rate_ratio": result.offered_rate_ratio}
+
+
 def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
     sim_cfg = _sim_config(args, cfg)
     report = simulate.run(sim_cfg, workers=args.workers)
 
-    extra = {"seed": sim_cfg.seed, "n_devices": sim_cfg.n_devices,
-             "arrival_model": sim_cfg.arrival_model,
-             "capture_model": sim_cfg.capture_model,
-             "sim_duration": sim_cfg.sim_duration,
-             "warmup": sim_cfg.resolved_warmup(),
-             "n_replications": sim_cfg.n_replications}
+    extra = _sim_settings(sim_cfg)
     columns = ["rep", "offered_app", "offered_phy", *metrics.METRICS, "dc_violations"]
     rows = [[i, sum(rep.offered_app_u) + sum(rep.offered_app_c), sum(rep.offered_phy)]
             + [getattr(rep, name) for name in metrics.METRICS] + [rep.dc_violations]
@@ -232,8 +242,9 @@ def cmd_simulate(args) -> int:
              + [s.mean for s in summaries] + [report.dc_violations])
     cis = ["ci95", None, None] + [s.halfwidth for s in summaries] + [None]
     doc = {"command": "simulate", "config": cfg.to_dict(), "sim": extra,
-           "replications": [dict(zip(columns, row)) for row in rows],
-           "mean": dict(zip(columns, means)),
+           "replications": [{**dict(zip(columns, row)), **_saturation(rep)}
+                            for row, rep in zip(rows, report.replications)],
+           "mean": {**dict(zip(columns, means)), **_saturation(report)},
            "ci95": dict(zip(columns, cis))}
     _emit(args, doc, _config_header(cfg, "simulate", extra), columns, rows + [means, cis])
     return EXIT_OK
@@ -314,7 +325,8 @@ def cmd_compare(args) -> int:
     extra = {"seed": sim_cfg.seed, "n_replications": sim_cfg.n_replications,
              "sim_duration": sim_cfg.sim_duration}
     columns = ["metric", "analytic", "simulated", "abs_diff", "sim_ci95"]
-    doc = {"command": "compare", "config": cfg.to_dict(), "sim": extra,
+    doc = {"command": "compare", "config": cfg.to_dict(), "sim": _sim_settings(sim_cfg),
+           "saturation": _saturation(sim_report),
            "rows": [dict(zip(columns, row)) for row in rows]}
     _emit(args, doc, _config_header(cfg, "compare", extra), columns, rows)
     return EXIT_OK if state.converged else EXIT_NO_CONVERGENCE

@@ -20,10 +20,26 @@ that overlap it.  Their received powers are evaluated only when the
 reception resolves, by one capture rule shared by uplinks and ACKs.
 
 Each replication places its devices with its own generator, then spawns
-one child stream per purpose (channel choice, retransmission timeout,
-capture coin, inter-arrival gap).  Streams are drawn in blocks, so event
-handlers make no scalar generator call, and each purpose sees the same
-numbers whatever the others consume.
+one child stream per purpose: channel choice, retransmission timeout,
+capture coin, inter-arrival gap and arriving device.  Streams are drawn in
+blocks, so event handlers make no scalar generator call, and each purpose
+sees the same numbers whatever the others consume.
+
+The heap holds one pending arrival for the whole cell.  With Poisson
+arrivals, n independent Poisson(lambda/n) sources are exactly one
+Poisson(lambda) stream whose device is drawn uniformly (the superposition
+theorem), so one chain draws a gap and a device per arrival.  With
+periodic arrivals each device keeps the random phase it draws once; the
+phases are sorted, and arrival k falls on the k mod n-th phase plus
+k // n periods.
+
+An RX1 window that SB1's duty cycle is sure to block is not an event.
+``sb1_free_at`` only changes when an RX1 ACK is sent, which needs the
+sub-band free, so it never decreases.  If it already lies beyond the
+window when the uplink ends, the window is blocked, and a blocked window
+draws nothing, counts nothing and traces nothing; the uplink's end
+schedules RX2 directly, and every result except the event count is the
+same as with the window's own event.
 """
 
 from __future__ import annotations
@@ -144,7 +160,12 @@ class ReplicationResult:
     f_gwtx: float | None
     f_int: float | None
     dc_violations: int
-    events: int
+    # Saturation: per SF, the share of post-warmup arrivals that find their
+    # device busy with an earlier packet (None: no arrival on that SF), and
+    # the offered application rate over lambda (None when lambda is 0).
+    busy_at_arrival: tuple[float | None, ...]
+    offered_rate_ratio: float | None
+    events: int                         # heap events handled; a blocked RX1 window is none
 
 
 @dataclass(frozen=True)
@@ -169,6 +190,9 @@ class SimReport:
     f_nmd: MetricSummary
     f_gwtx: MetricSummary
     f_int: MetricSummary
+    # Saturation fields, each the mean over the replications that define it.
+    busy_at_arrival: tuple[float | None, ...]
+    offered_rate_ratio: float | None
     # Pooled counts over all replications.
     offered_app: int
     offered_phy: int
@@ -270,6 +294,28 @@ def _stream(draw):
         yield from draw(_BLOCK).tolist()
 
 
+def _poisson_arrivals(devices, next_gap, next_pick):
+    """Yield ``(time, device)`` of the cell's Poisson arrivals, in time order."""
+    time = 0.0
+    while True:
+        time += next_gap()
+        yield time, devices[next_pick()]
+
+
+def _periodic_arrivals(devices, phases, period):
+    """Yield ``(time, device)`` for devices that each arrive once per ``period``.
+
+    Arrival k is at ``phases[k % n] + (k // n) * period`` over the sorted
+    phases, for the device that drew that phase.
+    """
+    order = np.argsort(phases, kind="stable")
+    cycle = list(zip(phases[order].tolist(), [devices[i] for i in order.tolist()]))
+    for lap in itertools.count():
+        offset = lap * period
+        for phase, dev in cycle:
+            yield phase + offset, dev
+
+
 def _summary(values) -> MetricSummary:
     defined = [v for v in values if v is not None]
     if not defined:
@@ -299,7 +345,6 @@ class _Replication:
     def __init__(self, sim_cfg: SimConfig, rng: np.random.Generator, seed_label: int):
         self.cfg = sim_cfg
         self.sc = sc = sim_cfg.scenario
-        self.rng = rng
         self.seed_label = seed_label
         self.warmup = sim_cfg.resolved_warmup()
         self.duration = sim_cfg.sim_duration
@@ -319,23 +364,29 @@ class _Replication:
             for i in range(sim_cfg.n_devices)
         ]
 
-        # One block-drawn stream per purpose.  The draw closures capture
-        # locals only, never ``self``, so a finished replication holds no
-        # reference cycle and is freed at once.
-        ch_rng, timeout_rng, coin_rng, gap_rng = rng.spawn(4)
+        # One block-drawn stream per purpose.  The draw closures and the
+        # arrival generator capture locals only, never ``self``, so a
+        # finished replication holds no reference cycle and is freed at once.
+        ch_rng, timeout_rng, coin_rng, gap_rng, pick_rng = rng.spawn(5)
         n_ch = sc.c_channels
         lo, hi = sc.mu_retx - 1.0, sc.mu_retx + 1.0
-        per_device = sc.lambda_total / sim_cfg.n_devices
-        period = 1.0 / per_device if per_device > 0.0 else math.inf
-        self.period = period
         self.next_channel = _stream(lambda k: ch_rng.integers(n_ch, size=k)).__next__
         self.next_timeout = _stream(
             lambda k: np.maximum(timeout_rng.uniform(lo, hi, k), 0.0)).__next__
         self.next_coin = _stream(coin_rng.random).__next__
-        if sim_cfg.arrival_model == "poisson":
-            self.next_gap = _stream(lambda k: gap_rng.exponential(period, k)).__next__
-        else:
-            self.next_gap = itertools.repeat(period).__next__
+        self.next_arrival = None        # () -> (time, device) of the cell's next arrival
+        if sc.lambda_total > 0.0:
+            if sim_cfg.arrival_model == "poisson":
+                next_gap = _stream(
+                    lambda k: gap_rng.exponential(1.0 / sc.lambda_total, k)).__next__
+                next_pick = _stream(
+                    lambda k: pick_rng.integers(sim_cfg.n_devices, size=k)).__next__
+                arrivals = _poisson_arrivals(self.devices, next_gap, next_pick)
+            else:
+                period = sim_cfg.n_devices / sc.lambda_total
+                phases = rng.uniform(0.0, period, sim_cfg.n_devices)
+                arrivals = _periodic_arrivals(self.devices, phases, period)
+            self.next_arrival = arrivals.__next__
 
         # Gateway state.
         self.receptions = {}            # tx uid -> _Tx being demodulated
@@ -360,6 +411,7 @@ class _Replication:
         self.ul_delay_sum = 0.0; self.ul_delay_n = 0
         self.dl_delay_sum = 0.0; self.dl_delay_n = 0
         self.dc_violations = 0
+        self.arrivals = [0] * N_SF; self.busy_arrivals = [0] * N_SF
         self.trace = None
 
     # -- event plumbing ----------------------------------------------------
@@ -368,20 +420,8 @@ class _Replication:
         heappush(self.heap, (time, next(self.seq), handler, payload))
 
     def emit(self, time, device_idx, sfi, ch, kind, outcome):
-        if self.trace is not None:
-            self.trace.write(f"{time:.6f} {device_idx} {sfi + 7} {ch} {kind} {outcome}\n")
-
-    # -- traffic generation ------------------------------------------------
-
-    def first_arrivals(self):
-        if self.sc.lambda_total <= 0.0:
-            return
-        if self.cfg.arrival_model == "poisson":
-            times = [self.next_gap() for _ in self.devices]
-        else:
-            times = self.rng.uniform(0.0, self.period, len(self.devices)).tolist()
-        for dev, time in zip(self.devices, times):
-            self.schedule(time, self.on_arrival, dev)
+        """Write one trace line; callers check ``self.trace`` first."""
+        self.trace.write(f"{time:.6f} {device_idx} {sfi + 7} {ch} {kind} {outcome}\n")
 
     # -- device MAC --------------------------------------------------------
 
@@ -437,6 +477,14 @@ class _Replication:
         n = len(interferers)
         return n == 0 or (n == 1 and self.next_coin() < w)
 
+    def rx1_surely_blocked(self, rx1_at) -> bool:
+        """Whether SB1's duty cycle blocks the RX1 window at ``rx1_at`` already.
+
+        ``sb1_free_at`` never decreases, so this is the duty-cycle test that
+        ``on_rx1`` would make at ``rx1_at``, decided early.
+        """
+        return rx1_at < self.sb1_free_at
+
     def gw_blocked(self, now, free_at, tau) -> bool:
         """The gateway cannot answer in a window whose sub-band frees at ``free_at``."""
         return now < self.tx_until or now < free_at or (tau == 0 and bool(self.receptions))
@@ -455,10 +503,18 @@ class _Replication:
 
     # -- event handlers ----------------------------------------------------
 
+    def schedule_arrival(self):
+        time, dev = self.next_arrival()
+        self.schedule(time, self.on_arrival, dev)
+
     def on_arrival(self, now, dev):
         if now >= self.duration:
             return
-        self.schedule(now + self.next_gap(), self.on_arrival, dev)
+        self.schedule_arrival()
+        if now >= self.warmup:
+            self.arrivals[dev.sfi] += 1
+            if dev.busy:
+                self.busy_arrivals[dev.sfi] += 1
         dev.queued += 1
         if not dev.busy:
             self.start_packet(dev, now)
@@ -502,7 +558,8 @@ class _Replication:
             ears[tx.uid] = tx.rx
         air[tx.uid] = tx
         self.schedule(end, self.on_tx_end, tx)
-        self.emit(now, dev.idx, sfi, ch, "ul_start", "")
+        if self.trace is not None:
+            self.emit(now, dev.idx, sfi, ch, "ul_start", "")
 
     def on_tx_end(self, now, tx):
         key = (tx.ch, tx.sfi)
@@ -517,14 +574,19 @@ class _Replication:
             outcome = tx.fate
         if tx.counted:
             self.phy_outcomes[outcome][tx.sfi] += 1
-        self.emit(now, dev.idx, tx.sfi, tx.ch, "ul_end", _OUTCOME_NAMES[outcome])
+        if self.trace is not None:
+            self.emit(now, dev.idx, tx.sfi, tx.ch, "ul_end", _OUTCOME_NAMES[outcome])
 
         delivered = outcome == _OUT_DELIVERED
         if delivered and dev.delivered_time is None:
             dev.delivered_time = now
         if dev.confirmed:
             if delivered:
-                self.schedule(now + 1.0, self.on_rx1, (dev, tx.sfi, tx.ch, now))
+                ctx = (dev, tx.sfi, tx.ch, now)
+                if self.rx1_surely_blocked(now + 1.0):
+                    self.schedule(now + 2.0, self.on_rx2, ctx)
+                else:
+                    self.schedule(now + 1.0, self.on_rx1, ctx)
             else:
                 self.confirmed_attempt_failed(dev, now)
         else:
@@ -550,14 +612,16 @@ class _Replication:
         self.listeners[key][self.uid] = interferers
         self.schedule(now + airtime, self.on_ack_end,
                       (dev, sfi, ch, ul_end, 1, interferers, self.uid, now))
-        self.emit(now, dev.idx, sfi, ch, "ack1_start", "")
+        if self.trace is not None:
+            self.emit(now, dev.idx, sfi, ch, "ack1_start", "")
 
     def on_rx2(self, now, ctx):
         dev, sfi, ch, ul_end = ctx
         if self.gw_blocked(now, self.sb2_free_at, self.sc.tau2):
             if dev.counted:
                 self.dl_no_window += 1
-            self.emit(now, dev.idx, sfi, ch, "ack_dropped", "no_window")
+            if self.trace is not None:
+                self.emit(now, dev.idx, sfi, ch, "ack_dropped", "no_window")
             self.confirmed_attempt_failed(dev, ul_end)
             return
         airtime = self.t_ack2[sfi]
@@ -567,7 +631,8 @@ class _Replication:
             self.dl_sb2_sent += 1
         self.schedule(now + airtime, self.on_ack_end,
                       (dev, sfi, ch, ul_end, 2, None, None, now))
-        self.emit(now, dev.idx, sfi, ch, "ack2_start", "")
+        if self.trace is not None:
+            self.emit(now, dev.idx, sfi, ch, "ack2_start", "")
 
     def on_ack_end(self, now, ctx):
         dev, sfi, ch, ul_end, window, interferers, listen_uid, start = ctx
@@ -576,10 +641,12 @@ class _Replication:
             if not self.captured(interferers, dev, dev.power, start, now, self.sc.w_ed):
                 if dev.counted:
                     self.dl_rx1_corrupted += 1
-                self.emit(now, dev.idx, sfi, ch, "ack1_end", "corrupted")
+                if self.trace is not None:
+                    self.emit(now, dev.idx, sfi, ch, "ack1_end", "corrupted")
                 self.confirmed_attempt_failed(dev, ul_end)
                 return
-        self.emit(now, dev.idx, sfi, ch, f"ack{window}_end", "received")
+        if self.trace is not None:
+            self.emit(now, dev.idx, sfi, ch, f"ack{window}_end", "received")
         self.finish_packet(dev, acked=True, now=now)
 
     # -- main loop ----------------------------------------------------------
@@ -591,7 +658,8 @@ class _Replication:
         budget = self.cfg.max_events
         events = 0
         try:
-            self.first_arrivals()
+            if self.next_arrival is not None:
+                self.schedule_arrival()
             while heap:
                 now, _, handler, payload = heappop(heap)
                 events += 1
@@ -612,6 +680,7 @@ class _Replication:
         off_u = sum(self.offered_app_u)
         off_c = sum(self.offered_app_c)
         off_phy = sum(self.offered_phy)
+        offered_rate = (off_u + off_c) / (self.duration - self.warmup)
         return ReplicationResult(
             seed=self.seed_label,
             offered_app_u=tuple(self.offered_app_u),
@@ -638,6 +707,8 @@ class _Replication:
             f_gwtx=_ratio(sum(lost_gwtx), off_phy),
             f_int=_ratio(sum(lost_int), off_phy),
             dc_violations=self.dc_violations,
+            busy_at_arrival=tuple(map(_ratio, self.busy_arrivals, self.arrivals)),
+            offered_rate_ratio=_ratio(offered_rate, self.sc.lambda_total),
             events=self.events,
         )
 
@@ -681,6 +752,9 @@ def run(sim_cfg: SimConfig, workers: int = 1) -> SimReport:
         config=sim_cfg,
         replications=tuple(reps),
         **{name: _summary([getattr(rep, name) for rep in reps]) for name in METRICS},
+        busy_at_arrival=tuple(_summary(column).mean
+                              for column in zip(*(rep.busy_at_arrival for rep in reps))),
+        offered_rate_ratio=_summary([rep.offered_rate_ratio for rep in reps]).mean,
         offered_app=sum(sum(r.offered_app_u) + sum(r.offered_app_c) for r in reps),
         offered_phy=sum(sum(r.offered_phy) for r in reps),
         delivered_phy=sum(sum(r.delivered_phy) for r in reps),

@@ -250,6 +250,9 @@ class TestSimulate:
         assert code == EXIT_OK
         doc = json.loads(out.read_text())
         assert isinstance(doc["replications"][0]["offered_phy"], int)
+        for row in (*doc["replications"], doc["mean"]):
+            assert len(row["busy_at_arrival"]) == 6
+            assert row["offered_rate_ratio"] > 0.0
 
     def test_simulation_assertion_maps_to_exit_5(self, monkeypatch):
         import loracell.cli as cli
@@ -276,6 +279,24 @@ class TestCompare:
         by_metric = {r["metric"]: r for r in rows}
         assert float(by_metric["cu"]["abs_diff"]) >= 0.0
         assert {"uu", "cu", "cd", "f_nmd", "f_gwtx", "f_int"} <= set(by_metric)
+
+    def test_doc_records_simulator_settings_and_saturation(self, tmp_path):
+        argv = ("compare", "--set", "lambda_total=1", "--devices", "150",
+                "--duration", "400", "--warmup", "50", "--replications", "2",
+                "--arrivals", "periodic", "--capture", "geometric")
+        doc_out, csv_out = tmp_path / "cmp.json", tmp_path / "cmp.csv"
+        assert run_cli(*argv, "--format", "doc", "--out", str(doc_out)) == EXIT_OK
+        doc = json.loads(doc_out.read_text())
+        assert doc["sim"] == {"seed": 1, "n_replications": 2, "sim_duration": 400.0,
+                              "n_devices": 150, "arrival_model": "periodic",
+                              "capture_model": "geometric", "warmup": 50.0}
+        assert len(doc["saturation"]["busy_at_arrival"]) == 6
+        assert 0.0 < doc["saturation"]["offered_rate_ratio"] <= 1.1
+        # The CSV header keeps its three simulator keys.
+        assert run_cli(*argv, "--out", str(csv_out)) == EXIT_OK
+        header, _, _ = read_csv(csv_out)
+        assert [line.split(":")[0] for line in header[2:]] == \
+            ["# seed", "# n_replications", "# sim_duration"]
 
 
 @pytest.mark.parametrize("argv, message", [

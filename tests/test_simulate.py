@@ -337,3 +337,148 @@ class TestTrace:
         assert len(first) >= 5
         float(first[0])  # leading timestamp parses
         assert dataclasses.replace(traced, config=cfg) == run(cfg)
+
+
+def _without_events(rep):
+    return dataclasses.replace(rep, events=0)
+
+
+class TestSingleArrivalEvent:
+    @pytest.mark.parametrize("arrivals", ["poisson", "periodic"])
+    def test_heap_holds_one_pending_arrival(self, arrivals):
+        cfg = sim(scenario_kw={"lambda_total": 4.0, "alpha": 0.5, "m": 2},
+                  arrival_model=arrivals, n_replications=1)
+        rep = _Replication(cfg, np.random.default_rng(1), seed_label=0)
+        pending = []
+        on_tx_start = rep.on_tx_start
+
+        def counting_tx_start(now, dev):
+            pending.append(sum(entry[2] == rep.on_arrival for entry in rep.heap))
+            on_tx_start(now, dev)
+
+        rep.on_tx_start = counting_tx_start
+        rep.run()
+        assert len(pending) > 100
+        assert max(pending) == 1
+
+    def test_poisson_cell_offers_lambda_at_light_load(self):
+        # Unsaturated devices start every packet at once, so the offered
+        # rate is the superposed stream's rate lambda.
+        report = run(sim(scenario_kw={"lambda_total": 2.0, "alpha": 0.0, "h": 1},
+                         n_devices=400, sim_duration=2000.0, warmup=50.0,
+                         n_replications=3))
+        for rep in report.replications:
+            assert rep.offered_rate_ratio == pytest.approx(1.0, abs=0.06)
+
+    def test_poisson_arrivals_spread_over_every_device(self, tmp_path):
+        path = tmp_path / "events.log"
+        run(sim(scenario_kw={"lambda_total": 2.0, "alpha": 0.0, "h": 1},
+                n_replications=1, trace_path=str(path)))
+        starts = np.zeros(50, dtype=int)
+        for line in path.read_text().splitlines():
+            fields = line.split()
+            if fields[4] == "ul_start":
+                starts[int(fields[1])] += 1
+        # About 16 uplinks per device: none is left out, none takes a large share.
+        assert starts.min() > 0
+        assert starts.max() < 3 * starts.mean()
+
+
+class TestRx1Shortcut:
+    """An RX1 window that SB1's duty cycle already blocks is not an event."""
+
+    @pytest.mark.parametrize("delta", [(99.0, 9.0), (0.0, 0.0)], ids=["dc", "no_dc"])
+    @pytest.mark.parametrize("tau1", [0, 1])
+    @pytest.mark.parametrize("arrivals", ["poisson", "periodic"])
+    @pytest.mark.parametrize("capture", ["probabilistic", "geometric"])
+    def test_every_result_but_events_is_unchanged(self, monkeypatch, capture, arrivals,
+                                                  tau1, delta):
+        cfg = sim(scenario_kw={"lambda_total": 3.0, "alpha": 0.8, "m": 4, "tau1": tau1,
+                               "delta_sb1": delta[0], "delta_sb2": delta[1]},
+                  n_devices=150, capture_model=capture, arrival_model=arrivals,
+                  sim_duration=500.0, warmup=50.0)
+        shortcut = run(cfg)
+        monkeypatch.setattr(_Replication, "rx1_surely_blocked", lambda self, rx1_at: False)
+        every_window = run(cfg)
+        assert [_without_events(r) for r in shortcut.replications] == \
+            [_without_events(r) for r in every_window.replications]
+        assert dataclasses.replace(shortcut, replications=()) == \
+            dataclasses.replace(every_window, replications=())
+        for fast, slow in zip(shortcut.replications, every_window.replications):
+            assert fast.events <= slow.events
+
+    def test_fewer_events_at_readme_compare_point(self, monkeypatch):
+        cfg = SimConfig(scenario=ScenarioConfig(lambda_total=1.0, alpha=1.0, m=8),
+                        n_devices=1200, sim_duration=800.0, warmup=100.0, seed=1,
+                        n_replications=1)
+        shortcut = run(cfg).replications[0]
+        monkeypatch.setattr(_Replication, "rx1_surely_blocked", lambda self, rx1_at: False)
+        every_window = run(cfg).replications[0]
+        assert _without_events(shortcut) == _without_events(every_window)
+        assert shortcut.events < every_window.events
+
+
+class TestPeriodicArrivals:
+    # Light unconfirmed load: the 400 s period is far longer than any
+    # device's busy time and duty-cycle silence, so no device is ever busy.
+    LIGHT = {"lambda_total": 0.05, "alpha": 0.0, "h": 1}
+
+    def light(self, **kw):
+        defaults = dict(scenario_kw=self.LIGHT, arrival_model="periodic", n_devices=20,
+                        sim_duration=4000.0, warmup=100.0, seed=5, n_replications=3)
+        defaults.update(kw)
+        return sim(**defaults)
+
+    def test_uplinks_one_period_apart(self, tmp_path):
+        path = tmp_path / "events.log"
+        run(self.light(n_replications=1, trace_path=str(path)))
+        starts = {}
+        for line in path.read_text().splitlines():
+            time, device, _, _, kind = line.split()[:5]
+            if kind == "ul_start":
+                starts.setdefault(int(device), []).append(float(time))
+        assert len(starts) == 20
+        period = 20 / 0.05
+        for times in starts.values():
+            assert len(times) >= 9
+            assert np.diff(times) == pytest.approx(period, abs=1e-6)
+
+    def test_offered_packets_within_one_per_device_of_lambda(self):
+        report = run(self.light())
+        expected = 0.05 * (4000.0 - 100.0)
+        for rep in report.replications:
+            offered = sum(rep.offered_app_u) + sum(rep.offered_app_c)
+            assert abs(offered - expected) <= 20
+            assert all(b == 0.0 for b in rep.busy_at_arrival if b is not None)
+
+    def test_deterministic_and_pool_matches_serial(self):
+        cfg = self.light()
+        report = run(cfg)
+        assert run(cfg) == report
+        assert run(cfg, workers=2) == report
+
+
+class TestSaturationDiagnostic:
+    def test_saturated_devices_lower_the_offered_rate(self):
+        # 30 devices at 1 pck/s: each must send every 30 s, but an SF12
+        # uplink silences its device for ~132 s.
+        report = run(sim(scenario_kw={"lambda_total": 1.0, "alpha": 0.0, "h": 1},
+                         n_devices=30, sim_duration=3000.0, warmup=300.0,
+                         n_replications=2))
+        for rep in report.replications:
+            assert rep.offered_rate_ratio < 0.9
+            assert rep.busy_at_arrival[5] > 0.5
+            assert rep.busy_at_arrival[0] < rep.busy_at_arrival[5]
+            assert all(b is None or 0.0 <= b <= 1.0 for b in rep.busy_at_arrival)
+        assert report.offered_rate_ratio == pytest.approx(
+            np.mean([rep.offered_rate_ratio for rep in report.replications]))
+        assert report.busy_at_arrival[5] == pytest.approx(
+            np.mean([rep.busy_at_arrival[5] for rep in report.replications]))
+
+    def test_undefined_without_traffic(self):
+        report = run(sim(scenario_kw={"lambda_total": 0.0}))
+        assert report.offered_rate_ratio is None
+        assert report.busy_at_arrival == (None,) * 6
+        for rep in report.replications:
+            assert rep.offered_rate_ratio is None
+            assert rep.busy_at_arrival == (None,) * 6
