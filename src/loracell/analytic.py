@@ -34,7 +34,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .scenario import N_SF, ScenarioConfig, ValidationError
+from .scenario import N_SF, ScenarioConfig, SfDistribution, ValidationError
 
 
 class ModelError(RuntimeError):
@@ -410,6 +410,18 @@ def _take(obj, i: int, **changes):
     return type(obj)(**values)
 
 
+def _stack(objs):
+    """The batched result dataclass of a list of one-row ones: the inverse of ``_take``.
+
+    Every field gains a leading row axis, in nested dataclasses too, so
+    ``_take(_stack(objs), i)`` equals ``objs[i]``.
+    """
+    return type(objs[0])(**{
+        name: (_stack([getattr(obj, name) for obj in objs]) if is_dataclass(value)
+               else np.array([getattr(obj, name) for obj in objs]))
+        for name, value in vars(objs[0]).items()})
+
+
 def iterate(cfg: ScenarioConfig, s_ul, s_dl) -> SteadyState:
     """One full update sweep of the fixed-point system.
 
@@ -468,6 +480,43 @@ _SHARED = ("m", "tau1", "tau2", "n_demodulators", "airtimes")
 _PER_ROW = ("h", "delta_sb1", "delta_sb2", "c_channels", "w_gw", "w_ed")
 
 
+def _by_shape(cfgs, run, shared=_SHARED) -> list:
+    """``run(group)`` on each group of ``cfgs`` that agree on the ``shared``
+    fields; the results of all groups, scattered back into config order.
+
+    ``run`` takes the list of indices into ``cfgs`` of one group and returns
+    one result per index.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, cfg in enumerate(cfgs):
+        groups.setdefault(tuple(getattr(cfg, name) for name in shared), []).append(i)
+    results: list = [None] * len(cfgs)
+    for group in groups.values():
+        for i, result in zip(group, run(group)):
+            results[i] = result
+    return results
+
+
+def _batch(cfgs, shared=_SHARED, names=None) -> SimpleNamespace:
+    """One scenario for configs that agree on the ``shared`` fields, in the
+    batched form that the model functions accept.
+
+    The ``shared`` fields keep their common value; every other field of
+    ``names`` (default: all) becomes a ``(K,)`` array, and an SF
+    distribution a namespace whose ``p`` is ``(K, 6)``.
+    """
+    fields = {}
+    for name in names or vars(cfgs[0]):
+        value = getattr(cfgs[0], name)
+        if name in shared:
+            fields[name] = value
+        elif isinstance(value, SfDistribution):
+            fields[name] = SimpleNamespace(p=np.array([getattr(c, name).p for c in cfgs]))
+        else:
+            fields[name] = np.array([getattr(c, name) for c in cfgs])
+    return SimpleNamespace(**fields)
+
+
 def solve_many(cfgs, tol: float = 1e-10, max_iter: int = 1000,
                relaxation: float = 1.0, start=None) -> list[SteadyState | ModelError]:
     """Solve every config as :func:`solve` would; one result per config, in order.
@@ -486,24 +535,19 @@ def solve_many(cfgs, tol: float = 1e-10, max_iter: int = 1000,
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     if not 0.0 < relaxation <= 1.0:
         raise ValidationError(f"relaxation must be in (0, 1], got {relaxation}")
-    groups: dict[tuple, list[int]] = {}
-    for i, cfg in enumerate(cfgs):
-        groups.setdefault(tuple(getattr(cfg, name) for name in _SHARED), []).append(i)
-    results: list = [None] * len(cfgs)
-    if len(groups) != 1:
-        for rows in groups.values():
-            group = solve_many([cfgs[i] for i in rows], tol, max_iter, relaxation, start)
-            for i, result in zip(rows, group):
-                results[i] = result
-        return results
+    return _by_shape(cfgs, lambda group: _solve_batch([cfgs[i] for i in group], tol,
+                                                      max_iter, relaxation, start))
 
+
+def _solve_batch(cfgs, tol: float, max_iter: int, relaxation: float,
+                 start) -> list[SteadyState | ModelError]:
+    """:func:`solve_many` of configs that agree on ``_SHARED``, with validated arguments."""
+    results: list = [None] * len(cfgs)
     rows = list(range(len(cfgs)))     # index in ``cfgs`` of each active row
     batched = len(rows) > 1
     if batched:
         # One scenario for all rows: each per-row field is a (K,) array, rates (K, 6).
-        cfg = SimpleNamespace(**{name: getattr(cfgs[0], name) for name in _SHARED},
-                              **{name: np.array([getattr(c, name) for c in cfgs])
-                                 for name in _PER_ROW})
+        cfg = _batch(cfgs, names=_SHARED + _PER_ROW)
         app = tuple(np.array(rates) for rates in zip(*map(app_rates, cfgs)))
     else:
         # A single row runs on its own config without a row axis: its per-row

@@ -176,14 +176,13 @@ def cmd_sweep(args) -> int:
 
     cfgs = [load_scenario(_set_path(base.to_dict(), args.axis, value)) for value in values]
     states = analytic.solve_many(cfgs, tol=args.tol, max_iter=args.max_iter)
-
-    rows = []
-    for value, cfg, state in zip(values, cfgs, states):
+    for state in states:
         if isinstance(state, analytic.ModelError):
             raise state
-        report = metrics.compute_report(state, cfg)
-        rows.append([value] + [getattr(report, k) for k in outputs]
-                    + [state.iterations, state.residual, state.converged])
+
+    rows = [[value] + [getattr(report, k) for k in outputs]
+            + [state.iterations, state.residual, state.converged]
+            for value, state, report in zip(values, states, metrics.report_many(states, cfgs))]
 
     columns = [args.axis] + outputs + ["iterations", "residual", "converged"]
     doc = {"command": "sweep", "config": base.to_dict(), "axis": args.axis,

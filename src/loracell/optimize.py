@@ -245,19 +245,19 @@ class _Evaluator:
                                           zs[:, :N_SF], zs[:, N_SF:])
         if failures:
             return None
-        if self.reliability_only:
-            values = self._objective(state, batch)
-        else:
-            values = [self._objective(analytic._take(state, i), self._config(x))
-                      for i, x in enumerate(xs)]
-        return np.column_stack([state.s_ul, state.s_dl, values])
+        return np.column_stack([state.s_ul, state.s_dl, self._objective(state, batch)])
 
     def _objective(self, state: analytic.SteadyState, cfg: ScenarioConfig):
         """Weighted objective of a state; one per row of a batched state and config."""
         if self.reliability_only:
-            report = dict(zip(("uu", "cu", "cd"), metrics.reliability(state, cfg)))
-        else:
-            report = vars(metrics.compute_report(state, cfg))
+            return self._weigh(dict(zip(("uu", "cu", "cd"), metrics.reliability(state, cfg))))
+        reports = metrics.compute_report(state, cfg)
+        if isinstance(reports, metrics.MetricsReport):
+            return self._weigh(vars(reports))
+        return [self._weigh(vars(report)) for report in reports]
+
+    def _weigh(self, report: Mapping):
+        """Weighted sum of the objective metrics in ``report``."""
         value = 0.0
         for name, weight in self.weights.items():
             metric = report[name]
@@ -395,9 +395,7 @@ def evaluate_configuration(cfg: ScenarioConfig, lambda_values,
     """Solve one configuration across traffic loads; one report per load."""
     cfgs = [replace(cfg, lambda_total=float(lam)) for lam in lambda_values]
     states = analytic.solve_many(cfgs, tol=tol, max_iter=max_iter)
-    reports = []
-    for state, cfg_lam in zip(states, cfgs):
+    for state in states:
         if isinstance(state, analytic.ModelError):
             raise state
-        reports.append(metrics.compute_report(state, cfg_lam))
-    return tuple(reports)
+    return tuple(metrics.report_many(states, cfgs))

@@ -1,0 +1,69 @@
+"""Regenerate the golden outputs of the README figure sweeps.
+
+Writes, next to this script, the CSV of each of the nine README figure
+sweeps (``<name>.csv``) and the ``--format doc`` output of the ``alpha``
+sweep (``alpha.json``).  ``tests/test_golden.py`` asserts that ``sweep``
+reproduces every file byte for byte, so regenerate them only for a change
+that is meant to alter solver or metric numbers, and say so:
+
+    PYTHONPATH=src python tests/data/golden/make_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+from loracell import cli
+
+HERE = Path(__file__).resolve().parent
+
+_LOAD = ["--axis", "lambda_total", "--values", "0.01:100:40:log"]
+
+#: The README figure sweeps (the m loop runs four times), by output file stem.
+SWEEPS: dict[str, list[str]] = {
+    "phy": ["sweep", *_LOAD, "--set", "alpha=1", "--set", "m=8",
+            "--outputs", "f_nmd,f_gwtx,f_int"],
+    **{f"cucd_m{m}": ["sweep", *_LOAD, "--set", "alpha=1", "--set", f"m={m}",
+                      "--outputs", "cu,cd"] for m in (1, 2, 4, 8)},
+    "alpha": ["sweep", "--axis", "alpha", "--values", "0:1:11:lin",
+              "--set", "lambda_total=1", "--set", "m=8", "--set", "h=1"],
+    "delays": ["sweep", *_LOAD, "--set", "alpha=1", "--set", "m=8",
+               "--outputs", "delta_ul,delta_dl"],
+    "fairness": ["sweep", "--axis", "lambda_total", "--values", "0.01:30:25:log",
+                 "--set", "alpha=0.3", "--set", "m=8", "--set", "h=8",
+                 "--set", "p_unconfirmed=explora", "--set", "p_confirmed=explora",
+                 "--outputs", "jain"],
+    "cd_dc_lifted": ["sweep", *_LOAD, "--set", "alpha=1", "--set", "m=8",
+                     "--set", "delta_sb1=0", "--set", "delta_sb2=0",
+                     "--outputs", "cd"],
+}
+
+
+def golden_outputs() -> dict[str, list[str]]:
+    """CLI arguments of each golden file, by file name."""
+    files = {f"{name}.csv": argv for name, argv in SWEEPS.items()}
+    files["alpha.json"] = [*SWEEPS["alpha"], "--format", "doc"]
+    return files
+
+
+def render(argv: list[str]) -> str:
+    """Standard output of ``loracell <argv>``; raises on a non-zero exit code."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    if code != cli.EXIT_OK:
+        raise RuntimeError(f"loracell {' '.join(argv)} exited {code}")
+    return out.getvalue()
+
+
+def main() -> int:
+    for name, argv in golden_outputs().items():
+        (HERE / name).write_text(render(argv))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -77,28 +77,6 @@ def optimizer_results():
     return results
 
 
-@pytest.fixture(scope="module")
-def random_states():
-    rng = np.random.default_rng(20240809)
-    out = []
-    for _ in range(1000):
-        p_u = SfDistribution(tuple(rng.dirichlet(np.ones(6))))
-        p_c = SfDistribution(tuple(rng.dirichlet(np.ones(6))))
-        cfg = ScenarioConfig(
-            lambda_total=float(10 ** rng.uniform(-2, 2)),
-            alpha=float(rng.uniform(0, 1)),
-            p_unconfirmed=p_u, p_confirmed=p_c,
-            h=int(rng.integers(1, 9)), m=int(rng.integers(1, 9)),
-            delta_sb1=float(rng.choice([0.0, 9.0, 99.0])),
-            delta_sb2=float(rng.choice([0.0, 9.0, 99.0])),
-            tau1=int(rng.integers(0, 2)), tau2=int(rng.integers(0, 2)),
-            c_channels=int(rng.integers(1, 4)),
-            w_gw=float(rng.uniform(0, 1)), w_ed=float(rng.uniform(0, 1)),
-        )
-        out.append((cfg, analytic.solve(cfg, tol=1e-8)))
-    return out
-
-
 def test_criterion_1_fixed_point_convergence(convergence_grid):
     states, elapsed = convergence_grid
     slow = [(key, st.iterations) for key, (_, st) in states.items()

@@ -518,6 +518,18 @@ class TestBatchedRows:
         for row, c in zip(solve_many(cfgs, max_iter=max_iter), cfgs):
             assert_same_state(row, solve(c, max_iter=max_iter))
 
+    def test_stack_is_the_inverse_of_take(self):
+        base = cfg(lambda_total=1.0, alpha=0.5, m=4, h=2)
+        cfgs = [replace(base, p_unconfirmed=d, p_confirmed=d) for d in BATCH_DISTRIBUTIONS]
+        cfgs += [replace(base, alpha=0.0), replace(base, lambda_total=0.0),
+                 replace(base, tau1=0, tau2=0), replace(base, c_channels=1)]
+        states = solve_many(cfgs)
+        stacked = analytic._stack(states)
+        assert stacked.s_ul.shape == (len(states), 6)
+        assert stacked.sb1.p_t.shape == (len(states),)
+        for i, state in enumerate(states):
+            assert_same_state(analytic._take(stacked, i), state)
+
     def test_failed_row_leaves_the_others_unchanged(self):
         base = cfg(lambda_total=1.0, alpha=0.3, m=8, h=8)
         cfgs = [replace(base, p_unconfirmed=d, p_confirmed=d) for d in BATCH_DISTRIBUTIONS]

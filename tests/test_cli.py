@@ -168,8 +168,12 @@ class TestSweep:
         assert config["delta_sb1"] == 99.0
 
     @pytest.mark.parametrize("axis, values", [("m", (1, 2, 4, 8)),
+                                              ("h", (1, 2, 4, 8)),
+                                              ("alpha", (0.0, 0.3, 1.0)),
                                               ("delta_sb1", (0.0, 9.0, 99.0)),
-                                              ("lambda_total", (1e-05, 0.001))])
+                                              ("lambda_total", (1e-05, 0.001)),
+                                              ("n_demodulators", (4, 8)),
+                                              ("tau1", (0, 1))])
     def test_rows_equal_solve_rows(self, tmp_path, axis, values):
         common = ("--set", "lambda_total=2", "--set", "alpha=0.5", "--set", "h=2")
         out = tmp_path / "sweep.csv"

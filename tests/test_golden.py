@@ -1,0 +1,28 @@
+"""The README figure sweeps reproduce their committed outputs byte for byte.
+
+The files under ``tests/data/golden/`` and the script that regenerates them
+(``make_golden.py`` there) pin the CSV of the nine figure sweeps and the
+``--format doc`` output of the ``alpha`` sweep.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+
+_spec = importlib.util.spec_from_file_location("make_golden", GOLDEN / "make_golden.py")
+make_golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_golden)
+
+
+def test_every_figure_sweep_has_a_golden_file():
+    assert len(make_golden.SWEEPS) == 9
+    committed = {path.name for path in GOLDEN.iterdir() if path.suffix in (".csv", ".json")}
+    assert committed == set(make_golden.golden_outputs())
+
+
+@pytest.mark.parametrize("name, argv", sorted(make_golden.golden_outputs().items()))
+def test_sweep_reproduces_golden_output(name, argv):
+    assert make_golden.render(argv) == (GOLDEN / name).read_text()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loracell import analytic, simulate
+from loracell import analytic, metrics, simulate
 from loracell.metrics import (
     METRICS,
     MetricsError,
@@ -20,6 +20,7 @@ from loracell.metrics import (
     jain_index,
     loss_decomposition,
     reliability,
+    report_many,
     retx_distribution,
 )
 from loracell.scenario import ScenarioConfig, SfDistribution
@@ -345,3 +346,88 @@ class TestReport:
                                              simulate.SimReport])
     def test_every_registered_metric_is_a_report_field(self, report_type):
         assert set(METRICS) <= {f.name for f in fields(report_type)}
+
+
+def batch(cfgs):
+    """Solved configs that can share one report batch, and their batched forms."""
+    states = analytic.solve_many(cfgs)
+    return states, analytic._stack(states), analytic._batch(cfgs, metrics._BATCH_KEY)
+
+
+class TestBatchedReport:
+    """Each row of a batched report equals the one-row report of that row."""
+
+    def test_criterion_9_configs(self, random_states):
+        cfgs = [cfg for cfg, _ in random_states]
+        states = [state for _, state in random_states]
+        reports = report_many(states, cfgs)
+        keys = {tuple(getattr(c, name) for name in metrics._BATCH_KEY) for c in cfgs}
+        assert len(keys) < len(cfgs) / 3   # batches of several rows
+        for report, state, cfg in zip(reports, states, cfgs):
+            assert report == compute_report(state, cfg)
+
+    @pytest.mark.parametrize("cfgs", [
+        # alpha = 0 and 1 rows have six categories, the others twelve.
+        [ScenarioConfig(lambda_total=1.0, alpha=a, m=8, h=1) for a in np.linspace(0, 1, 11)],
+        [ScenarioConfig(lambda_total=lam, alpha=0.3, m=4, h=2)
+         for lam in (0.0, 0.01, 1.0, 30.0, 1e4, 1e5)],
+        [ScenarioConfig(lambda_total=lam, alpha=a, p_unconfirmed=p_u, p_confirmed=p_c)
+         for lam in (0.0, 2.0) for a in (0.0, 0.5, 1.0)
+         for p_u, p_c in ((SF7_ONLY, SF7_ONLY), (SF7_ONLY, SF12_ONLY),
+                          (SfDistribution.equal(), SF12_ONLY))],
+        # 1e4: only SF7's success survives underflow; 1e5: no success at all.
+        [ScenarioConfig(lambda_total=lam, alpha=1.0) for lam in (1.0, 1e4, 1e5)],
+    ], ids=["alpha", "lambda", "single_sf", "underflow"])
+    def test_edge_rows(self, cfgs):
+        states = analytic.solve_many(cfgs)
+        reports = report_many(states, cfgs)
+        for report, state, cfg in zip(reports, states, cfgs):
+            assert report == compute_report(state, cfg)
+        # report_many batched them: one call of the batched code gives the same.
+        _, stacked, batched = batch(cfgs)
+        assert compute_report(stacked, batched) == reports
+
+    def test_rows_of_different_shapes(self):
+        # Demodulator count, preemption flags, m and h change the arrays' shapes.
+        cfgs = [ScenarioConfig(lambda_total=2.0, alpha=0.5, n_demodulators=n, tau1=t1,
+                               tau2=t2, m=m, h=h)
+                for n in (4, 8) for t1 in (0, 1) for t2 in (0, 1) for m, h in ((2, 1), (8, 3))
+                for _ in range(2)]
+        states = analytic.solve_many(cfgs)
+        reports = report_many(states, cfgs)
+        for report, state, cfg in zip(reports, states, cfgs):
+            assert report == compute_report(state, cfg)
+
+    def test_undefined_rows(self):
+        cfgs = [ScenarioConfig(lambda_total=lam, alpha=1.0) for lam in (1.0, 1e4, 1e5)]
+        cfgs.append(ScenarioConfig(lambda_total=1.0, alpha=0.0))
+        states, stacked, batched = batch(cfgs)
+        reports = compute_report(stacked, batched)
+        assert reports[1].jain == pytest.approx(1.0 / 6.0)
+        assert reports[2].jain is None and reports[2].delta_dl is None
+        assert reports[3].delta_ul is None and reports[3].retx_dist is None
+        # The batched metrics read NaN where a one-row call raises.
+        delta_ul, delta_dl = delays(stacked, batched)
+        retx = retx_distribution(stacked, batched)
+        for i, (state, cfg) in enumerate(zip(states, cfgs)):
+            try:
+                want = delays(state, cfg)
+            except MetricsError:
+                assert np.isnan(delta_ul[i]) and np.isnan(delta_dl[i])
+            else:
+                assert (delta_ul[i], delta_dl[i]) == want
+            try:
+                want = retx_distribution(state, cfg)
+            except MetricsError:
+                assert np.isnan(retx[i]).all()
+            else:
+                assert np.array_equal(retx[i], want)
+
+    def test_jain_rows_with_absent_members(self):
+        rows = [[0.9, 0.3, 0.6, np.nan], [0.5, np.nan, 0.5, 0.25],
+                [1e-200, 2e-200, np.nan, np.nan], [0.2, 0.4, 0.6, 0.8]]
+        got = jain_index(rows)
+        for row, value in zip(rows, got):
+            assert value == jain_index([v for v in row if not np.isnan(v)])
+        with pytest.raises(MetricsError, match="all-zero"):
+            jain_index([[0.5, 0.5], [0.0, 0.0]])

@@ -1,5 +1,7 @@
 """Simplex projection oracles and configuration-search behavior."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from loracell.optimize import (
     optimize,
     project_to_simplex,
 )
-from loracell.scenario import N_SF, ScenarioConfig, preset
+from loracell.scenario import N_SF, ScenarioConfig, SfDistribution, preset
 
 
 def qp_projection(v):
@@ -248,6 +250,34 @@ class TestImplicitGradient:
             assert np.max(np.abs(grad - want)) <= 1e-6
             assert evaluate.all_converged
 
+    @pytest.mark.parametrize("lam", [1.0, 10.0])
+    def test_full_report_objective_equals_per_row_reports(self, lam):
+        # The derivative sweep reports all its rows in one batched call; the
+        # gradient is bit-identical to reporting each row on its own.
+        class PerRow(_Evaluator):
+            def _objective(self, state, cfg):
+                one_row = super()._objective
+                if np.ndim(state.s_ul) == 1:
+                    return one_row(state, cfg)
+                xs = np.column_stack([cfg.p_unconfirmed.p, cfg.p_confirmed.p])
+                return [one_row(analytic._take(state, i),
+                                replace(self.cfg, p_unconfirmed=SfDistribution(tuple(x[:N_SF])),
+                                        p_confirmed=SfDistribution(tuple(x[N_SF:]))))
+                        for i, x in enumerate(xs)]
+
+        cfg = ScenarioConfig(lambda_total=lam, alpha=0.3, m=8, h=8)
+        weights = {"cd": 1.0, "jain": 0.5, "delta_dl": -0.001}
+        # An interior point, and one on the boundary whose probes have SF shares of 0.
+        edge = np.concatenate([[0.0, 0.3, 0.3, 0.2, 0.2, 0.0], [0.5, 0.5, 0.0, 0.0, 0.0, 0.0]])
+        for x in (np.full(2 * N_SF, 1.0 / N_SF), edge):
+            grads = []
+            for evaluator in (_Evaluator, PerRow):
+                evaluate = evaluator(cfg, weights, 1e-10, 1000)
+                _, state = evaluate(x)
+                grads.append(_gradient(evaluate, x, state, 1e-4))
+            assert np.all(np.isfinite(grads[0]))
+            assert np.array_equal(grads[0], grads[1])
+
     def test_warm_start_keeps_the_objective(self):
         cfg = ScenarioConfig(lambda_total=1.0, alpha=0.3, m=8, h=8)
         evaluate = _Evaluator(cfg, OBJECTIVES["uu_plus_cd"], 1e-10, 1000)
@@ -261,6 +291,13 @@ class TestImplicitGradient:
 
 
 class TestEvaluateConfiguration:
+    def test_reports_equal_per_row_reports(self):
+        cfg = ScenarioConfig(alpha=0.3, m=4, h=2)
+        lams = (0.0, 0.1, 1.0, 10.0, 1e4)
+        want = tuple(metrics.compute_report(analytic.solve(c), c)
+                     for c in (replace(cfg, lambda_total=lam) for lam in lams))
+        assert evaluate_configuration(cfg, lams) == want
+
     def test_table_rows_solve_cleanly(self):
         # Baseline row: transmission priority everywhere, single attempts.
         c1 = ScenarioConfig(alpha=0.3, tau1=1, tau2=1, m=1, h=1,
