@@ -253,6 +253,8 @@ def loss_decomposition(state: SteadyState, cfg: ScenarioConfig):
     d = state.rates.d
     s = _col(state.demod.s_demod)
     f_nmd = 1.0 - state.demod.s_demod
+    if np.ndim(f_nmd) == 0:
+        f_nmd = float(f_nmd)
     f_gwtx = _weighted(d, s * (1.0 - state.s_tx))
     f_int = _weighted(d, s * state.s_tx * (1.0 - state.s_int))
     return f_nmd, f_gwtx, f_int

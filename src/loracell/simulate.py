@@ -33,6 +33,13 @@ periodic arrivals each device keeps the random phase it draws once; the
 phases are sorted, and arrival k falls on the k mod n-th phase plus
 k // n periods.
 
+Every confirmed uplink draws its retransmission back-off when it ends and
+keeps it on its device; a failed attempt retransmits that back-off after
+its RX2 window closes (or when its duty cycle allows, if later).  The
+timeout stream is thus consumed in uplink-end order, whenever a failure
+becomes known, which is what lets the two shortcuts below decide a
+window early and still give the same results.
+
 An RX1 window that SB1's duty cycle is sure to block is not an event.
 ``sb1_free_at`` only changes when an RX1 ACK is sent, which needs the
 sub-band free, so it never decreases.  If it already lies beyond the
@@ -40,6 +47,15 @@ window when the uplink ends, the window is blocked, and a blocked window
 draws nothing, counts nothing and traces nothing; the uplink's end
 schedules RX2 directly, and every result except the event count is the
 same as with the window's own event.
+
+An RX2 window that SB2's duty cycle is sure to block is not an event
+either, while the packet has attempts left.  ``sb2_free_at`` never
+decreases for the same reason, so when the RX2 window would be scheduled
+(at the uplink's end, or in a blocked RX1 window) and already lies before
+it, the ACK is dropped there and then: ``dl_no_window`` is counted, the
+drop is traced with the time it is decided, and the retransmission is
+scheduled.  On the last attempt the RX2 event stays, because the packet
+is finished, and its device freed, only when that window closes.
 """
 
 from __future__ import annotations
@@ -165,7 +181,8 @@ class ReplicationResult:
     # the offered application rate over lambda (None when lambda is 0).
     busy_at_arrival: tuple[float | None, ...]
     offered_rate_ratio: float | None
-    events: int                         # heap events handled; a blocked RX1 window is none
+    events: int                         # heap events handled; a window surely
+                                        # blocked by its sub-band's duty cycle is none
 
 
 @dataclass(frozen=True)
@@ -232,7 +249,7 @@ def place_devices(sim_cfg: SimConfig, seed) -> tuple[np.ndarray, np.ndarray, np.
 class _Device:
     __slots__ = ("idx", "confirmed", "sfi", "x", "y", "power", "next_allowed",
                  "queued", "busy", "attempts", "first_attempt", "counted",
-                 "delivered_time")
+                 "delivered_time", "backoff")
 
     def __init__(self, idx, confirmed, sfi, x, y, power):
         self.idx = idx
@@ -248,18 +265,20 @@ class _Device:
         self.first_attempt = 0.0
         self.counted = False
         self.delivered_time = None  # first gateway delivery time of the current packet
+        self.backoff = 0.0          # retransmission timeout drawn at the last uplink's end
 
 
 class _Tx:
     """One uplink transmission on the air."""
 
-    __slots__ = ("uid", "device", "sfi", "ch", "start", "end", "counted", "fate", "rx")
+    __slots__ = ("uid", "device", "sfi", "ch", "slot", "start", "end", "counted", "fate", "rx")
 
-    def __init__(self, uid, device, sfi, ch, start, end, counted):
+    def __init__(self, uid, device, sfi, ch, slot, start, end, counted):
         self.uid = uid
         self.device = device
         self.sfi = sfi
         self.ch = ch
+        self.slot = slot            # ch * N_SF + sfi: index into on_air and listeners
         self.start = start
         self.end = end
         self.counted = counted
@@ -339,7 +358,9 @@ class _Replication:
     """One single-threaded event loop; state is local to a replication.
 
     A heap entry is ``(time, seq, handler, payload)``: ``seq`` breaks ties
-    in schedule order and ``handler(time, payload)`` runs the event.
+    in schedule order and ``handler(time, payload)`` runs the event.  The
+    busiest handlers push their entries directly rather than through
+    :meth:`schedule`.
     """
 
     def __init__(self, sim_cfg: SimConfig, rng: np.random.Generator, seed_label: int):
@@ -354,6 +375,12 @@ class _Replication:
         self.t_data = sc.airtimes.t_data
         self.t_ack1 = sc.airtimes.t_ack1
         self.t_ack2 = sc.airtimes.t_ack2
+        # Scenario scalars read on every event.
+        self.m = sc.m
+        self.h = sc.h
+        self.delta_sb1 = sc.delta_sb1
+        self.w_gw = sc.w_gw
+        self.n_demodulators = sc.n_demodulators
 
         x, y, confirmed, sf_idx = place_devices(sim_cfg, rng)
         dist = np.maximum(np.hypot(x, y), 1.0)
@@ -394,8 +421,9 @@ class _Replication:
         self.sb1_free_at = 0.0          # duty-cycle gates per sub-band
         self.sb2_free_at = 0.0
 
-        self.on_air = {(ch, sfi): {} for ch in range(n_ch) for sfi in range(N_SF)}
-        self.listeners = {key: {} for key in self.on_air}  # key -> {uid: [interfering _Tx]}
+        # One entry per (channel, SF) slot ch * N_SF + sfi.
+        self.on_air = [{} for _ in range(n_ch * N_SF)]      # {uid: _Tx}
+        self.listeners = [{} for _ in range(n_ch * N_SF)]   # {uid: [interfering _Tx]}
 
         self.heap = []
         self.seq = itertools.count()
@@ -431,7 +459,7 @@ class _Replication:
         dev.attempts = 0
         dev.delivered_time = None
         dev.counted = False
-        self.schedule(max(now, dev.next_allowed), self.on_tx_start, dev)
+        heappush(self.heap, (max(now, dev.next_allowed), next(self.seq), self.on_tx_start, dev))
 
     def finish_packet(self, dev, acked, now):
         if dev.counted:
@@ -451,10 +479,10 @@ class _Replication:
             self.start_packet(dev, now)
 
     def confirmed_attempt_failed(self, dev, ul_end):
-        fail_at = ul_end + 2.0  # failure is known when the second window closes
-        if dev.attempts < self.sc.m:
-            self.schedule(max(fail_at + self.next_timeout(), dev.next_allowed),
-                          self.on_tx_start, dev)
+        fail_at = ul_end + 2.0  # the attempt ends when its second window closes
+        if dev.attempts < self.m:
+            heappush(self.heap, (max(fail_at + dev.backoff, dev.next_allowed), next(self.seq),
+                                 self.on_tx_start, dev))
         else:
             self.finish_packet(dev, acked=False, now=fail_at)
 
@@ -485,6 +513,16 @@ class _Replication:
         """
         return rx1_at < self.sb1_free_at
 
+    def rx2_surely_blocked(self, dev, rx2_at) -> bool:
+        """Whether ``dev``'s ACK can be dropped now: SB2's duty cycle already
+        blocks its RX2 window at ``rx2_at``, and the packet has attempts left
+        (on the last one, the window's own event finishes the packet).
+
+        ``sb2_free_at`` never decreases, so this is the duty-cycle test that
+        ``on_rx2`` would make at ``rx2_at``, decided early.
+        """
+        return rx2_at < self.sb2_free_at and dev.attempts < self.m
+
     def gw_blocked(self, now, free_at, tau) -> bool:
         """The gateway cannot answer in a window whose sub-band frees at ``free_at``."""
         return now < self.tx_until or now < free_at or (tau == 0 and bool(self.receptions))
@@ -495,7 +533,7 @@ class _Replication:
             for tx in self.receptions.values():
                 tx.fate = _OUT_GWTX
                 tx.rx = None
-                del self.listeners[(tx.ch, tx.sfi)][tx.uid]
+                del self.listeners[tx.slot][tx.uid]
             self.receptions.clear()
         if self.receptions:
             raise SimulationError("gateway would transmit while receiving")
@@ -505,7 +543,7 @@ class _Replication:
 
     def schedule_arrival(self):
         time, dev = self.next_arrival()
-        self.schedule(time, self.on_arrival, dev)
+        heappush(self.heap, (time, next(self.seq), self.on_arrival, dev))
 
     def on_arrival(self, now, dev):
         if now >= self.duration:
@@ -538,37 +576,38 @@ class _Replication:
                     self.offered_app_u[sfi] += 1
         if counted:
             self.offered_phy[sfi] += 1
-        dev.next_allowed = end + self.sc.delta_sb1 * airtime
+        dev.next_allowed = end + self.delta_sb1 * airtime
 
-        self.uid += 1
-        tx = _Tx(self.uid, dev, sfi, ch, now, end, counted)
-        key = (ch, sfi)
-        air = self.on_air[key]
-        ears = self.listeners[key]
+        self.uid = uid = self.uid + 1
+        slot = ch * N_SF + sfi
+        tx = _Tx(uid, dev, sfi, ch, slot, now, end, counted)
+        air = self.on_air[slot]
+        ears = self.listeners[slot]
         for interferers in ears.values():
             interferers.append(tx)
 
         if now < self.tx_until:
             tx.fate = _OUT_GWTX          # gateway radio is transmitting
-        elif len(self.receptions) == self.sc.n_demodulators:
+        elif len(self.receptions) == self.n_demodulators:
             tx.fate = _OUT_NMD           # all demodulators locked
         else:
-            tx.rx = list(air.values())
-            self.receptions[tx.uid] = tx
-            ears[tx.uid] = tx.rx
-        air[tx.uid] = tx
-        self.schedule(end, self.on_tx_end, tx)
+            tx.rx = rx = list(air.values())
+            self.receptions[uid] = tx
+            ears[uid] = rx
+        air[uid] = tx
+        heappush(self.heap, (end, next(self.seq), self.on_tx_end, tx))
         if self.trace is not None:
             self.emit(now, dev.idx, sfi, ch, "ul_start", "")
 
     def on_tx_end(self, now, tx):
-        key = (tx.ch, tx.sfi)
-        del self.on_air[key][tx.uid]
+        slot = tx.slot
+        uid = tx.uid
+        del self.on_air[slot][uid]
         dev = tx.device
         if tx.rx is not None:
-            del self.receptions[tx.uid]
-            del self.listeners[key][tx.uid]
-            ok = self.captured(tx.rx, None, dev.power, tx.start, tx.end, self.sc.w_gw)
+            del self.receptions[uid]
+            del self.listeners[slot][uid]
+            ok = self.captured(tx.rx, None, dev.power, tx.start, tx.end, self.w_gw)
             outcome = _OUT_DELIVERED if ok else _OUT_INTERFERENCE
         else:
             outcome = tx.fate
@@ -581,35 +620,53 @@ class _Replication:
         if delivered and dev.delivered_time is None:
             dev.delivered_time = now
         if dev.confirmed:
+            dev.backoff = self.next_timeout()
             if delivered:
                 ctx = (dev, tx.sfi, tx.ch, now)
                 if self.rx1_surely_blocked(now + 1.0):
-                    self.schedule(now + 2.0, self.on_rx2, ctx)
+                    self.open_rx2(now, ctx)
                 else:
-                    self.schedule(now + 1.0, self.on_rx1, ctx)
+                    heappush(self.heap, (now + 1.0, next(self.seq), self.on_rx1, ctx))
             else:
                 self.confirmed_attempt_failed(dev, now)
+        elif dev.attempts < self.h:
+            # Next copy after both receive windows, duty cycle allowing.
+            heappush(self.heap, (max(now + 2.0, dev.next_allowed), next(self.seq),
+                                 self.on_tx_start, dev))
         else:
-            if dev.attempts < self.sc.h:
-                # Next copy after both receive windows, duty cycle allowing.
-                self.schedule(max(now + 2.0, dev.next_allowed), self.on_tx_start, dev)
-            else:
-                self.finish_packet(dev, acked=False, now=now + 2.0)
+            self.finish_packet(dev, acked=False, now=now + 2.0)
+
+    def open_rx2(self, now, ctx):
+        """Schedule the RX2 window of ``ctx``, or drop its ACK now if it is surely blocked."""
+        dev, _, _, ul_end = ctx
+        if self.rx2_surely_blocked(dev, ul_end + 2.0):
+            self.drop_ack(now, ctx)
+        else:
+            self.schedule(ul_end + 2.0, self.on_rx2, ctx)
+
+    def drop_ack(self, now, ctx):
+        """No window is left for the ACK of ``ctx``: the attempt fails."""
+        dev, sfi, ch, ul_end = ctx
+        if dev.counted:
+            self.dl_no_window += 1
+        if self.trace is not None:
+            self.emit(now, dev.idx, sfi, ch, "ack_dropped", "no_window")
+        self.confirmed_attempt_failed(dev, ul_end)
 
     def on_rx1(self, now, ctx):
         dev, sfi, ch, ul_end = ctx
         if self.gw_blocked(now, self.sb1_free_at, self.sc.tau1):
-            self.schedule(ul_end + 2.0, self.on_rx2, ctx)
+            self.open_rx2(now, ctx)
             return
         airtime = self.t_ack1[sfi]
         self.gw_transmit(now, airtime, self.sc.tau1)
-        self.sb1_free_at = now + airtime * (1.0 + self.sc.delta_sb1)
+        self.sb1_free_at = now + airtime * (1.0 + self.delta_sb1)
         if dev.counted:
             self.dl_sb1_sent += 1
-        key = (ch, sfi)
-        interferers = list(self.on_air[key].values())
+        slot = ch * N_SF + sfi
+        interferers = list(self.on_air[slot].values())
         self.uid += 1
-        self.listeners[key][self.uid] = interferers
+        self.listeners[slot][self.uid] = interferers
         self.schedule(now + airtime, self.on_ack_end,
                       (dev, sfi, ch, ul_end, 1, interferers, self.uid, now))
         if self.trace is not None:
@@ -618,11 +675,7 @@ class _Replication:
     def on_rx2(self, now, ctx):
         dev, sfi, ch, ul_end = ctx
         if self.gw_blocked(now, self.sb2_free_at, self.sc.tau2):
-            if dev.counted:
-                self.dl_no_window += 1
-            if self.trace is not None:
-                self.emit(now, dev.idx, sfi, ch, "ack_dropped", "no_window")
-            self.confirmed_attempt_failed(dev, ul_end)
+            self.drop_ack(now, ctx)
             return
         airtime = self.t_ack2[sfi]
         self.gw_transmit(now, airtime, self.sc.tau2)
@@ -637,7 +690,7 @@ class _Replication:
     def on_ack_end(self, now, ctx):
         dev, sfi, ch, ul_end, window, interferers, listen_uid, start = ctx
         if window == 1:
-            del self.listeners[(ch, sfi)][listen_uid]
+            del self.listeners[ch * N_SF + sfi][listen_uid]
             if not self.captured(interferers, dev, dev.power, start, now, self.sc.w_ed):
                 if dev.counted:
                     self.dl_rx1_corrupted += 1

@@ -1,10 +1,13 @@
-"""Regenerate the golden outputs of the README figure sweeps.
+"""Regenerate the golden outputs of the README figure sweeps and simulations.
 
 Writes, next to this script, the CSV of each of the nine README figure
 sweeps (``<name>.csv``) and the ``--format doc`` output of the ``alpha``
-sweep (``alpha.json``).  ``tests/test_golden.py`` asserts that ``sweep``
-reproduces every file byte for byte, so regenerate them only for a change
-that is meant to alter solver or metric numbers, and say so:
+sweep (``alpha.json``), plus the CSV of a shortened README validation
+``compare`` and the CSV and ``--format doc`` output of a shortened
+geometric-capture ``simulate`` (``sim_*``).  ``tests/test_golden.py``
+asserts that the CLI reproduces every file byte for byte, so regenerate
+them only for a change that is meant to alter solver, metric or simulator
+numbers, and say so:
 
     PYTHONPATH=src python tests/data/golden/make_golden.py
 """
@@ -41,11 +44,23 @@ SWEEPS: dict[str, list[str]] = {
                      "--outputs", "cd"],
 }
 
+#: The README validation settings at seed 1, shortened to 2 x 2000 s.
+_SIM = ["--set", "lambda_total=1", "--set", "alpha=1", "--set", "m=8",
+        "--devices", "1200", "--duration", "2000", "--replications", "2", "--seed", "1"]
+
+#: Simulator runs, by output file stem.
+SIMULATIONS: dict[str, list[str]] = {
+    "sim_compare": ["compare", *_SIM],
+    "sim_geometric": ["simulate", "--capture", "geometric", *_SIM],
+}
+
 
 def golden_outputs() -> dict[str, list[str]]:
     """CLI arguments of each golden file, by file name."""
     files = {f"{name}.csv": argv for name, argv in SWEEPS.items()}
     files["alpha.json"] = [*SWEEPS["alpha"], "--format", "doc"]
+    files.update({f"{name}.csv": argv for name, argv in SIMULATIONS.items()})
+    files["sim_geometric.json"] = [*SIMULATIONS["sim_geometric"], "--format", "doc"]
     return files
 
 

@@ -1,8 +1,9 @@
-"""The README figure sweeps reproduce their committed outputs byte for byte.
+"""The README figure sweeps and simulations reproduce their committed outputs byte for byte.
 
 The files under ``tests/data/golden/`` and the script that regenerates them
 (``make_golden.py`` there) pin the CSV of the nine figure sweeps and the
-``--format doc`` output of the ``alpha`` sweep.
+``--format doc`` output of the ``alpha`` sweep, plus a shortened README
+``compare`` (CSV) and geometric-capture ``simulate`` (CSV and doc) at seed 1.
 """
 
 import importlib.util

@@ -342,6 +342,12 @@ class TestReport:
         with pytest.raises(MetricsError, match="non-negative"):
             compute_report(state, cfg)
 
+    def test_one_row_fields_are_python_floats(self):
+        state, cfg = solved(lambda_total=1.0, alpha=0.5, m=4, h=2)
+        for name, value in vars(compute_report(state, cfg)).items():
+            values = value if isinstance(value, tuple) else (value,)
+            assert all(type(v) is float for v in values), name
+
     @pytest.mark.parametrize("report_type", [MetricsReport, simulate.ReplicationResult,
                                              simulate.SimReport])
     def test_every_registered_metric_is_a_report_field(self, report_type):

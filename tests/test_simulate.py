@@ -343,6 +343,17 @@ def _without_events(rep):
     return dataclasses.replace(rep, events=0)
 
 
+def _assert_only_events_drop(shortcut, every_window):
+    """Two reports of one config agree on everything but per-replication
+    ``events``, and the first never handles more events."""
+    assert [_without_events(r) for r in shortcut.replications] == \
+        [_without_events(r) for r in every_window.replications]
+    assert dataclasses.replace(shortcut, replications=()) == \
+        dataclasses.replace(every_window, replications=())
+    for fast, slow in zip(shortcut.replications, every_window.replications):
+        assert fast.events <= slow.events
+
+
 class TestSingleArrivalEvent:
     @pytest.mark.parametrize("arrivals", ["poisson", "periodic"])
     def test_heap_holds_one_pending_arrival(self, arrivals):
@@ -399,13 +410,7 @@ class TestRx1Shortcut:
                   sim_duration=500.0, warmup=50.0)
         shortcut = run(cfg)
         monkeypatch.setattr(_Replication, "rx1_surely_blocked", lambda self, rx1_at: False)
-        every_window = run(cfg)
-        assert [_without_events(r) for r in shortcut.replications] == \
-            [_without_events(r) for r in every_window.replications]
-        assert dataclasses.replace(shortcut, replications=()) == \
-            dataclasses.replace(every_window, replications=())
-        for fast, slow in zip(shortcut.replications, every_window.replications):
-            assert fast.events <= slow.events
+        _assert_only_events_drop(shortcut, run(cfg))
 
     def test_fewer_events_at_readme_compare_point(self, monkeypatch):
         cfg = SimConfig(scenario=ScenarioConfig(lambda_total=1.0, alpha=1.0, m=8),
@@ -416,6 +421,78 @@ class TestRx1Shortcut:
         every_window = run(cfg).replications[0]
         assert _without_events(shortcut) == _without_events(every_window)
         assert shortcut.events < every_window.events
+
+
+class TestRx2Shortcut:
+    """An RX2 window that SB2's duty cycle already blocks is not an event
+    while the packet has attempts left."""
+
+    @staticmethod
+    def cell(capture="probabilistic", arrivals="poisson", tau1=1, delta=(9.0, 9.0), **kw):
+        return sim(scenario_kw={"lambda_total": 3.0, "alpha": 0.8, "m": 4, "tau1": tau1,
+                                "delta_sb1": delta[0], "delta_sb2": delta[1]},
+                   n_devices=150, capture_model=capture, arrival_model=arrivals,
+                   sim_duration=500.0, warmup=50.0, **kw)
+
+    @staticmethod
+    def every_window(monkeypatch):
+        monkeypatch.setattr(_Replication, "rx2_surely_blocked", lambda self, dev, rx2_at: False)
+
+    @pytest.mark.parametrize("delta", [(99.0, 9.0), (0.0, 0.0), (9.0, 9.0)],
+                             ids=["dc", "no_dc", "dc_backoff_binds"])
+    @pytest.mark.parametrize("tau1", [0, 1])
+    @pytest.mark.parametrize("arrivals", ["poisson", "periodic"])
+    @pytest.mark.parametrize("capture", ["probabilistic", "geometric"])
+    def test_every_result_but_events_is_unchanged(self, monkeypatch, capture, arrivals,
+                                                  tau1, delta):
+        cfg = self.cell(capture, arrivals, tau1, delta)
+        shortcut = run(cfg)
+        self.every_window(monkeypatch)
+        _assert_only_events_drop(shortcut, run(cfg))
+
+    @pytest.mark.parametrize("delta_sb1, binds", [(99.0, False), (9.0, True)])
+    def test_backoff_binds_only_below_the_duty_cycle_gap(self, monkeypatch, delta_sb1, binds):
+        # With delta_sb1 = 99 the duty-cycle gate (>= end + 5.05 s) always
+        # comes after the back-off (<= end + 5 s), so drawing the back-off
+        # earlier changes nothing; with delta_sb1 = 9 the back-off decides
+        # some retransmission times, and the shortcut still fires.
+        cfg = self.cell(delta=(delta_sb1, 9.0))
+        decided = []
+        failed = _Replication.confirmed_attempt_failed
+
+        def recording(self, dev, ul_end):
+            if dev.attempts < self.m:
+                decided.append(ul_end + 2.0 + dev.backoff > dev.next_allowed)
+            failed(self, dev, ul_end)
+
+        monkeypatch.setattr(_Replication, "confirmed_attempt_failed", recording)
+        shortcut = run(cfg)
+        assert decided
+        assert any(decided) == binds
+        self.every_window(monkeypatch)
+        every_window = run(cfg)
+        _assert_only_events_drop(shortcut, every_window)
+        assert sum(r.events for r in shortcut.replications) < \
+            sum(r.events for r in every_window.replications)
+
+    def test_fewer_events_at_readme_compare_point(self, monkeypatch):
+        cfg = SimConfig(scenario=ScenarioConfig(lambda_total=1.0, alpha=1.0, m=8),
+                        n_devices=1200, sim_duration=800.0, warmup=100.0, seed=1,
+                        n_replications=1)
+        shortcut = run(cfg).replications[0]
+        self.every_window(monkeypatch)
+        every_window = run(cfg).replications[0]
+        assert _without_events(shortcut) == _without_events(every_window)
+        assert shortcut.events < every_window.events
+
+    def test_trace_timestamps_never_decrease(self, tmp_path):
+        # A drop decided early is traced when it is decided, not at its window.
+        path = tmp_path / "events.log"
+        run(self.cell(n_replications=1, trace_path=str(path)))
+        lines = [line.split() for line in path.read_text().splitlines()]
+        times = [float(fields[0]) for fields in lines]
+        assert times == sorted(times)
+        assert any(fields[4] == "ack_dropped" for fields in lines)
 
 
 class TestPeriodicArrivals:
