@@ -29,7 +29,8 @@ the one-row call of the same code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, is_dataclass, replace
+from dataclasses import dataclass, is_dataclass
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -117,6 +118,19 @@ def _col(values):
     return values[..., None] if isinstance(values, np.ndarray) else values
 
 
+def _any(mask) -> bool:
+    """``mask.any()`` of a boolean array or numpy bool, without the cost of a reduction."""
+    return bool(mask) if mask.ndim == 0 else np.count_nonzero(mask) > 0
+
+
+@lru_cache(maxsize=16)   # attempt counts m and h are at most 15
+def _arange(n: int) -> np.ndarray:
+    """``np.arange(n, dtype=float)``, built once per ``n`` and read-only."""
+    j = np.arange(n, dtype=float)
+    j.flags.writeable = False
+    return j
+
+
 def app_rates(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     """Application-layer packet rates per channel and SF [pck/s]."""
     scale = cfg.lambda_total / cfg.c_channels
@@ -133,7 +147,7 @@ def attempt_distributions(s_ul, s_dl, n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if n < 1:
         raise ValueError(f"attempt count must be >= 1, got {n}")
-    j = np.arange(n, dtype=float)
+    j = _arange(n)
     p_ul = _vec(s_ul)[..., None]
     p_dl = p_ul * _vec(s_dl)[..., None]
     return p_ul * (1.0 - p_ul) ** j, p_dl * (1.0 - p_dl) ** j
@@ -150,17 +164,20 @@ def phy_rates(cfg: ScenarioConfig, p_dl, app=None) -> TrafficRates:
     """
     r_c_app, r_u_app = app_rates(cfg) if app is None else app
     p_dl = np.asarray(p_dl, dtype=float)
-    if p_dl.shape[-2:] != (N_SF, cfg.m):
-        raise ValueError(f"p_dl must have shape ({N_SF}, {cfg.m}), got {p_dl.shape}")
-    if p_dl.min() < -1e-12 or p_dl.max() > 1.0 + 1e-12:
-        raise ValueError("p_dl entries must be probabilities in [0, 1]")
-    if p_dl.sum(axis=-1).max() > 1.0 + 1e-9:
-        raise ValueError("p_dl rows must sum to at most 1")
-
     m = cfg.m
+    if p_dl.shape[-2:] != (N_SF, m):
+        raise ValueError(f"p_dl must have shape ({N_SF}, {m}), got {p_dl.shape}")
     head = p_dl[..., : m - 1]
-    attempts = ((head * np.arange(1, m, dtype=float)).sum(axis=-1)
-                + m * (1.0 - head.sum(axis=-1)))
+    head_sum = head.sum(axis=-1)
+    # Non-negative entries whose rounded row sums stay at most 1 pass both
+    # checks below, since such a sum is no smaller than any of its terms.
+    if not (p_dl.min() >= 0.0 and (head_sum + p_dl[..., m - 1]).max() <= 1.0):
+        if p_dl.min() < -1e-12 or p_dl.max() > 1.0 + 1e-12:
+            raise ValueError("p_dl entries must be probabilities in [0, 1]")
+        if p_dl.sum(axis=-1).max() > 1.0 + 1e-9:
+            raise ValueError("p_dl rows must sum to at most 1")
+
+    attempts = (head * _arange(m)[1:]).sum(axis=-1) + m * (1.0 - head_sum)
     r_c_phy = r_c_app * attempts
     r_u_phy = r_u_app * _col(cfg.h)
     r_phy = r_c_phy + r_u_phy
@@ -194,8 +211,7 @@ def gw_may_transmit(cfg: ScenarioConfig, rates: TrafficRates, k: int) -> float |
     tau = cfg.tau1 if k == 1 else cfg.tau2
     if tau == 1:
         return 1.0
-    t_data = _vec(cfg.airtimes.t_data)
-    return np.exp(-cfg.c_channels * (rates.r_phy * t_data).sum(axis=-1))
+    return np.exp(-cfg.c_channels * (rates.r_phy * cfg.airtimes._t_data).sum(axis=-1))
 
 
 def demod_chain(cfg: ScenarioConfig, rates: TrafficRates) -> DemodChainState:
@@ -206,8 +222,7 @@ def demod_chain(cfg: ScenarioConfig, rates: TrafficRates) -> DemodChainState:
     probability that demodulators 1..j-1 are all locked.  With no
     traffic every demodulator is free and ``s_demod`` is 1.
     """
-    t_data = _vec(cfg.airtimes.t_data)
-    e_lock = (rates.d * t_data).sum(axis=-1)
+    e_lock = (rates.d * cfg.airtimes._t_data).sum(axis=-1)
     total = cfg.c_channels * rates.r_phy.sum(axis=-1)
     # The recurrence runs unguarded, demodulator by demodulator, and its dead
     # ends are patched afterwards: cheaper than testing every step of every row.
@@ -224,7 +239,7 @@ def demod_chain(cfg: ScenarioConfig, rates: TrafficRates) -> DemodChainState:
     # for a NaN lock probability, which only a row whose rates are already
     # non-finite (and that therefore fails its checks) can produce.
     dead = ~(e_avail[:-1] < p_lock[:-1] * 1e300)
-    if dead.any():
+    if _any(dead):
         dead = np.logical_or.accumulate(dead, axis=0)
         e_avail[1:][dead] = np.inf
         p_lock[1:][dead] = 0.0
@@ -235,7 +250,7 @@ def _subband(r: np.ndarray, t_ack: np.ndarray, delta: float, p_t,
              c_channels: int) -> SubBandState:
     total = r.sum(axis=-1)
     idle = total <= 0.0
-    any_idle = idle.any()
+    any_idle = _any(idle)
     if any_idle:
         # No ACK traffic: the sub-band is never duty-cycle blocked.  A stand-in
         # total of 1 gives b = 0, e_off = 0 and p_on = 1; e_on becomes infinite below.
@@ -259,14 +274,11 @@ def subband_states(cfg: ScenarioConfig, rates: TrafficRates,
     C channels and an OFF sojourn is the airtime of the chosen ACK plus
     its duty-cycle silence.
     """
-    s_ul = _vec(s_ul)
-    t_ack1 = _vec(cfg.airtimes.t_ack1)
-    t_ack2 = _vec(cfg.airtimes.t_ack2)
-    r1 = rates.r_c_phy * s_ul
-    sb1 = _subband(r1, t_ack1, cfg.delta_sb1, gw_may_transmit(cfg, rates, 1),
+    r1 = rates.r_c_phy * _vec(s_ul)
+    sb1 = _subband(r1, cfg.airtimes._t_ack1, cfg.delta_sb1, gw_may_transmit(cfg, rates, 1),
                    cfg.c_channels)
     r2 = r1 * _col(sb1.p_off + sb1.p_on * (1.0 - sb1.p_t))
-    sb2 = _subband(r2, t_ack2, cfg.delta_sb2, gw_may_transmit(cfg, rates, 2),
+    sb2 = _subband(r2, cfg.airtimes._t_ack2, cfg.delta_sb2, gw_may_transmit(cfg, rates, 2),
                    cfg.c_channels)
     return sb1, sb2
 
@@ -294,9 +306,9 @@ def gw_tx_survival(cfg: ScenarioConfig, sb1: SubBandState,
     during its own airtime.  The two sub-band processes are treated as
     independent.
     """
-    t_data = _vec(cfg.airtimes.t_data)
-    f_tx1 = _tx_window_fraction(sb1, _vec(cfg.airtimes.t_ack1), cfg.tau1, t_data)
-    f_tx2 = _tx_window_fraction(sb2, _vec(cfg.airtimes.t_ack2), cfg.tau2, t_data)
+    airtimes = cfg.airtimes
+    f_tx1 = _tx_window_fraction(sb1, airtimes._t_ack1, cfg.tau1, airtimes._t_data)
+    f_tx2 = _tx_window_fraction(sb2, airtimes._t_ack2, cfg.tau2, airtimes._t_data)
     s_tx = (1.0 - f_tx1) * (1.0 - f_tx2)
     return f_tx1, f_tx2, s_tx
 
@@ -312,8 +324,7 @@ def ack_interference_survival(cfg: ScenarioConfig, rates: TrafficRates) -> np.nd
     marginally exceed 1 when ``tau1 = 0`` under light load, so the result
     is truncated at 1.
     """
-    t_data = _vec(cfg.airtimes.t_data)
-    t_ack1 = _vec(cfg.airtimes.t_ack1)
+    t_data, t_ack1 = cfg.airtimes._t_data, cfg.airtimes._t_ack1
     r = rates.r_phy
     clear = np.exp(-r * (t_ack1 + cfg.tau1 * t_data))
     both = t_ack1 + t_data
@@ -349,22 +360,22 @@ def _failures(state: SteadyState) -> dict[int, str]:
     A row fails on the first broken check: ACK success above 1, then the
     finiteness of each quantity in the order of the sweep.
     """
-    checked = (state.rates.r_phy, state.s_int, state.s_tx, state.s_ul,
-               state.s_int_ack1, state.s_dl)
-    finite = np.isfinite(np.concatenate(checked, axis=-1))
-    if finite.all() and state.s_dl.max() <= _S_DL_MAX:
+    checked = np.concatenate((state.rates.r_phy, state.s_int, state.s_tx, state.s_ul,
+                              state.s_int_ack1, state.s_dl), axis=-1)
+    # One sum is finite when every term is: only an overflow takes the long way.
+    if math.isfinite(checked.sum()) and state.s_dl.max() <= _S_DL_MAX:
         return {}
-    checked = [np.atleast_2d(value) for value in checked]   # one row per state row
+    finite = np.atleast_2d(np.isfinite(checked))   # one row per state row
     s_dl = np.atleast_2d(state.s_dl)
-    broken = ~np.atleast_2d(finite).all(axis=-1) | (s_dl > _S_DL_MAX).any(axis=-1)
+    broken = ~finite.all(axis=-1) | (s_dl > _S_DL_MAX).any(axis=-1)
     failures = {}
     for i in np.flatnonzero(broken):
         if np.any(s_dl[i] > _S_DL_MAX):
             failures[int(i)] = ("downlink success probability exceeded 1 "
                                 f"(max {float(s_dl[i].max())!r}); broken iterate")
         else:
-            name = next(name for name, value in zip(_CHECKED_QUANTITIES, checked)
-                        if not np.all(np.isfinite(value[i])))
+            # The first non-finite entry; each quantity spans N_SF of them.
+            name = _CHECKED_QUANTITIES[int(np.argmin(finite[i])) // N_SF]
             failures[int(i)] = f"non-finite value in {name}"
     return failures
 
@@ -380,7 +391,7 @@ def _sweep(cfg: ScenarioConfig, app, s_ul: np.ndarray,
     rates = phy_rates(cfg, p_dl, app)
     demod = demod_chain(cfg, rates)
     sb1, sb2 = subband_states(cfg, rates, s_ul)
-    s_int = interference_survival(cfg.airtimes.t_data, rates.r_phy, cfg.w_gw)
+    s_int = interference_survival(cfg.airtimes._t_data, rates.r_phy, cfg.w_gw)
     f_tx1, f_tx2, s_tx = gw_tx_survival(cfg, sb1, sb2)
     new_ul = s_int * s_tx * _col(demod.s_demod)
     s_int_ack1 = ack_interference_survival(cfg, rates)
@@ -487,6 +498,8 @@ def _by_shape(cfgs, run, shared=_SHARED) -> list:
     ``run`` takes the list of indices into ``cfgs`` of one group and returns
     one result per index.
     """
+    if len(cfgs) == 1:   # one group: nothing to sort or scatter
+        return list(run([0]))
     groups: dict[tuple, list[int]] = {}
     for i, cfg in enumerate(cfgs):
         groups.setdefault(tuple(getattr(cfg, name) for name in shared), []).append(i)
@@ -564,10 +577,9 @@ def _solve_batch(cfgs, tol: float, max_iter: int, relaxation: float,
         if relaxation < 1.0:
             new_ul = relaxation * new_ul + (1.0 - relaxation) * s_ul
             new_dl = relaxation * new_dl + (1.0 - relaxation) * s_dl
-        residual = np.maximum(np.abs(new_ul - s_ul).max(axis=-1),
-                              np.abs(new_dl - s_dl).max(axis=-1))
+        residual = np.maximum(np.abs(new_ul - s_ul), np.abs(new_dl - s_dl)).max(axis=-1)
         converged = residual <= tol
-        if failures or iterations == max_iter or converged.any():
+        if failures or iterations == max_iter or _any(converged):
             done = failures.keys() | np.flatnonzero(converged | (iterations == max_iter)).tolist()
             for i in done:
                 if i in failures:
@@ -578,7 +590,7 @@ def _solve_batch(cfgs, tol: float, max_iter: int, relaxation: float,
                 changes = dict(s_ul=new_ul[at], s_dl=new_dl[at], iterations=iterations,
                                residual=float(residual[at]), converged=bool(converged[at]))
                 results[rows[i]] = (_take(state, i, **changes) if batched
-                                    else replace(state, **changes))
+                                    else SteadyState(**{**vars(state), **changes}))
             if len(done) == len(rows):
                 break
             active = [i for i in range(len(rows)) if i not in done]

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import (_SHARED, SteadyState, _batch, _by_shape, _col, _stack,
+from .analytic import (_SHARED, SteadyState, _arange, _batch, _by_shape, _col, _stack,
                        attempt_distributions)
 from .scenario import ScenarioConfig
 
@@ -138,14 +138,13 @@ def delays(state: SteadyState, cfg: ScenarioConfig):
         state, ~(p_dl.sum(axis=-1) > 0.0).any(axis=-1),
         "downlink delay undefined: no confirmed packet can succeed")
     p_c = np.asarray(cfg.p_confirmed.p)
-    t_data = np.asarray(cfg.airtimes.t_data)
-    t_ack1 = np.asarray(cfg.airtimes.t_ack1)
-    t_ack2 = np.asarray(cfg.airtimes.t_ack2)
+    airtimes = cfg.airtimes
+    t_data, t_ack1, t_ack2 = airtimes._t_data, airtimes._t_ack1, airtimes._t_ack2
 
     gamma = _col(cfg.delta_sb1 + 1.0) * t_data + _col(cfg.mu_retx)
     phi = state.s_sb1 * (1.0 + t_ack1) + _col(state.s_sb2) * (2.0 + t_ack2)
 
-    j0 = np.arange(cfg.m, dtype=float)  # attempt index j-1
+    j0 = _arange(cfg.m)  # attempt index j-1
     t_ul = t_data[:, None] + j0 * gamma[..., None]
     t_dl = t_ul + (j0 + 1.0) * phi[..., None]
     delta_ul, delta_dl = _mean_delay(p_c, p_ul, t_ul), _mean_delay(p_c, p_dl, t_dl)
@@ -211,6 +210,11 @@ def fairness_categories(state: SteadyState, cfg: ScenarioConfig) -> np.ndarray:
     ``(K, 12)`` stack in which they are NaN, the form :func:`jain_index` reads.
     """
     _, _, _, uu_i, cu_i, _ = reliability(state, cfg)
+    return _categories(cfg, uu_i, cu_i)
+
+
+def _categories(cfg: ScenarioConfig, uu_i, cu_i) -> np.ndarray:
+    """:func:`fairness_categories` from the per-SF ratios of :func:`reliability`."""
     alpha = _col(cfg.alpha)
     present = np.concatenate(((1.0 - alpha) * np.asarray(cfg.p_unconfirmed.p) > 0.0,
                               alpha * np.asarray(cfg.p_confirmed.p) > 0.0), axis=-1)
@@ -276,7 +280,7 @@ def compute_report(state: SteadyState, cfg: ScenarioConfig):
     except MetricsError:
         retx = None
     f_nmd, f_gwtx, f_int = loss_decomposition(state, cfg)
-    jain = _jain(fairness_categories(state, cfg))
+    jain = _jain(_categories(cfg, uu_i, cu_i))
     values = (uu, cu, cd, uu_i, cu_i, cd_i, delta_ul, delta_dl, jain, retx, f_nmd, f_gwtx, f_int)
     if np.ndim(uu) == 0:
         return MetricsReport(*map(_field, values))

@@ -29,7 +29,6 @@ sweep counts as one objective evaluation.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Mapping
@@ -373,6 +372,8 @@ def optimize(problem: OptimizationProblem, workers: int = 1) -> OptimizationResu
               for m in problem.m_grid
               for h in problem.h_grid]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_solve_grid_point, points))
     else:

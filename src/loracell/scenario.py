@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
 
-import yaml
+import numpy as np
 
 #: The six LoRa spreading factors, ordered.
 SPREADING_FACTORS: tuple[int, ...] = (7, 8, 9, 10, 11, 12)
@@ -67,6 +67,11 @@ class AirtimeTable:
     row's SF.  The second receive window uses SF12 unless the network
     server reconfigures it, so the default column repeats the SF12 ACK
     airtime for every row.
+
+    Each column is also held as a read-only float array, ``_t_data``,
+    ``_t_ack1`` and ``_t_ack2``, built once here for the model's per-SF
+    arithmetic.  They are not fields: equality, hashing and ``to_dict`` read
+    the tuples only.
     """
 
     t_data: tuple[float, ...] = DEFAULT_DATA_AIRTIME
@@ -79,11 +84,18 @@ class AirtimeTable:
             object.__setattr__(self, name, vals)
             if any(not math.isfinite(v) or v <= 0.0 for v in vals):
                 raise ValidationError(f"airtimes.{name} entries must be strictly positive")
+            column = np.array(vals)
+            column.flags.writeable = False
+            object.__setattr__(self, f"_{name}", column)
         # Doubling the symbol time per SF step makes these strictly increasing.
         for name in ("t_data", "t_ack1"):
             vals = getattr(self, name)
             if any(a >= b for a, b in zip(vals, vals[1:])):
                 raise ValidationError(f"airtimes.{name} must be strictly increasing in SF")
+
+    def __reduce__(self):
+        # Rebuild from the tuples, so that a copy's arrays are read-only too.
+        return type(self), tuple(getattr(self, name) for name in _AIRTIME_KEYS)
 
     def to_dict(self) -> dict:
         return {name: list(getattr(self, name)) for name in _AIRTIME_KEYS}
@@ -268,6 +280,8 @@ def load_scenario(source, renormalize: bool = False) -> ScenarioConfig:
     if isinstance(source, Mapping):
         data = dict(source)
     else:
+        import yaml   # imported here: only documents in text need the parser
+
         if isinstance(source, Path):
             text = source.read_text()
         else:
@@ -305,4 +319,6 @@ def load_scenario(source, renormalize: bool = False) -> ScenarioConfig:
 
 def scenario_to_yaml(cfg: ScenarioConfig) -> str:
     """Serialize a config to YAML; ``load_scenario`` of the result round-trips."""
+    import yaml
+
     return yaml.safe_dump(cfg.to_dict(), sort_keys=False)

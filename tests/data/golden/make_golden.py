@@ -1,13 +1,14 @@
-"""Regenerate the golden outputs of the README figure sweeps and simulations.
+"""Regenerate the golden outputs of the README figure sweeps, one-row solves and simulations.
 
 Writes, next to this script, the CSV of each of the nine README figure
 sweeps (``<name>.csv``) and the ``--format doc`` output of the ``alpha``
-sweep (``alpha.json``), plus the CSV of a shortened README validation
-``compare`` and the CSV and ``--format doc`` output of a shortened
-geometric-capture ``simulate`` (``sim_*``).  ``tests/test_golden.py``
-asserts that the CLI reproduces every file byte for byte, so regenerate
-them only for a change that is meant to alter solver, metric or simulator
-numbers, and say so:
+sweep (``alpha.json``), the CSV and ``--full-state --format doc`` output
+of two one-row ``solve`` calls (``solve_*``), plus the CSV of a shortened
+README validation ``compare`` and the CSV and ``--format doc`` output of a
+shortened geometric-capture ``simulate`` (``sim_*``).
+``tests/test_golden.py`` asserts that the CLI reproduces every file byte
+for byte, so regenerate them only for a change that is meant to alter
+solver, metric or simulator numbers, and say so:
 
     PYTHONPATH=src python tests/data/golden/make_golden.py
 """
@@ -44,6 +45,15 @@ SWEEPS: dict[str, list[str]] = {
                      "--outputs", "cd"],
 }
 
+#: One-row solves, by output file stem: the README library point and the
+#: slowest point of the acceptance convergence grid (40 sweeps), whose load is
+#: ``np.logspace(-2, 2, 40)[15]``.
+SOLVES: dict[str, list[str]] = {
+    "solve_readme": ["solve", "--set", "lambda_total=1", "--set", "alpha=1", "--set", "m=8"],
+    "solve_knee": ["solve", "--set", "lambda_total=0.34551072945922184",
+                   "--set", "alpha=0.3", "--set", "m=8"],
+}
+
 #: The README validation settings at seed 1, shortened to 2 x 2000 s.
 _SIM = ["--set", "lambda_total=1", "--set", "alpha=1", "--set", "m=8",
         "--devices", "1200", "--duration", "2000", "--replications", "2", "--seed", "1"]
@@ -59,6 +69,9 @@ def golden_outputs() -> dict[str, list[str]]:
     """CLI arguments of each golden file, by file name."""
     files = {f"{name}.csv": argv for name, argv in SWEEPS.items()}
     files["alpha.json"] = [*SWEEPS["alpha"], "--format", "doc"]
+    for name, argv in SOLVES.items():
+        files[f"{name}.csv"] = [*argv, "--format", "csv"]
+        files[f"{name}.json"] = [*argv, "--full-state", "--format", "doc"]
     files.update({f"{name}.csv": argv for name, argv in SIMULATIONS.items()})
     files["sim_geometric.json"] = [*SIMULATIONS["sim_geometric"], "--format", "doc"]
     return files

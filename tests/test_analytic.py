@@ -108,6 +108,15 @@ class TestPhyRates:
         rates = phy_rates(cfg(lambda_total=0.0, m=1), np.ones((6, 1)))
         assert np.all(rates.d == 0.0)
 
+    def test_rounding_within_the_tolerances_accepted(self):
+        c = cfg(lambda_total=3.0, alpha=1.0, m=2)
+        p_dl = np.zeros((6, 2))
+        p_dl[:, 0] = 0.6
+        p_dl[:, 1] = 0.4 + 5e-10     # rows sum to just above 1
+        p_dl[0] = (-5e-13, 1.0)      # an entry just below 0
+        rates = phy_rates(c, p_dl)
+        assert rates.r_c_phy[1:] == pytest.approx(1.4 * rates.r_c_app[1:])
+
     def test_invalid_probability_matrix_rejected(self):
         c = cfg(m=2)
         with pytest.raises(ValueError, match="probabilities"):

@@ -1,9 +1,10 @@
-"""The README figure sweeps and simulations reproduce their committed outputs byte for byte.
+"""README figure sweeps, one-row solves and simulations reproduce their golden outputs exactly.
 
 The files under ``tests/data/golden/`` and the script that regenerates them
 (``make_golden.py`` there) pin the CSV of the nine figure sweeps and the
-``--format doc`` output of the ``alpha`` sweep, plus a shortened README
-``compare`` (CSV) and geometric-capture ``simulate`` (CSV and doc) at seed 1.
+``--format doc`` output of the ``alpha`` sweep, the CSV and full-state doc of
+two one-row ``solve`` calls, plus a shortened README ``compare`` (CSV) and
+geometric-capture ``simulate`` (CSV and doc) at seed 1.
 """
 
 import importlib.util

@@ -337,8 +337,8 @@ class TestReport:
         assert not fairness_categories(state, cfg).any()
         assert compute_report(state, cfg).jain is None
         # Any other fairness error still surfaces.
-        monkeypatch.setattr("loracell.metrics.fairness_categories",
-                            lambda state, cfg: np.array([-0.1, 0.5]))
+        monkeypatch.setattr("loracell.metrics._categories",
+                            lambda cfg, uu_i, cu_i: np.array([-0.1, 0.5]))
         with pytest.raises(MetricsError, match="non-negative"):
             compute_report(state, cfg)
 

@@ -1,13 +1,19 @@
 """Scenario loading, validation and round-trip serialization."""
 
 import math
-from dataclasses import fields
+import os
+import pickle
+import subprocess
+import sys
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import loracell
 from loracell.scenario import (
     DEFAULT_ACK_AIRTIME,
     DEFAULT_DATA_AIRTIME,
@@ -82,6 +88,42 @@ class TestAirtimeTable:
     def test_custom_rx2_assignment_allowed(self):
         table = AirtimeTable(t_ack2=DEFAULT_ACK_AIRTIME)  # RX2 mirrors the uplink SF
         assert table.t_ack2 == DEFAULT_ACK_AIRTIME
+
+    @pytest.mark.parametrize("table", [AirtimeTable(), AirtimeTable(t_ack2=DEFAULT_ACK_AIRTIME)])
+    def test_arrays_equal_their_tuples_and_are_read_only(self, table):
+        for copy in (table, pickle.loads(pickle.dumps(table)), replace(table)):
+            for name in ("t_data", "t_ack1", "t_ack2"):
+                column = getattr(copy, f"_{name}")
+                assert column.dtype == float and column.tolist() == list(getattr(table, name))
+                with pytest.raises(ValueError, match="read-only"):
+                    column[0] = 1.0
+
+    def test_arrays_leave_equality_hash_and_dict_to_the_tuples(self):
+        table = AirtimeTable(t_ack2=DEFAULT_ACK_AIRTIME)
+        cfg = ScenarioConfig(alpha=0.3, airtimes=table)
+        for value in (table, cfg):
+            copy = pickle.loads(pickle.dumps(value))
+            assert copy == value and hash(copy) == hash(value)
+            assert copy.to_dict() == value.to_dict()
+        assert repr(table) == (f"AirtimeTable(t_data={DEFAULT_DATA_AIRTIME}, "
+                               f"t_ack1={DEFAULT_ACK_AIRTIME}, t_ack2={DEFAULT_ACK_AIRTIME})")
+        assert table.to_dict() == {"t_data": list(DEFAULT_DATA_AIRTIME),
+                                   "t_ack1": list(DEFAULT_ACK_AIRTIME),
+                                   "t_ack2": list(DEFAULT_ACK_AIRTIME)}
+        assert table != AirtimeTable() and cfg != ScenarioConfig(alpha=0.3)
+
+
+def test_package_import_loads_neither_yaml_nor_a_process_pool():
+    # Solving needs neither: the YAML parser loads with a text document, the
+    # pool with ``workers`` > 1.
+    code = ("import sys, loracell; "
+            "print(sorted({'yaml', 'concurrent.futures.process'} & set(sys.modules)))")
+    src = Path(loracell.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env).stdout
+    assert out.strip() == "[]"
 
 
 class TestLoadScenario:
