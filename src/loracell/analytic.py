@@ -451,19 +451,16 @@ def iterate(cfg: ScenarioConfig, s_ul, s_dl) -> SteadyState:
 
 
 def solve(cfg: ScenarioConfig, tol: float = 1e-10, max_iter: int = 1000,
-          relaxation: float = 1.0, start=None) -> SteadyState:
+          start=None) -> SteadyState:
     """Solve the fixed point by iteration from the all-ones starting point.
 
     Stops when the sup-norm change of (s_ul, s_dl) between sweeps falls
     below ``tol``.  If ``max_iter`` sweeps are exhausted first, the best
-    iterate is returned with ``converged`` False.  ``relaxation`` < 1
-    damps the update (an escape hatch for pathological parameter sets;
-    with damping the stored intermediate quantities satisfy the update
-    identities only approximately).  ``start``, a pair ``(s_ul, s_dl)`` of
-    per-SF probabilities, replaces the all-ones starting point, e.g. with
-    the fixed point of a nearby scenario.
+    iterate is returned with ``converged`` False.  ``start``, a pair
+    ``(s_ul, s_dl)`` of per-SF probabilities, replaces the all-ones starting
+    point, e.g. with the fixed point of a nearby scenario.
     """
-    [state] = solve_many([cfg], tol, max_iter, relaxation, start)
+    [state] = solve_many([cfg], tol, max_iter, start)
     if isinstance(state, ModelError):
         raise state
     return state
@@ -531,7 +528,7 @@ def _batch(cfgs, shared=_SHARED, names=None) -> SimpleNamespace:
 
 
 def solve_many(cfgs, tol: float = 1e-10, max_iter: int = 1000,
-               relaxation: float = 1.0, start=None) -> list[SteadyState | ModelError]:
+               start=None) -> list[SteadyState | ModelError]:
     """Solve every config as :func:`solve` would; one result per config, in order.
 
     Configs that agree on ``m``, ``tau1``, ``tau2``, ``n_demodulators`` and
@@ -546,14 +543,11 @@ def solve_many(cfgs, tol: float = 1e-10, max_iter: int = 1000,
         raise ValidationError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
-    if not 0.0 < relaxation <= 1.0:
-        raise ValidationError(f"relaxation must be in (0, 1], got {relaxation}")
     return _by_shape(cfgs, lambda group: _solve_batch([cfgs[i] for i in group], tol,
-                                                      max_iter, relaxation, start))
+                                                      max_iter, start))
 
 
-def _solve_batch(cfgs, tol: float, max_iter: int, relaxation: float,
-                 start) -> list[SteadyState | ModelError]:
+def _solve_batch(cfgs, tol: float, max_iter: int, start) -> list[SteadyState | ModelError]:
     """:func:`solve_many` of configs that agree on ``_SHARED``, with validated arguments."""
     results: list = [None] * len(cfgs)
     rows = list(range(len(cfgs)))     # index in ``cfgs`` of each active row
@@ -574,9 +568,6 @@ def _solve_batch(cfgs, tol: float, max_iter: int, relaxation: float,
     for iterations in range(1, max_iter + 1):
         state, failures = _sweep(cfg, app, s_ul, s_dl)
         new_ul, new_dl = state.s_ul, state.s_dl
-        if relaxation < 1.0:
-            new_ul = relaxation * new_ul + (1.0 - relaxation) * s_ul
-            new_dl = relaxation * new_dl + (1.0 - relaxation) * s_dl
         residual = np.maximum(np.abs(new_ul - s_ul), np.abs(new_dl - s_dl)).max(axis=-1)
         converged = residual <= tol
         if failures or iterations == max_iter or _any(converged):
@@ -586,9 +577,8 @@ def _solve_batch(cfgs, tol: float, max_iter: int, relaxation: float,
                     results[rows[i]] = ModelError(failures[i])
                     continue
                 at = i if batched else ()
-                # With damping, the damped iterate is the solution vector.
-                changes = dict(s_ul=new_ul[at], s_dl=new_dl[at], iterations=iterations,
-                               residual=float(residual[at]), converged=bool(converged[at]))
+                changes = dict(iterations=iterations, residual=float(residual[at]),
+                               converged=bool(converged[at]))
                 results[rows[i]] = (_take(state, i, **changes) if batched
                                     else SteadyState(**{**vars(state), **changes}))
             if len(done) == len(rows):

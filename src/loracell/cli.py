@@ -21,7 +21,7 @@ import yaml
 from . import analytic, metrics, simulate
 from .optimize import OBJECTIVES, OptimizationProblem
 from .optimize import optimize as run_optimize
-from .scenario import ParseError, ScenarioConfig, ValidationError, load_scenario
+from .scenario import ParseError, ScenarioConfig, ValidationError, load_scenario, read_document
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -65,19 +65,7 @@ def _apply_override(data: dict, item: str) -> dict:
 
 
 def _resolve_config(args) -> ScenarioConfig:
-    data: dict = {}
-    if args.config is not None:
-        path = Path(args.config)
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise OSError(f"cannot read config {path}: {exc}") from exc
-        parsed = yaml.safe_load(text)  # may raise yaml.YAMLError
-        if parsed is None:
-            parsed = {}
-        if not isinstance(parsed, dict):
-            raise ParseError("scenario document must be a mapping")
-        data = parsed
+    data = read_document(Path(args.config)) if args.config is not None else {}
     for item in args.set or []:
         _apply_override(data, item)
     return load_scenario(data, renormalize=args.renormalize)
@@ -340,7 +328,7 @@ def _add_common(sub):
     sub.add_argument("--renormalize", action="store_true",
                      help="rescale SF distributions that do not sum to 1")
     sub.add_argument("--out", help="output path (stdout when omitted)")
-    sub.add_argument("--format", choices=("csv", "doc"), default=None)
+    sub.add_argument("--format", choices=("csv", "doc"))
 
 
 def _add_solver(sub):
@@ -375,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p); _add_solver(p)
     p.add_argument("--full-state", action="store_true",
                    help="include the converged per-SF state vectors")
-    p.set_defaults(func=cmd_solve, default_format="doc")
+    p.set_defaults(func=cmd_solve, format="doc")
 
     p = subs.add_parser("sweep", help="solve across one swept parameter")
     _add_common(p); _add_solver(p)
@@ -386,11 +374,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"comma list of metric columns (default all: {','.join(metrics.METRICS)})")
     # Accepted so that existing invocations keep working; it has no effect.
     p.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_sweep, default_format="csv")
+    p.set_defaults(func=cmd_sweep, format="csv")
 
     p = subs.add_parser("simulate", help="run the Monte-Carlo simulator")
     _add_common(p); _add_sim(p)
-    p.set_defaults(func=cmd_simulate, default_format="csv")
+    p.set_defaults(func=cmd_simulate, format="csv")
 
     p = subs.add_parser("optimize", help="search SF distributions and (m, h)")
     _add_common(p)
@@ -403,11 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-ascent-iters", type=int, default=60)
     p.add_argument("--perturbed-restarts", action="store_true")
     p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=cmd_optimize, default_format="doc")
+    p.set_defaults(func=cmd_optimize, format="doc")
 
     p = subs.add_parser("compare", help="solve and simulate, join the metrics")
     _add_common(p); _add_solver(p); _add_sim(p)
-    p.set_defaults(func=cmd_compare, default_format="csv")
+    p.set_defaults(func=cmd_compare, format="csv")
 
     return parser
 
@@ -415,11 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.format is None:
-        args.format = args.default_format
     try:
         return args.func(args)
-    except (ParseError, yaml.YAMLError) as exc:
+    except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValidationError as exc:

@@ -47,10 +47,12 @@ OBJECTIVES: dict[str, dict[str, float]] = {
 }
 
 #: Why an ascent stopped: the step cap, a step that moved the iterate less than
-#: ``step_tolerance``, a step that gained less than ``improvement_tol``, no
+#: ``_STEP_TOL`` (sup norm), a step that gained less than ``_IMPROVEMENT_TOL``, no
 #: line-search step that improved the objective, or a gradient that is zero or
 #: not finite (the solve or the derivative sweep broke).
 STOP_REASONS = ("step_cap", "small_step", "small_gain", "no_ascent", "flat_gradient")
+_STEP_TOL = 1e-5
+_IMPROVEMENT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -62,11 +64,8 @@ class OptimizationProblem:
     m_grid: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8)
     h_grid: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8)
     objective: str | Mapping[str, float] = "uu_plus_cd"
-    simplex_tolerance: float = 1e-9
     fd_step: float = 1e-4            # half-width h of the probe directions P(x +- h e_i) - x
     max_ascent_iters: int = 60
-    improvement_tol: float = 1e-6    # stop when an accepted step gains less than this
-    step_tolerance: float = 1e-5     # stop when the iterate moves less than this
     perturbed_restarts: bool = False # also ascend from 3 deterministic perturbations
     solver_tol: float = 1e-10
     solver_max_iter: int = 1000
@@ -326,9 +325,9 @@ def _ascend(evaluate: _Evaluator, x0: np.ndarray,
         gained = f_new - fx
         x, fx, state = x_new, f_new, state_new
         steps += 1
-        if moved < problem.step_tolerance:
+        if moved < _STEP_TOL:
             return x, fx, steps, "small_step"
-        if gained < problem.improvement_tol:
+        if gained < _IMPROVEMENT_TOL:
             return x, fx, steps, "small_gain"
     return x, fx, steps, "step_cap"
 

@@ -268,36 +268,40 @@ def _parse_airtimes(value) -> AirtimeTable:
     return AirtimeTable(**value)
 
 
+def read_document(source) -> dict:
+    """The scenario mapping of ``source``, not yet validated: a copy of a mapping,
+    or the parsed YAML of text or of a :class:`~pathlib.Path` to a file.
+
+    An empty document is an empty mapping.  Raises :class:`ParseError` when
+    the YAML is malformed or is not a mapping, and ``OSError`` when the file
+    cannot be read.
+    """
+    if isinstance(source, Mapping):
+        return dict(source)
+    import yaml   # imported here: only documents in text need the parser
+
+    text = source.read_text() if isinstance(source, Path) else source
+    try:
+        data = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ParseError(f"malformed scenario document: {exc}") from exc
+    if data is None:
+        return {}
+    if not isinstance(data, Mapping):
+        raise ParseError(f"scenario document must be a mapping, got {type(data).__name__}")
+    return dict(data)
+
+
 def load_scenario(source, renormalize: bool = False) -> ScenarioConfig:
     """Build a validated :class:`ScenarioConfig` from a YAML document.
 
     ``source`` may be YAML text, a :class:`~pathlib.Path` to a YAML file,
-    or an already-parsed mapping.  Missing keys take the European
-    defaults; unknown keys raise :class:`ValidationError`.  With
-    ``renormalize`` set, SF distributions that do not sum to one are
+    or an already-parsed mapping (see :func:`read_document`).  Missing keys
+    take the European defaults; unknown keys raise :class:`ValidationError`.
+    With ``renormalize`` set, SF distributions that do not sum to one are
     rescaled instead of rejected.
     """
-    if isinstance(source, Mapping):
-        data = dict(source)
-    else:
-        import yaml   # imported here: only documents in text need the parser
-
-        if isinstance(source, Path):
-            text = source.read_text()
-        else:
-            text = source
-        try:
-            data = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
-            raise ParseError(f"malformed scenario document: {exc}") from exc
-        if data is None:
-            data = {}
-        if not isinstance(data, Mapping):
-            raise ParseError(
-                f"scenario document must be a mapping, got {type(data).__name__}"
-            )
-        data = dict(data)
-
+    data = read_document(source)
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise ValidationError(f"unknown scenario keys: {sorted(unknown)}")

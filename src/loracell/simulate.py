@@ -817,13 +817,3 @@ def run(sim_cfg: SimConfig, workers: int = 1) -> SimReport:
         dl_no_window=sum(r.dl_no_window for r in reps),
         dc_violations=sum(r.dc_violations for r in reps),
     )
-
-
-def loss_breakdown(report: SimReport) -> tuple[float, float, float]:
-    """Pooled empirical PHY loss fractions (no-demodulator, gateway-TX, interference)."""
-    offered = report.offered_phy
-    if offered == 0:
-        return 0.0, 0.0, 0.0
-    return (report.lost_nmd / offered,
-            report.lost_gwtx / offered,
-            report.lost_interference / offered)

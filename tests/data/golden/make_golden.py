@@ -5,7 +5,8 @@ sweeps (``<name>.csv``) and the ``--format doc`` output of the ``alpha``
 sweep (``alpha.json``), the CSV and ``--full-state --format doc`` output
 of two one-row ``solve`` calls (``solve_*``), plus the CSV of a shortened
 README validation ``compare`` and the CSV and ``--format doc`` output of a
-shortened geometric-capture ``simulate`` (``sim_*``).
+shortened geometric-capture ``simulate`` (``sim_*``), and the CSV and
+``--format doc`` output of a small ``optimize`` grid (``opt_*``).
 ``tests/test_golden.py`` asserts that the CLI reproduces every file byte
 for byte, so regenerate them only for a change that is meant to alter
 solver, metric or simulator numbers, and say so:
@@ -65,6 +66,13 @@ SIMULATIONS: dict[str, list[str]] = {
 }
 
 
+#: Optimizer runs, by output file stem: two loads on a 2 x 1 (m, h) grid.
+OPTIMIZATIONS: dict[str, list[str]] = {
+    "opt_small": ["optimize", "--lambdas", "0.1,1", "--m-grid", "1,8", "--h-grid", "8",
+                  "--set", "alpha=0.3"],
+}
+
+
 def golden_outputs() -> dict[str, list[str]]:
     """CLI arguments of each golden file, by file name."""
     files = {f"{name}.csv": argv for name, argv in SWEEPS.items()}
@@ -74,6 +82,9 @@ def golden_outputs() -> dict[str, list[str]]:
         files[f"{name}.json"] = [*argv, "--full-state", "--format", "doc"]
     files.update({f"{name}.csv": argv for name, argv in SIMULATIONS.items()})
     files["sim_geometric.json"] = [*SIMULATIONS["sim_geometric"], "--format", "doc"]
+    for name, argv in OPTIMIZATIONS.items():
+        files[f"{name}.csv"] = [*argv, "--format", "csv"]
+        files[f"{name}.json"] = [*argv, "--format", "doc"]
     return files
 
 

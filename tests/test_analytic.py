@@ -407,8 +407,6 @@ class TestSolve:
             solve(cfg(), tol=0.0)
         with pytest.raises(ValueError):
             solve(cfg(), max_iter=0)
-        with pytest.raises(ValueError):
-            solve(cfg(), relaxation=0.0)
 
     @pytest.mark.parametrize("start", [
         (np.ones(5), np.ones(6)),                   # wrong shape
@@ -426,14 +424,6 @@ class TestSolve:
             solve(cfg(), start=start)
         with pytest.raises(ValidationError, match="start"):
             solve_many([cfg(), cfg(lambda_total=2.0)], start=start)
-
-    def test_damped_iteration_reaches_same_fixed_point(self):
-        c = cfg(lambda_total=1.0, alpha=1.0, m=8)
-        plain = solve(c, tol=1e-12)
-        damped = solve(c, tol=1e-12, relaxation=0.5)
-        assert damped.converged
-        assert damped.s_ul == pytest.approx(plain.s_ul, abs=1e-9)
-        assert damped.s_dl == pytest.approx(plain.s_dl, abs=1e-9)
 
     def test_probability_ranges_over_random_configs(self):
         rng = np.random.default_rng(42)

@@ -61,6 +61,12 @@ class TestSolve:
         assert run_cli("solve", "--config", str(bad)) == EXIT_PARSE
         assert "parse error" in capsys.readouterr().err
 
+    def test_config_that_is_not_a_mapping_is_parse_error(self, tmp_path, capsys):
+        listed = tmp_path / "list.yaml"
+        listed.write_text("- alpha: 1\n- m: 8\n")
+        assert run_cli("solve", "--config", str(listed)) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("parse error")
+
     def test_invalid_value_is_validation_error(self, capsys):
         assert run_cli("solve", "--set", "alpha=1.5") == EXIT_VALIDATION
         assert "validation error" in capsys.readouterr().err

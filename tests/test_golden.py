@@ -4,7 +4,8 @@ The files under ``tests/data/golden/`` and the script that regenerates them
 (``make_golden.py`` there) pin the CSV of the nine figure sweeps and the
 ``--format doc`` output of the ``alpha`` sweep, the CSV and full-state doc of
 two one-row ``solve`` calls, plus a shortened README ``compare`` (CSV) and
-geometric-capture ``simulate`` (CSV and doc) at seed 1.
+geometric-capture ``simulate`` (CSV and doc) at seed 1, and a small
+``optimize`` grid (CSV and doc).
 """
 
 import importlib.util

@@ -140,6 +140,9 @@ class TestOptimize:
         a = optimize(tiny_problem())
         b = optimize(tiny_problem())
         assert a == b
+        # A process pool evaluates the same grid points to the same records.
+        pooled = optimize(tiny_problem(), workers=2)
+        assert pooled.records == a.records
 
     def test_degenerate_unconfirmed_cell(self):
         # With no confirmed traffic and vanishing load the unconfirmed part of
