@@ -127,7 +127,10 @@ def _parse_values(spec: str) -> list[float]:
         parts = spec.split(":")
         if len(parts) not in (3, 4):
             raise ValidationError("range must be start:stop:count[:log|lin]")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        try:
+            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        except ValueError as exc:
+            raise ValidationError(f"cannot parse range {spec!r}") from exc
         scale = parts[3] if len(parts) == 4 else "lin"
         if count < 1:
             raise ValidationError("range count must be >= 1")
@@ -252,18 +255,15 @@ def _parse_int_grid(spec: str) -> tuple[int, ...]:
 def cmd_optimize(args) -> int:
     cfg = _resolve_config(args)
     lambdas = tuple(_parse_values(args.lambdas))
-    try:
-        problem = OptimizationProblem(
-            base_cfg=cfg,
-            lambdas=lambdas,
-            m_grid=_parse_int_grid(args.m_grid),
-            h_grid=_parse_int_grid(args.h_grid),
-            objective=args.objective,
-            max_ascent_iters=args.max_ascent_iters,
-            perturbed_restarts=args.perturbed_restarts,
-        )
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    problem = OptimizationProblem(
+        base_cfg=cfg,
+        lambdas=lambdas,
+        m_grid=_parse_int_grid(args.m_grid),
+        h_grid=_parse_int_grid(args.h_grid),
+        objective=args.objective,
+        max_ascent_iters=args.max_ascent_iters,
+        perturbed_restarts=args.perturbed_restarts,
+    )
     result = run_optimize(problem, workers=args.workers)
 
     records = [{

@@ -17,7 +17,7 @@ objective along a direction d is
 
 Gradient component i is [f'(d_i+) - f'(d_i-)] / 2h along the probe
 directions d_i+- = P(x +- h e_i) - x of a central difference (P projects
-onto the simplices, h is ``fd_step``), so at interior points it equals the
+onto the simplices, h is ``_FD_STEP``), so at interior points it equals the
 central difference of the objective to O(h^2).  The partial derivatives
 are forward differences of one batched sweep (``analytic._sweep``) of 37
 rows at z: the base row, one row per unknown of z and one per probe
@@ -36,7 +36,7 @@ from typing import Mapping
 import numpy as np
 
 from . import analytic, metrics
-from .scenario import N_SF, ScenarioConfig, SfDistribution
+from .scenario import N_SF, ScenarioConfig, SfDistribution, ValidationError
 
 #: Named objectives: weights applied to MetricsReport fields.
 OBJECTIVES: dict[str, dict[str, float]] = {
@@ -64,37 +64,28 @@ class OptimizationProblem:
     m_grid: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8)
     h_grid: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8)
     objective: str | Mapping[str, float] = "uu_plus_cd"
-    fd_step: float = 1e-4            # half-width h of the probe directions P(x +- h e_i) - x
     max_ascent_iters: int = 60
     perturbed_restarts: bool = False # also ascend from 3 deterministic perturbations
-    solver_tol: float = 1e-10
-    solver_max_iter: int = 1000
 
     def __post_init__(self):
         if len(self.lambdas) == 0 or any(lam < 0 for lam in self.lambdas):
-            raise ValueError("lambdas must be a non-empty sequence of non-negative rates")
+            raise ValidationError("lambdas must be a non-empty sequence of non-negative rates")
         if len(self.m_grid) == 0 or len(self.h_grid) == 0:
-            raise ValueError("m_grid and h_grid must be non-empty")
+            raise ValidationError("m_grid and h_grid must be non-empty")
         if any(m < 1 for m in self.m_grid) or any(h < 1 for h in self.h_grid):
-            raise ValueError("grid entries must be >= 1")
+            raise ValidationError("grid entries must be >= 1")
         if self.max_ascent_iters < 0:
-            raise ValueError(f"max_ascent_iters must be >= 0, got {self.max_ascent_iters}")
-        if not 0.0 < self.fd_step < np.inf:
-            raise ValueError(f"fd_step must be positive and finite, got {self.fd_step}")
-        if not self.solver_tol > 0.0:
-            raise ValueError(f"solver_tol must be positive, got {self.solver_tol}")
-        if self.solver_max_iter < 1:
-            raise ValueError(f"solver_max_iter must be >= 1, got {self.solver_max_iter}")
+            raise ValidationError(f"max_ascent_iters must be >= 0, got {self.max_ascent_iters}")
         weights = self.objective_weights()
         if any(not np.isfinite(w) for w in weights.values()):
-            raise ValueError("objective weights must be finite")
+            raise ValidationError("objective weights must be finite")
 
     def objective_weights(self) -> dict[str, float]:
         if isinstance(self.objective, str):
             try:
                 weights = dict(OBJECTIVES[self.objective])
             except KeyError:
-                raise ValueError(
+                raise ValidationError(
                     f"unknown objective {self.objective!r}; known: {sorted(OBJECTIVES)}"
                 ) from None
         else:
@@ -102,8 +93,8 @@ class OptimizationProblem:
         # Any of metrics.METRICS may carry weight (negative to minimize).
         unknown = set(weights) - set(metrics.METRICS)
         if unknown:
-            raise ValueError(f"unknown objective metrics {sorted(unknown)}; "
-                             f"available: {sorted(metrics.METRICS)}")
+            raise ValidationError(f"unknown objective metrics {sorted(unknown)}; "
+                                  f"available: {sorted(metrics.METRICS)}")
         return weights
 
 
@@ -182,6 +173,8 @@ def _starting_points(perturbed: bool) -> list[tuple[str, np.ndarray]]:
     return starts
 
 
+#: Half-width h of the probe directions P(x +- h e_i) - x.
+_FD_STEP = 1e-4
 #: Forward-difference step of the derivative sweep: the step in each unknown
 #: of the fixed point, and (times 1/h) the step along each probe direction.
 _DIFF_STEP = 1e-7
@@ -190,12 +183,9 @@ _DIFF_STEP = 1e-7
 class _Evaluator:
     """Objective evaluation for one grid point; tracks eval count and solver health."""
 
-    def __init__(self, cfg: ScenarioConfig, weights: Mapping[str, float],
-                 tol: float, max_iter: int):
+    def __init__(self, cfg: ScenarioConfig, weights: Mapping[str, float]):
         self.cfg = cfg
         self.weights = weights
-        self.tol = tol
-        self.max_iter = max_iter
         self.evaluations = 0
         self.all_converged = True
         # The delivery ratios alone, with a row axis; the full report adds
@@ -218,7 +208,7 @@ class _Evaluator:
             # The two window terms of s_dl may round to a sum an ulp above 1.
             start = (start.s_ul, np.minimum(start.s_dl, 1.0))
         try:
-            state = analytic.solve(cfg, tol=self.tol, max_iter=self.max_iter, start=start)
+            state = analytic.solve(cfg, start=start)
         except analytic.ModelError:
             self.all_converged = False
             return -np.inf, None
@@ -265,16 +255,16 @@ class _Evaluator:
         return value
 
 
-def _gradient(evaluate: _Evaluator, x: np.ndarray, state: analytic.SteadyState,
-              h: float) -> np.ndarray:
+def _gradient(evaluate: _Evaluator, x: np.ndarray, state: analytic.SteadyState) -> np.ndarray:
     """Gradient at ``x`` through its fixed point ``state`` (see the module docstring).
 
     NaN when the derivative sweep breaks.
     """
+    h = _FD_STEP
     # Rows 2i and 2i+1 probe x + h e_i and x - h e_i; projecting them keeps
     # the directions along the simplex tangent.
     dirs = _project_pair(x + h * np.kron(np.eye(2 * N_SF), [[1.0], [-1.0]])) - x
-    eps = min(_DIFF_STEP, h)
+    eps = _DIFF_STEP
     z = np.concatenate([state.s_ul, state.s_dl])
     n = z.size
     dz = np.where(z > 0.5, -eps, eps)   # step into [0, 1]
@@ -309,7 +299,7 @@ def _ascend(evaluate: _Evaluator, x0: np.ndarray,
     for _ in range(problem.max_ascent_iters):
         if state is None:
             return x, fx, steps, "flat_gradient"
-        grad = _gradient(evaluate, x, state, problem.fd_step)
+        grad = _gradient(evaluate, x, state)
         if not np.all(np.isfinite(grad)) or not np.any(grad != 0.0):
             return x, fx, steps, "flat_gradient"
         alpha = min(4.0 * alpha, 1.0)
@@ -336,7 +326,7 @@ def _solve_grid_point(args) -> GridRecord:
     problem, lam, m, h = args
     cfg = replace(problem.base_cfg, lambda_total=lam, m=m, h=h)
     weights = problem.objective_weights()
-    evaluator = _Evaluator(cfg, weights, problem.solver_tol, problem.solver_max_iter)
+    evaluator = _Evaluator(cfg, weights)
     best_x = None
     best_value = -np.inf
     best_steps = 0
@@ -389,12 +379,11 @@ def optimize(problem: OptimizationProblem, workers: int = 1) -> OptimizationResu
                               records=tuple(records))
 
 
-def evaluate_configuration(cfg: ScenarioConfig, lambda_values,
-                           tol: float = 1e-10,
-                           max_iter: int = 1000) -> tuple[metrics.MetricsReport, ...]:
+def evaluate_configuration(cfg: ScenarioConfig,
+                           lambda_values) -> tuple[metrics.MetricsReport, ...]:
     """Solve one configuration across traffic loads; one report per load."""
     cfgs = [replace(cfg, lambda_total=float(lam)) for lam in lambda_values]
-    states = analytic.solve_many(cfgs, tol=tol, max_iter=max_iter)
+    states = analytic.solve_many(cfgs)
     for state in states:
         if isinstance(state, analytic.ModelError):
             raise state

@@ -249,7 +249,7 @@ class ScenarioConfig:
 _CONFIG_KEYS = {f.name for f in fields(ScenarioConfig)} | {"schema_version"}
 
 
-def _parse_distribution(name: str, value, renormalize: bool) -> SfDistribution:
+def _parse_distribution(value, renormalize: bool) -> SfDistribution:
     if isinstance(value, str):
         return preset(value)
     if isinstance(value, SfDistribution):
@@ -315,7 +315,7 @@ def load_scenario(source, renormalize: bool = False) -> ScenarioConfig:
     kwargs = dict(data)
     for name in ("p_unconfirmed", "p_confirmed"):
         if name in kwargs:
-            kwargs[name] = _parse_distribution(name, kwargs[name], renormalize)
+            kwargs[name] = _parse_distribution(kwargs[name], renormalize)
     if "airtimes" in kwargs:
         kwargs["airtimes"] = _parse_airtimes(kwargs["airtimes"])
     return ScenarioConfig(**kwargs)

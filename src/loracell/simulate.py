@@ -357,10 +357,9 @@ def _ratio(num, den) -> float | None:
 class _Replication:
     """One single-threaded event loop; state is local to a replication.
 
-    A heap entry is ``(time, seq, handler, payload)``: ``seq`` breaks ties
-    in schedule order and ``handler(time, payload)`` runs the event.  The
-    busiest handlers push their entries directly rather than through
-    :meth:`schedule`.
+    A heap entry is ``(time, seq, handler, payload)``, pushed with
+    ``heappush``: ``seq`` breaks ties in schedule order and
+    ``handler(time, payload)`` runs the event.
     """
 
     def __init__(self, sim_cfg: SimConfig, rng: np.random.Generator, seed_label: int):
@@ -443,9 +442,6 @@ class _Replication:
         self.trace = None
 
     # -- event plumbing ----------------------------------------------------
-
-    def schedule(self, time, handler, payload):
-        heappush(self.heap, (time, next(self.seq), handler, payload))
 
     def emit(self, time, device_idx, sfi, ch, kind, outcome):
         """Write one trace line; callers check ``self.trace`` first."""
@@ -642,7 +638,7 @@ class _Replication:
         if self.rx2_surely_blocked(dev, ul_end + 2.0):
             self.drop_ack(now, ctx)
         else:
-            self.schedule(ul_end + 2.0, self.on_rx2, ctx)
+            heappush(self.heap, (ul_end + 2.0, next(self.seq), self.on_rx2, ctx))
 
     def drop_ack(self, now, ctx):
         """No window is left for the ACK of ``ctx``: the attempt fails."""
@@ -667,8 +663,8 @@ class _Replication:
         interferers = list(self.on_air[slot].values())
         self.uid += 1
         self.listeners[slot][self.uid] = interferers
-        self.schedule(now + airtime, self.on_ack_end,
-                      (dev, sfi, ch, ul_end, 1, interferers, self.uid, now))
+        heappush(self.heap, (now + airtime, next(self.seq), self.on_ack_end,
+                             (dev, sfi, ch, ul_end, 1, interferers, self.uid, now)))
         if self.trace is not None:
             self.emit(now, dev.idx, sfi, ch, "ack1_start", "")
 
@@ -682,8 +678,8 @@ class _Replication:
         self.sb2_free_at = now + airtime * (1.0 + self.sc.delta_sb2)
         if dev.counted:
             self.dl_sb2_sent += 1
-        self.schedule(now + airtime, self.on_ack_end,
-                      (dev, sfi, ch, ul_end, 2, None, None, now))
+        heappush(self.heap, (now + airtime, next(self.seq), self.on_ack_end,
+                             (dev, sfi, ch, ul_end, 2, None, None, now)))
         if self.trace is not None:
             self.emit(now, dev.idx, sfi, ch, "ack2_start", "")
 

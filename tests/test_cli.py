@@ -1,19 +1,27 @@
 """Command-line behavior: exit codes, document shape, determinism."""
 
+import dataclasses
+import inspect
 import json
 
 import pytest
 
+from loracell import analytic
 from loracell.cli import (
     EXIT_IO,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_VALIDATION,
+    _parse_int_grid,
+    _sim_config,
+    build_parser,
     main,
 )
 from loracell.metrics import METRICS
-from loracell.optimize import STOP_REASONS
+from loracell.optimize import STOP_REASONS, OptimizationProblem
+from loracell.scenario import ScenarioConfig
+from loracell.simulate import SimConfig
 
 
 def run_cli(*argv):
@@ -325,6 +333,10 @@ class TestCompare:
     (("simulate", "--radius", "inf"), "radius_m must be finite"),
     (("simulate", "--path-loss-exponent", "nan"), "path_loss_exponent must be finite"),
     (("simulate", "--cr-db", "inf"), "cr_db must be finite"),
+    (("sweep", "--axis", "lambda_total", "--values", "0:1:x"), "cannot parse range"),
+    (("sweep", "--axis", "lambda_total", "--values", "a:1:3"), "cannot parse range"),
+    (("sweep", "--axis", "lambda_total", "--values", "0:1:2.5"), "cannot parse range"),
+    (("optimize", "--lambdas", "0:1:x"), "cannot parse range"),
 ])
 def test_out_of_range_options_are_validation_errors(argv, message, capsys):
     assert run_cli(*argv) == EXIT_VALIDATION
@@ -374,3 +386,30 @@ class TestOptimize:
         for record in doc["records"]:
             assert sum(record["p_confirmed"]) == pytest.approx(1.0, abs=1e-9)
             assert record["stop"] in STOP_REASONS
+
+
+class TestDefaults:
+    """The CLI restates the library's defaults; these catch the two drifting apart."""
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_simulator_defaults_equal_sim_config(self, command):
+        cfg = ScenarioConfig()
+        args = build_parser().parse_args([command])
+        assert _sim_config(args, cfg) == SimConfig(scenario=cfg)
+
+    @pytest.mark.parametrize("argv", [("solve",), ("compare",),
+                                      ("sweep", "--axis", "lambda_total", "--values", "1")],
+                             ids=lambda argv: argv[0])
+    def test_solver_defaults_equal_solve(self, argv):
+        args = build_parser().parse_args(list(argv))
+        params = inspect.signature(analytic.solve).parameters
+        assert (args.tol, args.max_iter) == (params["tol"].default, params["max_iter"].default)
+
+    def test_optimize_defaults_equal_problem(self):
+        args = build_parser().parse_args(["optimize", "--lambdas", "1"])
+        defaults = {f.name: f.default for f in dataclasses.fields(OptimizationProblem)}
+        assert _parse_int_grid(args.m_grid) == defaults["m_grid"]
+        assert _parse_int_grid(args.h_grid) == defaults["h_grid"]
+        assert args.objective == defaults["objective"]
+        assert args.max_ascent_iters == defaults["max_ascent_iters"]
+        assert args.perturbed_restarts == defaults["perturbed_restarts"]

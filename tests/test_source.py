@@ -1,0 +1,45 @@
+"""Static checks on the package source that stand in for a linter."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import loracell
+
+SOURCES = sorted(Path(loracell.__file__).parent.glob("*.py"))
+
+
+def unread_parameters(tree: ast.AST) -> list[str]:
+    """``function: parameter`` for every parameter a private function never reads.
+
+    A private function or method is one whose name starts with ``_``.
+    ``self`` and ``cls`` are exempt; a read inside a nested function or
+    lambda counts.
+    """
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if not node.name.startswith("_"):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                  *(a for a in (args.vararg, args.kwarg) if a is not None)]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [f"{node.name}: {p.arg}" for p in params
+                  if p.arg not in ("self", "cls") and p.arg not in read]
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_private_functions_read_every_parameter(path):
+    assert unread_parameters(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_unread_parameter_is_reported():
+    tree = ast.parse("def _f(a, b, *, c, **kw):\n    return a + (lambda: c)()\n"
+                     "def public(unused):\n    pass\n"
+                     "class _C:\n    def _m(self, x):\n        pass\n")
+    assert unread_parameters(tree) == ["_f: b", "_f: kw", "_m: x"]
