@@ -349,7 +349,10 @@ def _add_sim(sub):
     sub.add_argument("--seed", type=int, default=1)
     sub.add_argument("--replications", type=int, default=10)
     sub.add_argument("--trace", default=None, help="append per-event trace lines to this file")
-    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument("--workers", type=int, default=None,
+                     help="processes that run the replications (default: one per usable "
+                          "core, at most --replications); 1 keeps them in one process; "
+                          "the output is the same for any count; below 1 exits 3")
 
 
 def build_parser() -> argparse.ArgumentParser:

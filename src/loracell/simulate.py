@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -779,21 +780,47 @@ def _run_one(args) -> ReplicationResult:
     return _Replication(sim_cfg, rng, seed_label=r).run()
 
 
-def run(sim_cfg: SimConfig, workers: int = 1) -> SimReport:
+def _run_split(jobs: list, workers: int) -> list[ReplicationResult]:
+    """Run ``jobs`` on ``workers`` processes, the calling one included.
+
+    The caller runs the first ``len(jobs) // workers`` jobs itself while a
+    pool of ``workers - 1`` runs the rest.  Keeping the caller busy rather
+    than idle in the pool gives the same wall time with one process fewer.
+    However it ends, the pool is shut down and its processes joined.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    own = len(jobs) // workers
+    pool = ProcessPoolExecutor(max_workers=workers - 1)
+    try:
+        futures = [pool.submit(_run_one, job) for job in jobs[own:]]
+        reps = [_run_one(job) for job in jobs[:own]]
+        return reps + [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def run(sim_cfg: SimConfig, workers: int | None = 1) -> SimReport:
     """Run all replications and aggregate them into a report.
 
     Each replication draws fresh positions, SF assignments and traffic
     from its own deterministic stream, so the same ``seed`` always
-    produces a bit-identical report; with ``workers`` > 1 replications
-    run in a process pool and are merged in replication order.
+    produces a bit-identical report, whatever ``workers`` is.  ``workers``
+    is the number of processes that run replications, the calling one
+    included (``None``: one per usable core), capped at the replication
+    count; results are merged in replication order.  A traced run stays
+    in one process, since every replication appends to one file.
     """
+    if workers is None:
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+    elif workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
+    sim_cfg.resolved_warmup()  # a default warmup that does not fit fails before any fork
     jobs = [(sim_cfg, r) for r in range(sim_cfg.n_replications)]
+    workers = min(workers, len(jobs))
     if workers > 1 and sim_cfg.trace_path is None:
-        # Tracing appends to one file, so it stays on the serial path.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reps = list(pool.map(_run_one, jobs))
+        reps = _run_split(jobs, workers)
     else:
         reps = [_run_one(job) for job in jobs]
 

@@ -60,7 +60,7 @@ def sim_comparisons():
                                 capture_model="probabilistic",
                                 sim_duration=duration, seed=20240809,
                                 n_replications=10)
-            report = simulate.run(sim_cfg)
+            report = simulate.run(sim_cfg, workers=None)
             cells.append((f"alpha={alpha} h={h} lambda={lam}", model, report))
     return cells, time.perf_counter() - t0
 

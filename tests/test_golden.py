@@ -5,7 +5,8 @@ The files under ``tests/data/golden/`` and the script that regenerates them
 ``--format doc`` output of the ``alpha`` sweep, the CSV and full-state doc of
 two one-row ``solve`` calls, plus a shortened README ``compare`` (CSV) and
 geometric-capture ``simulate`` (CSV and doc) at seed 1, and a small
-``optimize`` grid (CSV and doc).
+``optimize`` grid (CSV and doc).  The simulations run their replications on
+every usable core by default; ``--workers 1`` must give the same bytes.
 """
 
 import importlib.util
@@ -29,3 +30,10 @@ def test_every_figure_sweep_has_a_golden_file():
 @pytest.mark.parametrize("name, argv", sorted(make_golden.golden_outputs().items()))
 def test_sweep_reproduces_golden_output(name, argv):
     assert make_golden.render(argv) == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("name, argv", sorted(
+    (name, argv) for name, argv in make_golden.golden_outputs().items()
+    if name.startswith("sim_")))
+def test_simulation_in_one_process_reproduces_golden_output(name, argv):
+    assert make_golden.render([*argv, "--workers", "1"]) == (GOLDEN / name).read_text()

@@ -1,8 +1,10 @@
 """Simulator invariants: determinism, conservation, duty-cycle audit, limits."""
 
+import concurrent.futures
 import dataclasses
 import gc
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -15,6 +17,7 @@ from scipy import stats
 
 import loracell
 from loracell import analytic, metrics
+from loracell import simulate as simulate_mod
 from loracell.scenario import ScenarioConfig, SfDistribution, ValidationError
 from loracell.simulate import (
     _BLOCK,
@@ -91,10 +94,72 @@ class TestDeterminism:
         b = run(sim(seed=2, **base))
         assert a.replications != b.replications
 
-    def test_worker_pool_matches_serial(self):
+    @pytest.mark.parametrize("capture", ["probabilistic", "geometric"])
+    def test_worker_pool_matches_serial(self, capture):
         cfg = sim(scenario_kw={"lambda_total": 2.0, "alpha": 0.5, "m": 2},
-                  n_replications=3)
-        assert run(cfg, workers=2) == run(cfg, workers=1)
+                  capture_model=capture, n_replications=3)
+        serial = run(cfg, workers=1)
+        for workers in (None, 2, 3, 16):
+            assert run(cfg, workers=workers) == serial
+
+
+#: ``multiprocessing.active_children()`` counts seen by ``_counting_run_one``.
+#: Both are module-level so that the pool can pickle the patched function.
+_children_seen: list[int] = []
+_plain_run_one = simulate_mod._run_one
+
+
+def _counting_run_one(job):
+    _children_seen.append(len(multiprocessing.active_children()))
+    return _plain_run_one(job)
+
+
+class TestWorkers:
+    CFG = sim(scenario_kw={"lambda_total": 2.0, "alpha": 0.5, "m": 2}, n_replications=3)
+
+    def test_worker_count_is_capped_at_the_replications(self, monkeypatch):
+        # The caller runs one replication and a pool of two the others.
+        monkeypatch.setattr(simulate_mod, "_run_one", _counting_run_one)
+        _children_seen.clear()
+        run(self.CFG, workers=16)
+        assert _children_seen and max(_children_seen) <= 2
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_fewer_than_one_worker_rejected(self, workers):
+        with pytest.raises(ValidationError, match="workers"):
+            run(self.CFG, workers=workers)
+
+    def test_warmup_that_does_not_fit_fails_before_any_fork(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        cfg = SimConfig(scenario=ScenarioConfig(), sim_duration=100.0, n_replications=3)
+        with pytest.raises(ValidationError, match="warmup"):
+            run(cfg, workers=3)
+
+    @pytest.mark.parametrize("failing, where", [(2, "a worker's share"),
+                                                (0, "the caller's share")])
+    def test_error_crosses_back_and_no_child_outlives_run(self, monkeypatch, failing, where):
+        plain = _Replication.run
+
+        def failing_run(self):
+            if self.seed_label == failing:
+                raise SimulationError(f"synthetic failure in {where}")
+            return plain(self)
+
+        monkeypatch.setattr(_Replication, "run", failing_run)
+        with pytest.raises(SimulationError, match=f"synthetic failure in {where}"):
+            run(self.CFG, workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_traced_run_stays_in_one_process(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(simulate_mod, "_run_one", _counting_run_one)
+        _children_seen.clear()
+        run(dataclasses.replace(self.CFG, trace_path=str(tmp_path / "events.log")),
+            workers=None)
+        assert _children_seen == [0, 0, 0]
 
 
 class TestBlockBoundaries:
