@@ -112,6 +112,8 @@ class SimConfig:
             raise ValidationError(f"n_devices must be >= 1, got {self.n_devices}")
         if self.n_replications < 1:
             raise ValidationError(f"n_replications must be >= 1, got {self.n_replications}")
+        if self.max_events < 1:
+            raise ValidationError(f"max_events must be >= 1, got {self.max_events}")
         if self.arrival_model not in _ARRIVAL_MODELS:
             raise ValidationError(f"arrival_model must be one of {_ARRIVAL_MODELS}")
         if self.capture_model not in _CAPTURE_MODELS:
@@ -121,6 +123,13 @@ class SimConfig:
         for name in ("radius_m", "path_loss_exponent", "cr_db"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.path_loss_exponent < 0:
+            raise ValidationError(
+                f"path_loss_exponent must be >= 0, got {self.path_loss_exponent}")
+        if max(self.radius_m, 1.0) ** -self.path_loss_exponent == 0.0:
+            raise ValidationError(
+                f"path_loss_exponent {self.path_loss_exponent} underflows the received "
+                f"power at radius_m {self.radius_m} to 0")
         if self.sim_duration <= 0:
             raise ValidationError("sim_duration must be positive")
         if not math.isfinite(self.sim_duration):
@@ -272,19 +281,15 @@ class _Device:
 class _Tx:
     """One uplink transmission on the air."""
 
-    __slots__ = ("uid", "device", "sfi", "ch", "slot", "start", "end", "counted", "fate", "rx")
+    __slots__ = ("device", "slot", "start", "end", "counted", "fate")
 
-    def __init__(self, uid, device, sfi, ch, slot, start, end, counted):
-        self.uid = uid
+    def __init__(self, device, slot, start, end, counted):
         self.device = device
-        self.sfi = sfi
-        self.ch = ch
-        self.slot = slot            # ch * N_SF + sfi: index into on_air and listeners
+        self.slot = slot            # ch * N_SF + device.sfi: index into on_air and listeners
         self.start = start
         self.end = end
         self.counted = counted
         self.fate = None            # set when lost at arrival or aborted
-        self.rx = None              # interferers while the gateway receives it
 
 
 def _max_concurrent_power(interferers, start, end) -> float:
@@ -309,9 +314,10 @@ def _max_concurrent_power(interferers, start, end) -> float:
 
 
 def _stream(draw):
-    """Yield the values of ``draw(_BLOCK)`` one at a time, refilling forever."""
-    while True:
-        yield from draw(_BLOCK).tolist()
+    """A function that returns the values of ``draw(_BLOCK)`` one at a time,
+    refilling forever.  It is the ``__next__`` of a chain, so taking a value
+    runs no Python frame."""
+    return itertools.chain.from_iterable(iter(lambda: draw(_BLOCK).tolist(), None)).__next__
 
 
 def _poisson_arrivals(devices, next_gap, next_pick):
@@ -361,6 +367,14 @@ class _Replication:
     A heap entry is ``(time, seq, handler, payload)``, pushed with
     ``heappush``: ``seq`` breaks ties in schedule order and
     ``handler(time, payload)`` runs the event.
+
+    Tests replace some methods to observe or alter a run, so the event
+    handlers call them through ``self``: ``rx1_surely_blocked``,
+    ``rx2_surely_blocked`` and ``confirmed_attempt_failed`` (on the class),
+    and ``on_tx_start`` (on the instance).  Each push therefore binds its
+    handler afresh.  A handler bound once and stored on ``self`` would
+    also make a reference cycle, so a finished replication would wait
+    for the cycle collector instead of being freed at once.
     """
 
     def __init__(self, sim_cfg: SimConfig, rng: np.random.Generator, seed_label: int):
@@ -397,17 +411,14 @@ class _Replication:
         ch_rng, timeout_rng, coin_rng, gap_rng, pick_rng = rng.spawn(5)
         n_ch = sc.c_channels
         lo, hi = sc.mu_retx - 1.0, sc.mu_retx + 1.0
-        self.next_channel = _stream(lambda k: ch_rng.integers(n_ch, size=k)).__next__
-        self.next_timeout = _stream(
-            lambda k: np.maximum(timeout_rng.uniform(lo, hi, k), 0.0)).__next__
-        self.next_coin = _stream(coin_rng.random).__next__
+        self.next_channel = _stream(lambda k: ch_rng.integers(n_ch, size=k))
+        self.next_timeout = _stream(lambda k: np.maximum(timeout_rng.uniform(lo, hi, k), 0.0))
+        self.next_coin = _stream(coin_rng.random)
         self.next_arrival = None        # () -> (time, device) of the cell's next arrival
         if sc.lambda_total > 0.0:
             if sim_cfg.arrival_model == "poisson":
-                next_gap = _stream(
-                    lambda k: gap_rng.exponential(1.0 / sc.lambda_total, k)).__next__
-                next_pick = _stream(
-                    lambda k: pick_rng.integers(sim_cfg.n_devices, size=k)).__next__
+                next_gap = _stream(lambda k: gap_rng.exponential(1.0 / sc.lambda_total, k))
+                next_pick = _stream(lambda k: pick_rng.integers(sim_cfg.n_devices, size=k))
                 arrivals = _poisson_arrivals(self.devices, next_gap, next_pick)
             else:
                 period = sim_cfg.n_devices / sc.lambda_total
@@ -416,18 +427,18 @@ class _Replication:
             self.next_arrival = arrivals.__next__
 
         # Gateway state.
-        self.receptions = {}            # tx uid -> _Tx being demodulated
+        self.receptions = {}            # {_Tx being demodulated: its interferers}
         self.tx_until = 0.0             # gateway radio busy transmitting until
         self.sb1_free_at = 0.0          # duty-cycle gates per sub-band
         self.sb2_free_at = 0.0
 
-        # One entry per (channel, SF) slot ch * N_SF + sfi.
-        self.on_air = [{} for _ in range(n_ch * N_SF)]      # {uid: _Tx}
-        self.listeners = [{} for _ in range(n_ch * N_SF)]   # {uid: [interfering _Tx]}
+        # One entry per (channel, SF) slot ch * N_SF + sfi.  A listener is the
+        # _Tx that the gateway receives or the _Device that awaits its RX1 ACK.
+        self.on_air = [{} for _ in range(n_ch * N_SF)]      # {_Tx: None}, in start order
+        self.listeners = [{} for _ in range(n_ch * N_SF)]   # {listener: [interfering _Tx]}
 
         self.heap = []
         self.seq = itertools.count()
-        self.uid = 0
 
         self.offered_app_u = [0] * N_SF; self.offered_app_c = [0] * N_SF
         self.delivered_app_u = [0] * N_SF; self.delivered_app_c = [0] * N_SF
@@ -444,9 +455,9 @@ class _Replication:
 
     # -- event plumbing ----------------------------------------------------
 
-    def emit(self, time, device_idx, sfi, ch, kind, outcome):
-        """Write one trace line; callers check ``self.trace`` first."""
-        self.trace.write(f"{time:.6f} {device_idx} {sfi + 7} {ch} {kind} {outcome}\n")
+    def emit(self, time, dev, slot, kind, outcome):
+        """Write one trace line for ``dev`` on ``slot``; callers check ``self.trace`` first."""
+        self.trace.write(f"{time:.6f} {dev.idx} {dev.sfi + 7} {slot // N_SF} {kind} {outcome}\n")
 
     # -- device MAC --------------------------------------------------------
 
@@ -456,7 +467,9 @@ class _Replication:
         dev.attempts = 0
         dev.delivered_time = None
         dev.counted = False
-        heappush(self.heap, (max(now, dev.next_allowed), next(self.seq), self.on_tx_start, dev))
+        allowed = dev.next_allowed
+        heappush(self.heap, (allowed if allowed > now else now, next(self.seq),
+                             self.on_tx_start, dev))
 
     def finish_packet(self, dev, acked, now):
         if dev.counted:
@@ -478,7 +491,9 @@ class _Replication:
     def confirmed_attempt_failed(self, dev, ul_end):
         fail_at = ul_end + 2.0  # the attempt ends when its second window closes
         if dev.attempts < self.m:
-            heappush(self.heap, (max(fail_at + dev.backoff, dev.next_allowed), next(self.seq),
+            retx_at = fail_at + dev.backoff
+            allowed = dev.next_allowed
+            heappush(self.heap, (allowed if allowed > retx_at else retx_at, next(self.seq),
                                  self.on_tx_start, dev))
         else:
             self.finish_packet(dev, acked=False, now=fail_at)
@@ -486,21 +501,22 @@ class _Replication:
     # -- gateway helpers ---------------------------------------------------
 
     def power_at(self, tx, dev) -> float:
-        """Received power of ``tx`` at device ``dev``, or at the gateway if None."""
-        if dev is None:
-            return tx.device.power
+        """Received power of ``tx`` at device ``dev``."""
         dist = max(math.hypot(tx.device.x - dev.x, tx.device.y - dev.y), 1.0)
         return dist ** (-self.cfg.path_loss_exponent)
 
     def captured(self, interferers, dev, power, start, end, w) -> bool:
-        """Whether a reception of ``power`` at ``dev`` over [start, end] survives."""
+        """Whether a reception of ``power`` over [start, end] survives, at
+        device ``dev`` or, if None, at the gateway."""
+        if not interferers:
+            return True
         if self.geometric:
             peak = _max_concurrent_power(
-                [(self.power_at(tx, dev), tx.start, tx.end) for tx in interferers],
+                [(tx.device.power if dev is None else self.power_at(tx, dev), tx.start, tx.end)
+                 for tx in interferers],
                 start, end)
             return peak == 0.0 or power >= self.margin * peak
-        n = len(interferers)
-        return n == 0 or (n == 1 and self.next_coin() < w)
+        return len(interferers) == 1 and self.next_coin() < w
 
     def rx1_surely_blocked(self, rx1_at) -> bool:
         """Whether SB1's duty cycle blocks the RX1 window at ``rx1_at`` already.
@@ -527,10 +543,9 @@ class _Replication:
     def gw_transmit(self, now, airtime, tau):
         """Key the gateway radio; with ``tau`` = 1 every ongoing reception is lost."""
         if tau == 1:
-            for tx in self.receptions.values():
+            for tx in self.receptions:
                 tx.fate = _OUT_GWTX
-                tx.rx = None
-                del self.listeners[tx.slot][tx.uid]
+                del self.listeners[tx.slot][tx]
             self.receptions.clear()
         if self.receptions:
             raise SimulationError("gateway would transmit while receiving")
@@ -560,10 +575,10 @@ class _Replication:
         sfi = dev.sfi
         airtime = self.t_data[sfi]
         end = now + airtime
-        ch = self.next_channel()
+        slot = self.next_channel() * N_SF + sfi
         counted = self.warmup <= now <= self.duration
-        dev.attempts += 1
-        if dev.attempts == 1:
+        dev.attempts = attempts = dev.attempts + 1
+        if attempts == 1:
             dev.first_attempt = now
             dev.counted = counted
             if counted:
@@ -575,128 +590,122 @@ class _Replication:
             self.offered_phy[sfi] += 1
         dev.next_allowed = end + self.delta_sb1 * airtime
 
-        self.uid = uid = self.uid + 1
-        slot = ch * N_SF + sfi
-        tx = _Tx(uid, dev, sfi, ch, slot, now, end, counted)
-        air = self.on_air[slot]
+        tx = _Tx(dev, slot, now, end, counted)
         ears = self.listeners[slot]
-        for interferers in ears.values():
-            interferers.append(tx)
-
+        if ears:
+            for interferers in ears.values():
+                interferers.append(tx)
+        air = self.on_air[slot]
+        receptions = self.receptions
         if now < self.tx_until:
             tx.fate = _OUT_GWTX          # gateway radio is transmitting
-        elif len(self.receptions) == self.n_demodulators:
+        elif len(receptions) == self.n_demodulators:
             tx.fate = _OUT_NMD           # all demodulators locked
         else:
-            tx.rx = rx = list(air.values())
-            self.receptions[uid] = tx
-            ears[uid] = rx
-        air[uid] = tx
+            receptions[tx] = ears[tx] = list(air) if air else []
+        air[tx] = None
         heappush(self.heap, (end, next(self.seq), self.on_tx_end, tx))
         if self.trace is not None:
-            self.emit(now, dev.idx, sfi, ch, "ul_start", "")
+            self.emit(now, dev, slot, "ul_start", "")
 
     def on_tx_end(self, now, tx):
         slot = tx.slot
-        uid = tx.uid
-        del self.on_air[slot][uid]
         dev = tx.device
-        if tx.rx is not None:
-            del self.receptions[uid]
-            del self.listeners[slot][uid]
-            ok = self.captured(tx.rx, None, dev.power, tx.start, tx.end, self.w_gw)
-            outcome = _OUT_DELIVERED if ok else _OUT_INTERFERENCE
-        else:
+        del self.on_air[slot][tx]
+        rx = self.receptions.pop(tx, None)
+        if rx is None:
             outcome = tx.fate
+        else:
+            del self.listeners[slot][tx]
+            ok = self.captured(rx, None, dev.power, tx.start, now, self.w_gw)
+            outcome = _OUT_DELIVERED if ok else _OUT_INTERFERENCE
         if tx.counted:
-            self.phy_outcomes[outcome][tx.sfi] += 1
+            self.phy_outcomes[outcome][dev.sfi] += 1
         if self.trace is not None:
-            self.emit(now, dev.idx, tx.sfi, tx.ch, "ul_end", _OUTCOME_NAMES[outcome])
+            self.emit(now, dev, slot, "ul_end", _OUTCOME_NAMES[outcome])
 
         delivered = outcome == _OUT_DELIVERED
         if delivered and dev.delivered_time is None:
             dev.delivered_time = now
         if dev.confirmed:
             dev.backoff = self.next_timeout()
-            if delivered:
-                ctx = (dev, tx.sfi, tx.ch, now)
-                if self.rx1_surely_blocked(now + 1.0):
-                    self.open_rx2(now, ctx)
-                else:
-                    heappush(self.heap, (now + 1.0, next(self.seq), self.on_rx1, ctx))
-            else:
+            if not delivered:
                 self.confirmed_attempt_failed(dev, now)
+            elif self.rx1_surely_blocked(now + 1.0):
+                self.open_rx2(now, (dev, slot, now))
+            else:
+                heappush(self.heap, (now + 1.0, next(self.seq), self.on_rx1, (dev, slot, now)))
         elif dev.attempts < self.h:
             # Next copy after both receive windows, duty cycle allowing.
-            heappush(self.heap, (max(now + 2.0, dev.next_allowed), next(self.seq),
+            copy_at = now + 2.0
+            allowed = dev.next_allowed
+            heappush(self.heap, (allowed if allowed > copy_at else copy_at, next(self.seq),
                                  self.on_tx_start, dev))
         else:
             self.finish_packet(dev, acked=False, now=now + 2.0)
 
     def open_rx2(self, now, ctx):
         """Schedule the RX2 window of ``ctx``, or drop its ACK now if it is surely blocked."""
-        dev, _, _, ul_end = ctx
-        if self.rx2_surely_blocked(dev, ul_end + 2.0):
+        dev, _, ul_end = ctx
+        rx2_at = ul_end + 2.0
+        if self.rx2_surely_blocked(dev, rx2_at):
             self.drop_ack(now, ctx)
         else:
-            heappush(self.heap, (ul_end + 2.0, next(self.seq), self.on_rx2, ctx))
+            heappush(self.heap, (rx2_at, next(self.seq), self.on_rx2, ctx))
 
     def drop_ack(self, now, ctx):
         """No window is left for the ACK of ``ctx``: the attempt fails."""
-        dev, sfi, ch, ul_end = ctx
+        dev, slot, ul_end = ctx
         if dev.counted:
             self.dl_no_window += 1
         if self.trace is not None:
-            self.emit(now, dev.idx, sfi, ch, "ack_dropped", "no_window")
+            self.emit(now, dev, slot, "ack_dropped", "no_window")
         self.confirmed_attempt_failed(dev, ul_end)
 
     def on_rx1(self, now, ctx):
-        dev, sfi, ch, ul_end = ctx
+        dev, slot, ul_end = ctx
         if self.gw_blocked(now, self.sb1_free_at, self.sc.tau1):
             self.open_rx2(now, ctx)
             return
-        airtime = self.t_ack1[sfi]
+        airtime = self.t_ack1[dev.sfi]
         self.gw_transmit(now, airtime, self.sc.tau1)
         self.sb1_free_at = now + airtime * (1.0 + self.delta_sb1)
         if dev.counted:
             self.dl_sb1_sent += 1
-        slot = ch * N_SF + sfi
-        interferers = list(self.on_air[slot].values())
-        self.uid += 1
-        self.listeners[slot][self.uid] = interferers
+        self.listeners[slot][dev] = interferers = list(self.on_air[slot])
         heappush(self.heap, (now + airtime, next(self.seq), self.on_ack_end,
-                             (dev, sfi, ch, ul_end, 1, interferers, self.uid, now)))
+                             (dev, slot, ul_end, 1, interferers, now)))
         if self.trace is not None:
-            self.emit(now, dev.idx, sfi, ch, "ack1_start", "")
+            self.emit(now, dev, slot, "ack1_start", "")
 
     def on_rx2(self, now, ctx):
-        dev, sfi, ch, ul_end = ctx
+        dev, slot, ul_end = ctx
         if self.gw_blocked(now, self.sb2_free_at, self.sc.tau2):
             self.drop_ack(now, ctx)
             return
-        airtime = self.t_ack2[sfi]
+        airtime = self.t_ack2[dev.sfi]
         self.gw_transmit(now, airtime, self.sc.tau2)
         self.sb2_free_at = now + airtime * (1.0 + self.sc.delta_sb2)
         if dev.counted:
             self.dl_sb2_sent += 1
         heappush(self.heap, (now + airtime, next(self.seq), self.on_ack_end,
-                             (dev, sfi, ch, ul_end, 2, None, None, now)))
+                             (dev, slot, ul_end, 2, None, now)))
         if self.trace is not None:
-            self.emit(now, dev.idx, sfi, ch, "ack2_start", "")
+            self.emit(now, dev, slot, "ack2_start", "")
 
     def on_ack_end(self, now, ctx):
-        dev, sfi, ch, ul_end, window, interferers, listen_uid, start = ctx
+        dev, slot, ul_end, window, interferers, start = ctx
         if window == 1:
-            del self.listeners[ch * N_SF + sfi][listen_uid]
+            del self.listeners[slot][dev]
             if not self.captured(interferers, dev, dev.power, start, now, self.sc.w_ed):
                 if dev.counted:
                     self.dl_rx1_corrupted += 1
                 if self.trace is not None:
-                    self.emit(now, dev.idx, sfi, ch, "ack1_end", "corrupted")
+                    self.emit(now, dev, slot, "ack1_end", "corrupted")
                 self.confirmed_attempt_failed(dev, ul_end)
                 return
         if self.trace is not None:
-            self.emit(now, dev.idx, sfi, ch, f"ack{window}_end", "received")
+            self.emit(now, dev, slot, f"ack{window}_end", "received")
         self.finish_packet(dev, acked=True, now=now)
 
     # -- main loop ----------------------------------------------------------
@@ -710,12 +719,15 @@ class _Replication:
         try:
             if self.next_arrival is not None:
                 self.schedule_arrival()
-            while heap:
+            for events in range(budget):  # ``events`` counts the events handled so far
+                if not heap:
+                    break
                 now, _, handler, payload = heappop(heap)
-                events += 1
-                if events > budget:
-                    raise SimulationError(f"event budget exceeded ({budget} events)")
                 handler(now, payload)
+            else:
+                events = budget
+                if heap:
+                    raise SimulationError(f"event budget exceeded ({budget} events)")
         finally:
             self.events = events
             if self.trace is not None:

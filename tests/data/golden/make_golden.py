@@ -4,8 +4,9 @@ Writes, next to this script, the CSV of each of the nine README figure
 sweeps (``<name>.csv``) and the ``--format doc`` output of the ``alpha``
 sweep (``alpha.json``), the CSV and ``--full-state --format doc`` output
 of two one-row ``solve`` calls (``solve_*``), plus the CSV of a shortened
-README validation ``compare`` and the CSV and ``--format doc`` output of a
-shortened geometric-capture ``simulate`` (``sim_*``), and the CSV and
+README validation ``compare``, the CSV and ``--format doc`` output of a
+shortened geometric-capture ``simulate`` and the ``--format doc`` output of
+two short runs off the README point (``sim_*``), and the CSV and
 ``--format doc`` output of a small ``optimize`` grid (``opt_*``).
 ``tests/test_golden.py`` asserts that the CLI reproduces every file byte
 for byte, so regenerate them only for a change that is meant to alter
@@ -59,10 +60,24 @@ SOLVES: dict[str, list[str]] = {
 _SIM = ["--set", "lambda_total=1", "--set", "alpha=1", "--set", "m=8",
         "--devices", "1200", "--duration", "2000", "--replications", "2", "--seed", "1"]
 
-#: Simulator runs, by output file stem.
+#: A short cell, 2 x 1500 s at seed 3, for the paths the README point never reaches.
+_SHORT = ["--devices", "300", "--duration", "1500", "--warmup", "100",
+          "--replications", "2", "--seed", "3", "--format", "doc"]
+
+#: Simulator runs, by output file stem; a run ending in ``--format doc`` is
+#: pinned as ``.json``, the others as ``.csv``.  ``sim_periodic`` sends
+#: unconfirmed copies (h = 3) on periodic arrivals with tau = 0;
+#: ``sim_rx_windows`` lifts the duty cycle, so every RX window is an event,
+#: and each RX1 ACK's geometric capture reads its interferers' power at the device.
 SIMULATIONS: dict[str, list[str]] = {
     "sim_compare": ["compare", *_SIM],
     "sim_geometric": ["simulate", "--capture", "geometric", *_SIM],
+    "sim_periodic": ["simulate", "--arrivals", "periodic", "--set", "alpha=0.5",
+                     "--set", "h=3", "--set", "m=4", "--set", "tau1=0", "--set", "tau2=0",
+                     *_SHORT],
+    "sim_rx_windows": ["compare", "--capture", "geometric", "--set", "alpha=1",
+                       "--set", "m=4", "--set", "delta_sb1=0", "--set", "delta_sb2=0",
+                       *_SHORT],
 }
 
 
@@ -80,7 +95,8 @@ def golden_outputs() -> dict[str, list[str]]:
     for name, argv in SOLVES.items():
         files[f"{name}.csv"] = [*argv, "--format", "csv"]
         files[f"{name}.json"] = [*argv, "--full-state", "--format", "doc"]
-    files.update({f"{name}.csv": argv for name, argv in SIMULATIONS.items()})
+    files.update({f"{name}.{'json' if argv[-1] == 'doc' else 'csv'}": argv
+                  for name, argv in SIMULATIONS.items()})
     files["sim_geometric.json"] = [*SIMULATIONS["sim_geometric"], "--format", "doc"]
     for name, argv in OPTIMIZATIONS.items():
         files[f"{name}.csv"] = [*argv, "--format", "csv"]

@@ -332,6 +332,10 @@ class TestCompare:
     (("simulate", "--capture", "geometric", "--radius", "nan"), "radius_m must be finite"),
     (("simulate", "--radius", "inf"), "radius_m must be finite"),
     (("simulate", "--path-loss-exponent", "nan"), "path_loss_exponent must be finite"),
+    (("simulate", "--capture", "geometric", "--set", "alpha=1", "--set", "delta_sb1=0",
+      "--path-loss-exponent", "-400"), "path_loss_exponent must be >= 0"),
+    (("simulate", "--capture", "geometric", "--path-loss-exponent", "400"),
+     "underflows the received power"),
     (("simulate", "--cr-db", "inf"), "cr_db must be finite"),
     (("sweep", "--axis", "lambda_total", "--values", "0:1:x"), "cannot parse range"),
     (("sweep", "--axis", "lambda_total", "--values", "a:1:3"), "cannot parse range"),

@@ -4,7 +4,8 @@ The files under ``tests/data/golden/`` and the script that regenerates them
 (``make_golden.py`` there) pin the CSV of the nine figure sweeps and the
 ``--format doc`` output of the ``alpha`` sweep, the CSV and full-state doc of
 two one-row ``solve`` calls, plus a shortened README ``compare`` (CSV) and
-geometric-capture ``simulate`` (CSV and doc) at seed 1, and a small
+geometric-capture ``simulate`` (CSV and doc) at seed 1, two short runs at
+seed 3 on paths the README point never reaches (doc), and a small
 ``optimize`` grid (CSV and doc).  The simulations run their replications on
 every usable core by default; ``--workers 1`` must give the same bytes.
 """

@@ -3,6 +3,7 @@
 import concurrent.futures
 import dataclasses
 import gc
+import hashlib
 import math
 import multiprocessing
 import os
@@ -45,6 +46,11 @@ class TestConfig:
     def test_zero_replications_rejected(self):
         with pytest.raises(ValidationError, match="n_replications"):
             sim(n_replications=0)
+
+    @pytest.mark.parametrize("max_events", [0, -1])
+    def test_event_budget_below_one_rejected(self, max_events):
+        with pytest.raises(ValidationError, match="max_events must be >= 1"):
+            sim(max_events=max_events)
 
     def test_warmup_must_fit_in_duration(self):
         with pytest.raises(ValidationError, match="warmup"):
@@ -389,6 +395,16 @@ class TestEventBudget:
         with pytest.raises(SimulationError, match="event budget exceeded"):
             run(sim(scenario_kw={"lambda_total": 5.0}, max_events=1000))
 
+    def test_budget_of_exactly_the_events_handled_suffices(self):
+        cfg = sim(scenario_kw={"lambda_total": 1.0, "alpha": 0.5}, n_devices=20,
+                  sim_duration=100.0, warmup=10.0, n_replications=1)
+        report = run(cfg)
+        events = report.replications[0].events
+        assert run(dataclasses.replace(cfg, max_events=events)) == \
+            dataclasses.replace(report, config=dataclasses.replace(cfg, max_events=events))
+        with pytest.raises(SimulationError, match=f"event budget exceeded \\({events - 1} events"):
+            run(dataclasses.replace(cfg, max_events=events - 1))
+
 
 class TestTrace:
     def test_trace_lines_written_when_enabled(self, tmp_path):
@@ -485,7 +501,7 @@ class TestRx1Shortcut:
         monkeypatch.setattr(_Replication, "rx1_surely_blocked", lambda self, rx1_at: False)
         every_window = run(cfg).replications[0]
         assert _without_events(shortcut) == _without_events(every_window)
-        assert shortcut.events < every_window.events
+        assert (shortcut.events, every_window.events) == (14004, 17464)
 
 
 class TestRx2Shortcut:
@@ -548,7 +564,21 @@ class TestRx2Shortcut:
         self.every_window(monkeypatch)
         every_window = run(cfg).replications[0]
         assert _without_events(shortcut) == _without_events(every_window)
-        assert shortcut.events < every_window.events
+        assert (shortcut.events, every_window.events) == (14004, 16620)
+
+    @pytest.mark.parametrize("capture, digest, events", [
+        ("probabilistic", "725a891a34ec1ca3b0e6bead73a604a003cac5edfd3868c9fc172ebed824a3fd",
+         (13105, 12994)),
+        ("geometric", "fe197c917f80a5c80417a1c63b83f7960f4f465e677e9951e6a7b67a86cd621a",
+         (13103, 12944)),
+    ])
+    def test_trace_bytes_and_event_counts_are_pinned(self, tmp_path, capture, digest, events):
+        # The results do not show the order of events or what each one traced:
+        # these literals do, so a hot-path rewrite that reorders either fails here.
+        path = tmp_path / "events.log"
+        report = run(self.cell(capture, trace_path=str(path)))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        assert tuple(rep.events for rep in report.replications) == events
 
     def test_trace_timestamps_never_decrease(self, tmp_path):
         # A drop decided early is traced when it is decided, not at its window.
