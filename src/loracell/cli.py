@@ -349,10 +349,15 @@ def _add_sim(sub):
     sub.add_argument("--seed", type=int, default=1)
     sub.add_argument("--replications", type=int, default=10)
     sub.add_argument("--trace", default=None, help="append per-event trace lines to this file")
+    _add_workers(sub)
+
+
+def _add_workers(sub):
     sub.add_argument("--workers", type=int, default=None,
-                     help="processes that run the replications (default: one per usable "
-                          "core, at most --replications); 1 keeps them in one process; "
-                          "the output is the same for any count; below 1 exits 3")
+                     help="processes that run the replications or grid points, this one "
+                          "included (default: one per usable core; at most one per replication "
+                          "or grid point); 1 keeps them in one process; same output for any "
+                          "count; below 1 exits 3")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -393,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(OBJECTIVES))
     p.add_argument("--max-ascent-iters", type=int, default=60)
     p.add_argument("--perturbed-restarts", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
+    _add_workers(p)
     p.set_defaults(func=cmd_optimize, format="doc")
 
     p = subs.add_parser("compare", help="solve and simulate, join the metrics")

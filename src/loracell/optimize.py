@@ -37,6 +37,7 @@ import numpy as np
 
 from . import analytic, metrics
 from .scenario import N_SF, ScenarioConfig, SfDistribution, ValidationError
+from .simulate import _fan_out
 
 #: Named objectives: weights applied to MetricsReport fields.
 OBJECTIVES: dict[str, dict[str, float]] = {
@@ -348,25 +349,19 @@ def _solve_grid_point(args) -> GridRecord:
     )
 
 
-def optimize(problem: OptimizationProblem, workers: int = 1) -> OptimizationResult:
+def optimize(problem: OptimizationProblem, workers: int | None = 1) -> OptimizationResult:
     """Search the (m, h) grid, ascending the SF distributions at every point.
 
-    Grid points are independent; with ``workers`` > 1 they are evaluated
-    in a process pool.  The result is deterministic either way: records
-    keep the grid order and the best record is the maximum value with
-    ties broken on lexicographically smaller (m, h).
+    Grid points are independent; ``workers`` splits them over processes as
+    ``simulate._fan_out`` describes.  The result is the same for any count:
+    records keep the grid order and the best record is the maximum value
+    with ties broken on lexicographically smaller (m, h).
     """
     points = [(problem, lam, m, h)
               for lam in problem.lambdas
               for m in problem.m_grid
               for h in problem.h_grid]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_solve_grid_point, points))
-    else:
-        records = [_solve_grid_point(p) for p in points]
+    records = _fan_out(_solve_grid_point, points, workers)
 
     best = max(records, key=lambda r: (r.value, (-r.m, -r.h), -r.lam))
     best_cfg = replace(

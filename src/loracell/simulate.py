@@ -126,10 +126,11 @@ class SimConfig:
         if self.path_loss_exponent < 0:
             raise ValidationError(
                 f"path_loss_exponent must be >= 0, got {self.path_loss_exponent}")
-        if max(self.radius_m, 1.0) ** -self.path_loss_exponent == 0.0:
+        # ACK capture reads device-to-device powers, up to twice the radius apart.
+        if max(2.0 * self.radius_m, 1.0) ** -self.path_loss_exponent < np.finfo(float).tiny:
             raise ValidationError(
                 f"path_loss_exponent {self.path_loss_exponent} underflows the received "
-                f"power at radius_m {self.radius_m} to 0")
+                f"power at twice radius_m {self.radius_m}")
         if self.sim_duration <= 0:
             raise ValidationError("sim_duration must be positive")
         if not math.isfinite(self.sim_duration):
@@ -227,7 +228,6 @@ class SimReport:
     lost_interference: int
     lost_gwtx: int
     lost_nmd: int
-    dl_no_window: int
     dc_violations: int
 
 
@@ -792,22 +792,32 @@ def _run_one(args) -> ReplicationResult:
     return _Replication(sim_cfg, rng, seed_label=r).run()
 
 
-def _run_split(jobs: list, workers: int) -> list[ReplicationResult]:
-    """Run ``jobs`` on ``workers`` processes, the calling one included.
+def _fan_out(fn, jobs: list, workers: int | None) -> list:
+    """``[fn(job) for job in jobs]`` on ``workers`` processes, the calling one included.
 
-    The caller runs the first ``len(jobs) // workers`` jobs itself while a
-    pool of ``workers - 1`` runs the rest.  Keeping the caller busy rather
-    than idle in the pool gives the same wall time with one process fewer.
-    However it ends, the pool is shut down and its processes joined.
+    ``None`` means one per usable core, below 1 is a ``ValidationError``, and
+    the count is capped at ``len(jobs)``.  The caller runs the first
+    ``len(jobs) // workers`` jobs itself while a pool of ``workers - 1`` runs
+    the rest, which gives the same wall time as an idle caller with one
+    process fewer.  Results come back in job order.  However it ends, the
+    pool is shut down and its processes joined.  ``optimize`` uses it too.
     """
+    if workers is None:
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+    elif workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, len(jobs))
+    if workers <= 1:
+        return [fn(job) for job in jobs]
     from concurrent.futures import ProcessPoolExecutor
 
     own = len(jobs) // workers
     pool = ProcessPoolExecutor(max_workers=workers - 1)
     try:
-        futures = [pool.submit(_run_one, job) for job in jobs[own:]]
-        reps = [_run_one(job) for job in jobs[:own]]
-        return reps + [future.result() for future in futures]
+        futures = [pool.submit(fn, job) for job in jobs[own:]]
+        results = [fn(job) for job in jobs[:own]]
+        return results + [future.result() for future in futures]
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -817,24 +827,15 @@ def run(sim_cfg: SimConfig, workers: int | None = 1) -> SimReport:
 
     Each replication draws fresh positions, SF assignments and traffic
     from its own deterministic stream, so the same ``seed`` always
-    produces a bit-identical report, whatever ``workers`` is.  ``workers``
-    is the number of processes that run replications, the calling one
-    included (``None``: one per usable core), capped at the replication
-    count; results are merged in replication order.  A traced run stays
-    in one process, since every replication appends to one file.
+    produces a bit-identical report, whatever ``workers`` is; see
+    ``_fan_out`` for how ``workers`` splits the replications.  A traced run
+    stays in one process, since every replication appends to one file.
     """
-    if workers is None:
-        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1)
-    elif workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
     sim_cfg.resolved_warmup()  # a default warmup that does not fit fails before any fork
-    jobs = [(sim_cfg, r) for r in range(sim_cfg.n_replications)]
-    workers = min(workers, len(jobs))
-    if workers > 1 and sim_cfg.trace_path is None:
-        reps = _run_split(jobs, workers)
-    else:
-        reps = [_run_one(job) for job in jobs]
+    if sim_cfg.trace_path is not None:
+        workers = 1 if workers is None else min(workers, 1)
+    reps = _fan_out(_run_one, [(sim_cfg, r) for r in range(sim_cfg.n_replications)],
+                    workers)
 
     return SimReport(
         config=sim_cfg,
@@ -849,6 +850,5 @@ def run(sim_cfg: SimConfig, workers: int | None = 1) -> SimReport:
         lost_interference=sum(sum(r.lost_interference) for r in reps),
         lost_gwtx=sum(sum(r.lost_gwtx) for r in reps),
         lost_nmd=sum(sum(r.lost_nmd) for r in reps),
-        dl_no_window=sum(r.dl_no_window for r in reps),
         dc_violations=sum(r.dc_violations for r in reps),
     )

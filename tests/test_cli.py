@@ -336,6 +336,9 @@ class TestCompare:
       "--path-loss-exponent", "-400"), "path_loss_exponent must be >= 0"),
     (("simulate", "--capture", "geometric", "--path-loss-exponent", "400"),
      "underflows the received power"),
+    (("simulate", "--capture", "geometric", "--path-loss-exponent", "90"),
+     "underflows the received power"),
+    (("optimize", "--lambdas", "1", "--workers", "0"), "workers must be >= 1"),
     (("simulate", "--cr-db", "inf"), "cr_db must be finite"),
     (("sweep", "--axis", "lambda_total", "--values", "0:1:x"), "cannot parse range"),
     (("sweep", "--axis", "lambda_total", "--values", "a:1:3"), "cannot parse range"),

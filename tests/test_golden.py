@@ -6,7 +6,7 @@ The files under ``tests/data/golden/`` and the script that regenerates them
 two one-row ``solve`` calls, plus a shortened README ``compare`` (CSV) and
 geometric-capture ``simulate`` (CSV and doc) at seed 1, two short runs at
 seed 3 on paths the README point never reaches (doc), and a small
-``optimize`` grid (CSV and doc).  The simulations run their replications on
+``optimize`` grid (CSV and doc).  The simulations and the optimizer run on
 every usable core by default; ``--workers 1`` must give the same bytes.
 """
 
@@ -35,6 +35,6 @@ def test_sweep_reproduces_golden_output(name, argv):
 
 @pytest.mark.parametrize("name, argv", sorted(
     (name, argv) for name, argv in make_golden.golden_outputs().items()
-    if name.startswith("sim_")))
+    if name.startswith(("sim_", "opt_"))))
 def test_simulation_in_one_process_reproduces_golden_output(name, argv):
     assert make_golden.render([*argv, "--workers", "1"]) == (GOLDEN / name).read_text()

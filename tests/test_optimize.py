@@ -141,9 +141,9 @@ class TestOptimize:
         a = optimize(tiny_problem())
         b = optimize(tiny_problem())
         assert a == b
-        # A process pool evaluates the same grid points to the same records.
-        pooled = optimize(tiny_problem(), workers=2)
-        assert pooled.records == a.records
+        # Split over processes, the same grid points give the same records.
+        for workers in (None, 2, 3, 16):
+            assert optimize(tiny_problem(), workers=workers) == a
 
     def test_degenerate_unconfirmed_cell(self):
         # With no confirmed traffic and vanishing load the unconfirmed part of

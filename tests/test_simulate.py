@@ -18,6 +18,7 @@ from scipy import stats
 
 import loracell
 from loracell import analytic, metrics
+from loracell import optimize as optimize_mod
 from loracell import simulate as simulate_mod
 from loracell.scenario import ScenarioConfig, SfDistribution, ValidationError
 from loracell.simulate import (
@@ -109,10 +110,12 @@ class TestDeterminism:
             assert run(cfg, workers=workers) == serial
 
 
-#: ``multiprocessing.active_children()`` counts seen by ``_counting_run_one``.
-#: Both are module-level so that the pool can pickle the patched function.
+#: ``multiprocessing.active_children()`` counts seen by ``_counting_run_one``
+#: and ``_counting_solve_grid_point``.  They are module-level so that the pool
+#: can pickle the patched function.
 _children_seen: list[int] = []
 _plain_run_one = simulate_mod._run_one
+_plain_solve_grid_point = optimize_mod._solve_grid_point
 
 
 def _counting_run_one(job):
@@ -120,8 +123,17 @@ def _counting_run_one(job):
     return _plain_run_one(job)
 
 
+def _counting_solve_grid_point(job):
+    _children_seen.append(len(multiprocessing.active_children()))
+    return _plain_solve_grid_point(job)
+
+
 class TestWorkers:
     CFG = sim(scenario_kw={"lambda_total": 2.0, "alpha": 0.5, "m": 2}, n_replications=3)
+    # Two grid points: the caller solves m=1 and a pool of one solves m=2.
+    PROBLEM = optimize_mod.OptimizationProblem(
+        base_cfg=ScenarioConfig(alpha=0.3), lambdas=(1.0,), m_grid=(1, 2), h_grid=(1,),
+        max_ascent_iters=2)
 
     def test_worker_count_is_capped_at_the_replications(self, monkeypatch):
         # The caller runs one replication and a pool of two the others.
@@ -131,10 +143,19 @@ class TestWorkers:
         assert _children_seen and max(_children_seen) <= 2
         assert multiprocessing.active_children() == []
 
+    def test_optimizer_worker_count_is_capped_at_the_grid(self, monkeypatch):
+        monkeypatch.setattr(optimize_mod, "_solve_grid_point", _counting_solve_grid_point)
+        _children_seen.clear()
+        optimize_mod.optimize(self.PROBLEM, workers=16)
+        assert _children_seen and max(_children_seen) <= 1
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("workers", [0, -2])
     def test_fewer_than_one_worker_rejected(self, workers):
         with pytest.raises(ValidationError, match="workers"):
             run(self.CFG, workers=workers)
+        with pytest.raises(ValidationError, match="workers"):
+            optimize_mod.optimize(self.PROBLEM, workers=workers)
 
     def test_warmup_that_does_not_fit_fails_before_any_fork(self, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -158,6 +179,22 @@ class TestWorkers:
         monkeypatch.setattr(_Replication, "run", failing_run)
         with pytest.raises(SimulationError, match=f"synthetic failure in {where}"):
             run(self.CFG, workers=2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("failing, where", [(2, "a worker's share"),
+                                                (1, "the caller's share")])
+    def test_error_crosses_back_and_no_child_outlives_optimize(self, monkeypatch, failing,
+                                                                where):
+        plain = optimize_mod._ascend
+
+        def failing_ascend(evaluate, x0, problem):
+            if evaluate.cfg.m == failing:
+                raise analytic.ModelError(f"synthetic failure in {where}")
+            return plain(evaluate, x0, problem)
+
+        monkeypatch.setattr(optimize_mod, "_ascend", failing_ascend)
+        with pytest.raises(analytic.ModelError, match=f"synthetic failure in {where}"):
+            optimize_mod.optimize(self.PROBLEM, workers=2)
         assert multiprocessing.active_children() == []
 
     def test_traced_run_stays_in_one_process(self, monkeypatch, tmp_path):
