@@ -138,19 +138,18 @@ def app_rates(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
             _vec(cfg.p_unconfirmed.p) * scale * (1.0 - cfg.alpha))
 
 
-def attempt_distributions(s_ul, s_dl, n: int) -> tuple[np.ndarray, np.ndarray]:
+def attempt_distributions(p, n: int) -> np.ndarray:
     """Probability of first success at exactly the j-th attempt, j = 1..n.
 
-    Returns two (..., 6, n) arrays: uplink-only success and uplink-plus-ACK
-    success.  Rows are geometric in the per-attempt success probability,
-    so row sums are 1 - (1 - p)**n.
+    ``p`` is the per-SF (..., 6) success probability of one attempt: ``s_ul``
+    for an uplink that only has to reach the gateway, ``s_ul * s_dl`` for
+    one that also needs its ACK.  Returns the (..., 6, n) rows, geometric
+    in ``p``, so row sums are 1 - (1 - p)**n.
     """
     if n < 1:
         raise ValueError(f"attempt count must be >= 1, got {n}")
-    j = _arange(n)
-    p_ul = _vec(s_ul)[..., None]
-    p_dl = p_ul * _vec(s_dl)[..., None]
-    return p_ul * (1.0 - p_ul) ** j, p_dl * (1.0 - p_dl) ** j
+    p = _vec(p)[..., None]
+    return p * (1.0 - p) ** _arange(n)
 
 
 def phy_rates(cfg: ScenarioConfig, p_dl, app=None) -> TrafficRates:
@@ -246,14 +245,20 @@ def demod_chain(cfg: ScenarioConfig, rates: TrafficRates) -> DemodChainState:
     return DemodChainState(e_lock, e_avail.T, p_lock.T, 1.0 - p_lock.prod(axis=0))
 
 
+#: Largest ACK rate whose mean wait 1/rate overflows to infinity.
+_OVERFLOW_RATE = 1.0 / np.finfo(float).max
+
+
 def _subband(r: np.ndarray, t_ack: np.ndarray, delta: float, p_t,
              c_channels: int) -> SubBandState:
     total = r.sum(axis=-1)
-    idle = total <= 0.0
+    # Idle: no ACK traffic, or too little for a finite ON sojourn 1/(c total).
+    # A NaN total is not idle, so the sweep's failure check still reports it.
+    idle = c_channels * total <= _OVERFLOW_RATE
     any_idle = _any(idle)
     if any_idle:
-        # No ACK traffic: the sub-band is never duty-cycle blocked.  A stand-in
-        # total of 1 gives b = 0, e_off = 0 and p_on = 1; e_on becomes infinite below.
+        # Never duty-cycle blocked: a stand-in total of 1 gives b = r ~ 0,
+        # e_off ~ 0 and p_on = 1; e_on becomes infinite below.
         total = total + idle
     b = r / _col(total)
     e_on = 1.0 / (c_channels * total)
@@ -387,8 +392,7 @@ def _sweep(cfg: ScenarioConfig, app, s_ul: np.ndarray,
     The arrays are ``(K, 6)``, or ``(6,)`` for one row without a row axis.
     Returns the new state and the failure message of each broken row.
     """
-    _, p_dl = attempt_distributions(s_ul, s_dl, cfg.m)
-    rates = phy_rates(cfg, p_dl, app)
+    rates = phy_rates(cfg, attempt_distributions(s_ul * s_dl, cfg.m), app)
     demod = demod_chain(cfg, rates)
     sb1, sb2 = subband_states(cfg, rates, s_ul)
     s_int = interference_survival(cfg.airtimes._t_data, rates.r_phy, cfg.w_gw)

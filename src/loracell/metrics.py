@@ -18,12 +18,14 @@ batched one.  Each row equals its one-row call bit for bit, which
 :func:`compute_report` relies on: a batched call gives one report per row,
 and :func:`report_many` batches a list of solved configs that way.
 
-Fairness is the one metric whose vector length differs by row: a row has
-only the (traffic type, SF) populations that have devices, so a batched
-call marks the absent ones NaN.  :func:`jain_index` computes the rows of
-each such category mask as one compact block, because numpy's pairwise
-sum changes its blocking at 8 elements: summing a 6-category row padded
-to 12 would not round like the 6-element sum of its one-row call.
+Fairness is reported only by :func:`compute_report`: Jain's index over the
+(traffic type, SF) populations, ``None`` when no population has any
+success.  It is the one metric whose vector length differs by row: a row
+has only the populations that have devices, so a batched call marks the
+absent ones NaN.  :func:`jain_index` computes the rows of each such
+category mask as one compact block, because numpy's pairwise sum changes
+its blocking at 8 elements: summing a 6-category row padded to 12 would
+not round like the 6-element sum of its one-row call.
 """
 
 from __future__ import annotations
@@ -94,11 +96,9 @@ def reliability(state: SteadyState, cfg: ScenarioConfig):
     """
     p_u = np.asarray(cfg.p_unconfirmed.p)
     p_c = np.asarray(cfg.p_confirmed.p)
-    p_ul_h, _ = attempt_distributions(state.s_ul, state.s_dl, cfg.h)
-    p_ul_m, p_dl_m = attempt_distributions(state.s_ul, state.s_dl, cfg.m)
-    uu_i = p_ul_h.sum(axis=-1)
-    cu_i = p_ul_m.sum(axis=-1)
-    cd_i = p_dl_m.sum(axis=-1)
+    uu_i = attempt_distributions(state.s_ul, cfg.h).sum(axis=-1)
+    cu_i = attempt_distributions(state.s_ul, cfg.m).sum(axis=-1)
+    cd_i = attempt_distributions(state.s_ul * state.s_dl, cfg.m).sum(axis=-1)
     return _weighted(p_u, uu_i), _weighted(p_c, cu_i), _weighted(p_c, cd_i), uu_i, cu_i, cd_i
 
 
@@ -133,7 +133,8 @@ def delays(state: SteadyState, cfg: ScenarioConfig):
     """
     unconfirmed = _undefined(state, np.asarray(cfg.alpha) <= 0.0,
                              "delays are undefined without confirmed traffic (alpha = 0)")
-    p_ul, p_dl = attempt_distributions(state.s_ul, state.s_dl, cfg.m)
+    p_ul = attempt_distributions(state.s_ul, cfg.m)
+    p_dl = attempt_distributions(state.s_ul * state.s_dl, cfg.m)
     undefined = unconfirmed | _undefined(
         state, ~(p_dl.sum(axis=-1) > 0.0).any(axis=-1),
         "downlink delay undefined: no confirmed packet can succeed")
@@ -200,31 +201,21 @@ def jain_index(x):
     return float(index) if index.ndim == 0 else index
 
 
-def fairness_categories(state: SteadyState, cfg: ScenarioConfig) -> np.ndarray:
+def _categories(cfg: ScenarioConfig, uu_i, cu_i) -> np.ndarray:
     """Per-category throughput proxies for the fairness index.
 
     Categories are the up-to-12 (traffic type, SF) populations: the
-    uplink success probability UU_i for unconfirmed devices and CU_i for
-    confirmed ones.  Structurally empty categories (no devices) are
-    excluded so they cannot depress the index; a batched state gives a
-    ``(K, 12)`` stack in which they are NaN, the form :func:`jain_index` reads.
+    uplink success probability ``uu_i`` (from :func:`reliability`) for
+    unconfirmed devices and ``cu_i`` for confirmed ones.  Structurally empty
+    categories (no devices) are excluded so they cannot depress the index;
+    a batched config gives a ``(K, 12)`` stack in which they are NaN, the
+    form :func:`jain_index` reads.
     """
-    _, _, _, uu_i, cu_i, _ = reliability(state, cfg)
-    return _categories(cfg, uu_i, cu_i)
-
-
-def _categories(cfg: ScenarioConfig, uu_i, cu_i) -> np.ndarray:
-    """:func:`fairness_categories` from the per-SF ratios of :func:`reliability`."""
     alpha = _col(cfg.alpha)
     present = np.concatenate(((1.0 - alpha) * np.asarray(cfg.p_unconfirmed.p) > 0.0,
                               alpha * np.asarray(cfg.p_confirmed.p) > 0.0), axis=-1)
     categories = np.concatenate((uu_i, cu_i), axis=-1)
     return categories[present] if categories.ndim == 1 else np.where(present, categories, np.nan)
-
-
-def fairness(state: SteadyState, cfg: ScenarioConfig):
-    """Jain index over the non-empty (traffic type, SF) categories."""
-    return jain_index(fairness_categories(state, cfg))
 
 
 def retx_distribution(state: SteadyState, cfg: ScenarioConfig) -> np.ndarray:
@@ -238,7 +229,7 @@ def retx_distribution(state: SteadyState, cfg: ScenarioConfig) -> np.ndarray:
     undefined = _undefined(state, np.asarray(cfg.alpha) <= 0.0,
                            "retransmission distribution undefined without confirmed traffic")
     p_c = np.asarray(cfg.p_confirmed.p)
-    _, p_dl = attempt_distributions(state.s_ul, state.s_dl, cfg.m)
+    p_dl = attempt_distributions(state.s_ul * state.s_dl, cfg.m)
     shares = (p_c[..., None, :] @ p_dl)[..., 0, :]
     fail = 1.0 - shares.sum(axis=-1)
     out = np.concatenate((shares, np.maximum(fail, 0.0)[..., None]), axis=-1)

@@ -69,12 +69,13 @@ class OptimizationProblem:
     perturbed_restarts: bool = False # also ascend from 3 deterministic perturbations
 
     def __post_init__(self):
-        if len(self.lambdas) == 0 or any(lam < 0 for lam in self.lambdas):
-            raise ValidationError("lambdas must be a non-empty sequence of non-negative rates")
-        if len(self.m_grid) == 0 or len(self.h_grid) == 0:
-            raise ValidationError("m_grid and h_grid must be non-empty")
-        if any(m < 1 for m in self.m_grid) or any(h < 1 for h in self.h_grid):
-            raise ValidationError("grid entries must be >= 1")
+        grids = {"lambda_total": self.lambdas, "m": self.m_grid, "h": self.h_grid}
+        if not all(map(len, grids.values())):
+            raise ValidationError("lambdas, m_grid and h_grid must be non-empty")
+        # The scenario's own checks on each grid value, before any grid point runs.
+        for name, values in grids.items():
+            for value in values:
+                replace(self.base_cfg, **{name: value})
         if self.max_ascent_iters < 0:
             raise ValidationError(f"max_ascent_iters must be >= 0, got {self.max_ascent_iters}")
         weights = self.objective_weights()
@@ -189,6 +190,7 @@ class _Evaluator:
         self.weights = weights
         self.evaluations = 0
         self.all_converged = True
+        self.error: analytic.ModelError | None = None   # the last solve that broke
         # The delivery ratios alone, with a row axis; the full report adds
         # delays, fairness and losses at several times the cost.
         self.reliability_only = weights.keys() <= {"uu", "cu", "cd"}
@@ -210,8 +212,9 @@ class _Evaluator:
             start = (start.s_ul, np.minimum(start.s_dl, 1.0))
         try:
             state = analytic.solve(cfg, start=start)
-        except analytic.ModelError:
+        except analytic.ModelError as error:
             self.all_converged = False
+            self.error = error
             return -np.inf, None
         if not state.converged:
             self.all_converged = False
@@ -328,24 +331,22 @@ def _solve_grid_point(args) -> GridRecord:
     cfg = replace(problem.base_cfg, lambda_total=lam, m=m, h=h)
     weights = problem.objective_weights()
     evaluator = _Evaluator(cfg, weights)
-    best_x = None
-    best_value = -np.inf
-    best_steps = 0
-    best_label = best_stop = ""
-    for label, x0 in _starting_points(problem.perturbed_restarts):
-        x, value, steps, stop = _ascend(evaluator, x0, problem)
-        if value > best_value:
-            best_x, best_value, best_steps, best_label, best_stop = x, value, steps, label, stop
+    runs = [(_ascend(evaluator, x0, problem), label)
+            for label, x0 in _starting_points(problem.perturbed_restarts)]
+    # max keeps the first of equal values: the earliest start wins a tie.
+    (x, value, steps, stop), label = max(runs, key=lambda run: run[0][1])
+    if value == -np.inf:   # the first solve of every start broke
+        raise evaluator.error
     return GridRecord(
         lam=lam, m=m, h=h,
-        p_unconfirmed=tuple(float(v) for v in best_x[:N_SF]),
-        p_confirmed=tuple(float(v) for v in best_x[N_SF:]),
-        value=float(best_value),
-        iterations=best_steps,
+        p_unconfirmed=tuple(float(v) for v in x[:N_SF]),
+        p_confirmed=tuple(float(v) for v in x[N_SF:]),
+        value=float(value),
+        iterations=steps,
         evaluations=evaluator.evaluations,
-        start=best_label,
+        start=label,
         solver_converged=evaluator.all_converged,
-        stop=best_stop,
+        stop=stop,
     )
 
 

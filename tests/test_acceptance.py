@@ -147,10 +147,10 @@ def test_criterion_5_fairness():
             cfg = ScenarioConfig(lambda_total=lam, alpha=0.3, m=8, h=8,
                                  tau1=1, tau2=1,
                                  p_unconfirmed=p_u, p_confirmed=p_c)
-            min_low = min(min_low, metrics.fairness(analytic.solve(cfg), cfg))
+            min_low = min(min_low, metrics.compute_report(analytic.solve(cfg), cfg).jain)
         cfg = ScenarioConfig(lambda_total=10.0, alpha=0.3, m=8, h=8,
                              tau1=1, tau2=1, p_unconfirmed=p_u, p_confirmed=p_c)
-        high[name] = metrics.fairness(analytic.solve(cfg), cfg)
+        high[name] = metrics.compute_report(analytic.solve(cfg), cfg).jain
     ok = min_low >= 0.99 and high["ex/ex"] >= high["eq/eq"]
     assert verdict("criterion-5 fairness", ok,
                    f"min J(lam<=1) = {min_low:.5f} (>= 0.99); "

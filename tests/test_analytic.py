@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dataclasses import fields, is_dataclass, replace
 
-from loracell import analytic
+from loracell import analytic, metrics
 from loracell.analytic import (
     ModelError,
     SubBandState,
@@ -341,14 +341,15 @@ class TestDlSuccess:
 
 class TestAttemptDistributions:
     def test_geometric_form(self):
-        p_ul, _ = attempt_distributions(np.full(6, 0.8), np.ones(6), 3)
+        p_ul = attempt_distributions(np.full(6, 0.8), 3)
         assert p_ul[0, 1] == pytest.approx(0.16, abs=1e-15)
 
     def test_sums_match_brute_force(self):
         s_ul = np.array([0.9, 0.5, 0.2, 0.7, 0.01, 1.0])
         s_dl = np.array([0.5, 0.5, 0.9, 1.0, 0.3, 0.0])
         for m in (1, 2, 5, 8):
-            p_ul, p_dl = attempt_distributions(s_ul, s_dl, m)
+            p_ul = attempt_distributions(s_ul, m)
+            p_dl = attempt_distributions(s_ul * s_dl, m)
             for i in range(6):
                 brute_ul = sum(s_ul[i] * (1 - s_ul[i]) ** j for j in range(m))
                 assert p_ul[i].sum() == pytest.approx(brute_ul, abs=1e-12)
@@ -358,7 +359,7 @@ class TestAttemptDistributions:
                 assert p_dl[i].sum() == pytest.approx(brute_dl, abs=1e-12)
 
     def test_certain_success_concentrates_on_first_attempt(self):
-        _, p_dl = attempt_distributions(np.ones(6), np.ones(6), 4)
+        p_dl = attempt_distributions(np.ones(6), 4)
         assert p_dl[:, 0] == pytest.approx(np.ones(6))
         assert np.all(p_dl[:, 1:] == 0.0)
 
@@ -367,7 +368,8 @@ class TestAttemptDistributions:
         for _ in range(100):
             s_ul = rng.uniform(0, 1, 6)
             s_dl = rng.uniform(0, 1, 6)
-            p_ul, p_dl = attempt_distributions(s_ul, s_dl, 8)
+            p_ul = attempt_distributions(s_ul, 8)
+            p_dl = attempt_distributions(s_ul * s_dl, 8)
             assert np.all(p_dl.sum(axis=1) <= p_ul.sum(axis=1) + 1e-12)
 
 
@@ -377,6 +379,14 @@ class TestSolve:
         assert state.converged and state.iterations <= 2
         assert state.s_ul == pytest.approx(np.ones(6))
         assert state.s_dl == pytest.approx(np.ones(6))
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0])
+    @pytest.mark.parametrize("lam", [1e-320, 1e-310, 1e-308])
+    def test_tiny_load_reports_as_zero_load(self, lam, alpha):
+        # 1/(c x ACK rate) overflows at these loads: the sub-bands count as idle.
+        tiny, idle = cfg(lambda_total=lam, alpha=alpha), cfg(lambda_total=0.0, alpha=alpha)
+        assert (metrics.compute_report(solve(tiny), tiny)
+                == metrics.compute_report(solve(idle), idle))
 
     def test_update_identities_hold_at_fixed_point(self):
         state = solve(cfg(lambda_total=1.0, alpha=1.0, m=8))
@@ -595,7 +605,8 @@ class TestSweepComposition:
        st.integers(min_value=1, max_value=12))
 @settings(max_examples=80)
 def test_attempt_rows_are_probability_masses(su, sd, m):
-    p_ul, p_dl = attempt_distributions(np.full(6, su), np.full(6, sd), m)
+    p_ul = attempt_distributions(np.full(6, su), m)
+    p_dl = attempt_distributions(np.full(6, su * sd), m)
     for p in (p_ul, p_dl):
         assert np.all(p >= 0.0)
         assert np.all(p.sum(axis=1) <= 1.0 + 1e-12)

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from loracell import analytic
+from loracell import optimize as optimize_mod
 from loracell.cli import (
     EXIT_IO,
     EXIT_NO_CONVERGENCE,
@@ -187,7 +188,9 @@ class TestSweep:
                                               ("delta_sb1", (0.0, 9.0, 99.0)),
                                               ("lambda_total", (1e-05, 0.001)),
                                               ("n_demodulators", (4, 8)),
-                                              ("tau1", (0, 1))])
+                                              ("tau1", (0, 1)),
+                                              # An ON sojourn that overflows: idle sub-bands.
+                                              ("lambda_total", (1e-320, 0.001))])
     def test_rows_equal_solve_rows(self, tmp_path, axis, values):
         common = ("--set", "lambda_total=2", "--set", "alpha=0.5", "--set", "h=2")
         out = tmp_path / "sweep.csv"
@@ -380,6 +383,15 @@ class TestOptimize:
     def test_empty_grid_rejected(self):
         assert run_cli("optimize", "--lambdas", "1", "--m-grid", "",
                        "--h-grid", "1") == EXIT_VALIDATION
+
+    def test_invalid_grid_value_rejected_before_any_grid_point(self, monkeypatch, capsys):
+        def unexpected(args):
+            raise AssertionError("a grid point ran")
+
+        monkeypatch.setattr(optimize_mod, "_solve_grid_point", unexpected)
+        assert run_cli("optimize", "--lambdas", "0.1:10:3:log", "--m-grid", "1,2,4,16",
+                       "--h-grid", "1", "--workers", "1") == EXIT_VALIDATION
+        assert "m must be <= 15, got 16" in capsys.readouterr().err
 
     def test_small_run_emits_records_and_best(self, tmp_path):
         out = tmp_path / "opt.json"

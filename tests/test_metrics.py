@@ -15,8 +15,6 @@ from loracell.metrics import (
     MetricsReport,
     compute_report,
     delays,
-    fairness,
-    fairness_categories,
     jain_index,
     loss_decomposition,
     reliability,
@@ -138,7 +136,8 @@ class TestDelays:
         t_ack1 = np.array(cfg.airtimes.t_ack1)
         t_ack2 = np.array(cfg.airtimes.t_ack2)
         phi = state.s_sb1 * (1 + t_ack1) + state.s_sb2 * (2 + t_ack2)
-        p_ul, p_dl = analytic.attempt_distributions(state.s_ul, state.s_dl, cfg.m)
+        p_ul = analytic.attempt_distributions(state.s_ul, cfg.m)
+        p_dl = analytic.attempt_distributions(state.s_ul * state.s_dl, cfg.m)
         want_ul = want_dl = 0.0
         for i in range(6):
             for j in range(cfg.m):
@@ -156,7 +155,8 @@ class TestDelays:
             gamma = (cfg.delta_sb1 + 1.0) * t_data + cfg.mu_retx
             phi = (state.s_sb1 * (1.0 + np.asarray(cfg.airtimes.t_ack1))
                    + state.s_sb2 * (2.0 + np.asarray(cfg.airtimes.t_ack2)))
-            p_ul, p_dl = analytic.attempt_distributions(state.s_ul, state.s_dl, cfg.m)
+            p_ul = analytic.attempt_distributions(state.s_ul, cfg.m)
+            p_dl = analytic.attempt_distributions(state.s_ul * state.s_dl, cfg.m)
             j0 = np.arange(cfg.m, dtype=float)
             delta_ul = delta_dl = 0.0
             for i in range(6):
@@ -208,17 +208,19 @@ class TestFairness:
 
     def test_equal_proxies_give_unit_index(self):
         state, cfg = solved(lambda_total=0.0, alpha=0.5)
-        assert fairness(state, cfg) == pytest.approx(1.0)
+        assert compute_report(state, cfg).jain == pytest.approx(1.0)
 
     def test_empty_categories_excluded(self):
         state, cfg = solved(lambda_total=0.5, alpha=1.0, p_confirmed=SF7_ONLY)
-        x = fairness_categories(state, cfg)
+        report = compute_report(state, cfg)
+        x = metrics._categories(cfg, report.uu_per_sf, report.cu_per_sf)
         assert len(x) == 1  # only the confirmed SF7 population exists
-        assert fairness(state, cfg) == pytest.approx(1.0)
+        assert report.jain == pytest.approx(1.0)
 
     def test_unconfirmed_only_uses_six_categories(self):
         state, cfg = solved(lambda_total=0.5, alpha=0.0)
-        assert len(fairness_categories(state, cfg)) == 6
+        report = compute_report(state, cfg)
+        assert len(metrics._categories(cfg, report.uu_per_sf, report.cu_per_sf)) == 6
 
 
 class TestRetxDistribution:
@@ -334,8 +336,9 @@ class TestReport:
 
     def test_jain_undefined_only_when_no_population_succeeds(self, monkeypatch):
         state, cfg = solved(lambda_total=1e5, alpha=1.0)
-        assert not fairness_categories(state, cfg).any()
-        assert compute_report(state, cfg).jain is None
+        report = compute_report(state, cfg)
+        assert not metrics._categories(cfg, report.uu_per_sf, report.cu_per_sf).any()
+        assert report.jain is None
         # Any other fairness error still surfaces.
         monkeypatch.setattr("loracell.metrics._categories",
                             lambda cfg, uu_i, cu_i: np.array([-0.1, 0.5]))

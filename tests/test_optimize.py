@@ -196,9 +196,21 @@ class TestOptimize:
     def test_invalid_problem_is_validation_error(self):
         for kw in (dict(lambdas=()), dict(lambdas=(-1.0,)), dict(h_grid=(0,)),
                    dict(max_ascent_iters=-1), dict(objective="maximize_vibes"),
-                   dict(objective={"throughput": 1.0}), dict(objective={"uu": np.inf})):
+                   dict(objective={"throughput": 1.0}), dict(objective={"uu": np.inf}),
+                   # Grid values the scenario rejects, caught before any grid point runs.
+                   dict(m_grid=(16,)), dict(h_grid=(1, 16)), dict(lambdas=(np.inf,)),
+                   dict(lambdas=(0.5, np.nan))):
             with pytest.raises(ValidationError):
                 tiny_problem(**kw)
+
+    def test_every_start_breaking_raises_the_model_error(self, monkeypatch):
+        def broken(cfg, **kw):
+            raise analytic.ModelError("non-finite value in s_tx")
+
+        monkeypatch.setattr(analytic, "solve", broken)
+        problem = tiny_problem(m_grid=(8,), h_grid=(8,), perturbed_restarts=True)
+        with pytest.raises(analytic.ModelError, match="s_tx"):
+            optimize(problem)
 
     def test_perturbed_restarts_can_win(self):
         # At an overloaded point a tilted start wins (tilt-sf12: 0.814 against 0.746).
