@@ -454,7 +454,12 @@ def iterate(cfg: ScenarioConfig, s_ul, s_dl) -> SteadyState:
     return state
 
 
-def solve(cfg: ScenarioConfig, tol: float = 1e-10, max_iter: int = 1000,
+#: The solver's default stopping rule, also the CLI's ``--tol`` and ``--max-iter``.
+_TOL = 1e-10
+_MAX_ITER = 1000
+
+
+def solve(cfg: ScenarioConfig, tol: float = _TOL, max_iter: int = _MAX_ITER,
           start=None) -> SteadyState:
     """Solve the fixed point by iteration from the all-ones starting point.
 
@@ -531,7 +536,7 @@ def _batch(cfgs, shared=_SHARED, names=None) -> SimpleNamespace:
     return SimpleNamespace(**fields)
 
 
-def solve_many(cfgs, tol: float = 1e-10, max_iter: int = 1000,
+def solve_many(cfgs, tol: float = _TOL, max_iter: int = _MAX_ITER,
                start=None) -> list[SteadyState | ModelError]:
     """Solve every config as :func:`solve` would; one result per config, in order.
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -186,20 +187,9 @@ def cmd_sweep(args) -> int:
 # -- simulate ------------------------------------------------------------------
 
 def _sim_config(args, cfg: ScenarioConfig) -> simulate.SimConfig:
-    return simulate.SimConfig(
-        scenario=cfg,
-        n_devices=args.devices,
-        arrival_model=args.arrivals,
-        capture_model=args.capture,
-        radius_m=args.radius,
-        path_loss_exponent=args.path_loss_exponent,
-        cr_db=args.cr_db,
-        sim_duration=args.duration,
-        warmup=args.warmup,
-        seed=args.seed,
-        n_replications=args.replications,
-        trace_path=args.trace,
-    )
+    # Every field after the scenario is the dest of one simulator flag.
+    return simulate.SimConfig(cfg, **{f.name: getattr(args, f.name)
+                                      for f in fields(simulate.SimConfig)[1:]})
 
 
 def _sim_settings(sim_cfg: simulate.SimConfig) -> dict:
@@ -242,7 +232,10 @@ def cmd_simulate(args) -> int:
 
 # -- optimize ------------------------------------------------------------------
 
-def _parse_int_grid(spec: str) -> tuple[int, ...]:
+def _parse_int_grid(spec: str | tuple[int, ...]) -> tuple[int, ...]:
+    """A comma list of ints; the ``OptimizationProblem`` default, a tuple, passes as is."""
+    if isinstance(spec, tuple):
+        return spec
     try:
         values = tuple(int(v) for v in spec.split(",") if v.strip() != "")
     except ValueError as exc:
@@ -254,16 +247,11 @@ def _parse_int_grid(spec: str) -> tuple[int, ...]:
 
 def cmd_optimize(args) -> int:
     cfg = _resolve_config(args)
-    lambdas = tuple(_parse_values(args.lambdas))
     problem = OptimizationProblem(
-        base_cfg=cfg,
-        lambdas=lambdas,
-        m_grid=_parse_int_grid(args.m_grid),
-        h_grid=_parse_int_grid(args.h_grid),
-        objective=args.objective,
-        max_ascent_iters=args.max_ascent_iters,
-        perturbed_restarts=args.perturbed_restarts,
-    )
+        base_cfg=cfg, lambdas=tuple(_parse_values(args.lambdas)),
+        m_grid=_parse_int_grid(args.m_grid), h_grid=_parse_int_grid(args.h_grid),
+        objective=args.objective, max_ascent_iters=args.max_ascent_iters,
+        perturbed_restarts=args.perturbed_restarts)
     result = run_optimize(problem, workers=args.workers)
 
     records = [{
@@ -273,9 +261,9 @@ def cmd_optimize(args) -> int:
         "start": r.start, "solver_converged": r.solver_converged, "stop": r.stop,
     } for r in result.records]
     doc = {"command": "optimize", "config": cfg.to_dict(),
-           "objective": args.objective,
+           "objective": problem.objective,
            "m_grid": list(problem.m_grid), "h_grid": list(problem.h_grid),
-           "lambdas": list(lambdas),
+           "lambdas": list(problem.lambdas),
            "best": {"value": result.best_value, "config": result.best_cfg.to_dict()},
            "records": records}
     keys = ["lambda", "m", "h", "value", "iterations", "evaluations", "start", "solver_converged"]
@@ -283,7 +271,7 @@ def cmd_optimize(args) -> int:
                + [f"p_c_sf{s}" for s in range(7, 13)])
     rows = [[rec[k] for k in keys] + rec["p_unconfirmed"] + rec["p_confirmed"]
             for rec in records]
-    _emit(args, doc, _config_header(cfg, "optimize", {"objective": args.objective}),
+    _emit(args, doc, _config_header(cfg, "optimize", {"objective": problem.objective}),
           columns, rows)
     return EXIT_OK
 
@@ -331,24 +319,31 @@ def _add_common(sub):
     sub.add_argument("--format", choices=("csv", "doc"))
 
 
+def _field_defaults(cls) -> dict:
+    """The declared default of every field of dataclass ``cls`` that has one, for
+    ``set_defaults`` of the flags whose dests are those fields."""
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+
+
 def _add_solver(sub):
-    sub.add_argument("--tol", type=float, default=1e-10)
-    sub.add_argument("--max-iter", type=int, default=1000)
+    sub.add_argument("--tol", type=float, default=analytic._TOL)
+    sub.add_argument("--max-iter", type=int, default=analytic._MAX_ITER)
 
 
 def _add_sim(sub):
-    sub.add_argument("--devices", type=int, default=1200)
-    sub.add_argument("--arrivals", choices=("poisson", "periodic"), default="poisson")
-    sub.add_argument("--capture", choices=("probabilistic", "geometric"),
-                     default="probabilistic")
-    sub.add_argument("--radius", type=float, default=2500.0)
-    sub.add_argument("--path-loss-exponent", type=float, default=3.76)
-    sub.add_argument("--cr-db", type=float, default=6.0)
-    sub.add_argument("--duration", type=float, default=3600.0)
-    sub.add_argument("--warmup", type=float, default=None)
-    sub.add_argument("--seed", type=int, default=1)
-    sub.add_argument("--replications", type=int, default=10)
-    sub.add_argument("--trace", default=None, help="append per-event trace lines to this file")
+    sub.add_argument("--devices", dest="n_devices", metavar="DEVICES", type=int)
+    sub.add_argument("--arrivals", dest="arrival_model", choices=simulate._ARRIVAL_MODELS)
+    sub.add_argument("--capture", dest="capture_model", choices=simulate._CAPTURE_MODELS)
+    sub.add_argument("--radius", dest="radius_m", metavar="RADIUS", type=float)
+    sub.add_argument("--path-loss-exponent", type=float)
+    sub.add_argument("--cr-db", type=float)
+    sub.add_argument("--duration", dest="sim_duration", metavar="DURATION", type=float)
+    sub.add_argument("--warmup", type=float)
+    sub.add_argument("--seed", type=int)
+    sub.add_argument("--replications", dest="n_replications", metavar="REPLICATIONS", type=int)
+    sub.add_argument("--trace", dest="trace_path", metavar="TRACE",
+                     help="append per-event trace lines to this file")
+    sub.set_defaults(**_field_defaults(simulate.SimConfig))
     _add_workers(sub)
 
 
@@ -392,14 +387,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--lambdas", required=True,
                    help="traffic loads: comma list or start:stop:count[:log|lin]")
-    p.add_argument("--m-grid", default="1,2,3,4,5,6,7,8")
-    p.add_argument("--h-grid", default="1,2,3,4,5,6,7,8")
-    p.add_argument("--objective", default="uu_plus_cd",
-                   choices=sorted(OBJECTIVES))
-    p.add_argument("--max-ascent-iters", type=int, default=60)
+    p.add_argument("--m-grid")
+    p.add_argument("--h-grid")
+    p.add_argument("--objective", choices=sorted(OBJECTIVES))
+    p.add_argument("--max-ascent-iters", type=int)
     p.add_argument("--perturbed-restarts", action="store_true")
     _add_workers(p)
-    p.set_defaults(func=cmd_optimize, format="doc")
+    p.set_defaults(func=cmd_optimize, format="doc", **_field_defaults(OptimizationProblem))
 
     p = subs.add_parser("compare", help="solve and simulate, join the metrics")
     _add_common(p); _add_solver(p); _add_sim(p)

@@ -282,7 +282,7 @@ def _jain(categories: np.ndarray):
     """Jain index of each row's categories: undefined, not an error, when no
     population has any success (None for one row, NaN in a batch)."""
     if categories.ndim == 1:
-        return jain_index(categories) if categories.any() or not categories.size else None
+        return jain_index(categories) if categories.any() else None
     live = np.nan_to_num(categories).any(axis=-1)   # an absent category's NaN reads 0
     jain = np.full(len(categories), np.nan)
     if live.any():

@@ -194,11 +194,14 @@ class ScenarioConfig:
         self._set_float("delta_sb2", minimum=0.0)
         self._set_int("tau1", minimum=0, maximum=1)
         self._set_int("tau2", minimum=0, maximum=1)
-        self._set_int("c_channels", minimum=1)
+        # At most 1,000 channels and demodulators, ten times the 96 uplink channels of LoRaWAN's
+        # largest regional plan (CN470-510).  Solve time grows with the demodulators and
+        # simulator memory with the channels.
+        self._set_int("c_channels", minimum=1, maximum=1000)
         self._set_float("mu_retx", minimum=0.0)
         self._set_float("w_gw", minimum=0.0, maximum=1.0)
         self._set_float("w_ed", minimum=0.0, maximum=1.0)
-        self._set_int("n_demodulators", minimum=1)
+        self._set_int("n_demodulators", minimum=1, maximum=1000)
         for name in ("p_unconfirmed", "p_confirmed"):
             if not isinstance(getattr(self, name), SfDistribution):
                 raise ValidationError(f"{name} must be an SfDistribution")

@@ -68,7 +68,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .metrics import METRICS, MetricsError, jain_index
+from .metrics import METRICS, _jain
 from .scenario import N_SF, ScenarioConfig, ValidationError
 
 # Uplink PHY outcomes, also the row of each outcome's per-SF counter.
@@ -83,6 +83,8 @@ _ARRIVAL_MODELS = ("poisson", "periodic")
 _CAPTURE_MODELS = ("probabilistic", "geometric")
 
 _BLOCK = 1024  # draws per refill of a random stream
+
+_MAX_EVENTS = 50_000_000  # heap events one replication may handle
 
 
 class SimulationError(RuntimeError):
@@ -105,15 +107,12 @@ class SimConfig:
     seed: int = 1
     n_replications: int = 10
     trace_path: str | None = None       # per-event line trace, disabled by default
-    max_events: int = 50_000_000
 
     def __post_init__(self):
         if self.n_devices < 1:
             raise ValidationError(f"n_devices must be >= 1, got {self.n_devices}")
         if self.n_replications < 1:
             raise ValidationError(f"n_replications must be >= 1, got {self.n_replications}")
-        if self.max_events < 1:
-            raise ValidationError(f"max_events must be >= 1, got {self.max_events}")
         if self.arrival_model not in _ARRIVAL_MODELS:
             raise ValidationError(f"arrival_model must be one of {_ARRIVAL_MODELS}")
         if self.capture_model not in _CAPTURE_MODELS:
@@ -202,7 +201,6 @@ class MetricSummary:
 
     mean: float | None
     halfwidth: float | None
-    values: tuple[float | None, ...]
 
 
 @dataclass(frozen=True)
@@ -342,19 +340,22 @@ def _periodic_arrivals(devices, phases, period):
             yield phase + offset, dev
 
 
+def _mean(values) -> float | None:
+    """Mean of the values that are not None; None when there are none."""
+    defined = [v for v in values if v is not None]
+    return float(np.mean(defined)) if defined else None
+
+
 def _summary(values) -> MetricSummary:
     defined = [v for v in values if v is not None]
-    if not defined:
-        return MetricSummary(None, None, tuple(values))
-    mean = float(np.mean(defined))
+    mean = _mean(defined)
     if len(defined) < 2:
-        return MetricSummary(mean, None, tuple(values))
+        return MetricSummary(mean, None)
     from scipy.special import stdtrit  # imported here: scipy is slow to load
 
     n = len(defined)
     sd = float(np.std(defined, ddof=1))
-    half = float(stdtrit(n - 1, 0.975) * sd / math.sqrt(n))
-    return MetricSummary(mean, half, tuple(values))
+    return MetricSummary(mean, float(stdtrit(n - 1, 0.975) * sd / math.sqrt(n)))
 
 
 def _ratio(num, den) -> float | None:
@@ -714,7 +715,7 @@ class _Replication:
         if self.cfg.trace_path is not None:
             self.trace = open(self.cfg.trace_path, "a")
         heap = self.heap
-        budget = self.cfg.max_events
+        budget = _MAX_EVENTS
         events = 0
         try:
             if self.next_arrival is not None:
@@ -743,6 +744,10 @@ class _Replication:
         off_c = sum(self.offered_app_c)
         off_phy = sum(self.offered_phy)
         offered_rate = (off_u + off_c) / (self.duration - self.warmup)
+        # Jain's index over the delivery ratios of the populations that offered traffic.
+        shares = [delivered / offered for delivered, offered
+                  in zip(self.delivered_app_u + self.delivered_app_c,
+                         self.offered_app_u + self.offered_app_c) if offered > 0]
         return ReplicationResult(
             seed=self.seed_label,
             offered_app_u=tuple(self.offered_app_u),
@@ -764,7 +769,7 @@ class _Replication:
             cd=_ratio(sum(self.acked_app_c), off_c),
             delta_ul=_ratio(self.ul_delay_sum, self.ul_delay_n),
             delta_dl=_ratio(self.dl_delay_sum, self.dl_delay_n),
-            jain=self._jain(),
+            jain=_jain(np.array(shares)),
             f_nmd=_ratio(sum(lost_nmd), off_phy),
             f_gwtx=_ratio(sum(lost_gwtx), off_phy),
             f_int=_ratio(sum(lost_int), off_phy),
@@ -773,16 +778,6 @@ class _Replication:
             offered_rate_ratio=_ratio(offered_rate, self.sc.lambda_total),
             events=self.events,
         )
-
-    def _jain(self) -> float | None:
-        shares = [self.delivered_app_u[i] / self.offered_app_u[i]
-                  for i in range(N_SF) if self.offered_app_u[i] > 0]
-        shares += [self.delivered_app_c[i] / self.offered_app_c[i]
-                   for i in range(N_SF) if self.offered_app_c[i] > 0]
-        try:
-            return jain_index(shares)
-        except MetricsError:  # no traffic, or none of it delivered
-            return None
 
 
 def _run_one(args) -> ReplicationResult:
@@ -841,9 +836,8 @@ def run(sim_cfg: SimConfig, workers: int | None = 1) -> SimReport:
         config=sim_cfg,
         replications=tuple(reps),
         **{name: _summary([getattr(rep, name) for rep in reps]) for name in METRICS},
-        busy_at_arrival=tuple(_summary(column).mean
-                              for column in zip(*(rep.busy_at_arrival for rep in reps))),
-        offered_rate_ratio=_summary([rep.offered_rate_ratio for rep in reps]).mean,
+        busy_at_arrival=tuple(map(_mean, zip(*(rep.busy_at_arrival for rep in reps)))),
+        offered_rate_ratio=_mean([rep.offered_rate_ratio for rep in reps]),
         offered_app=sum(sum(r.offered_app_u) + sum(r.offered_app_c) for r in reps),
         offered_phy=sum(sum(r.offered_phy) for r in reps),
         delivered_phy=sum(sum(r.delivered_phy) for r in reps),

@@ -7,10 +7,12 @@ of two one-row ``solve`` calls (``solve_*``), plus the CSV of a shortened
 README validation ``compare``, the CSV and ``--format doc`` output of a
 shortened geometric-capture ``simulate`` and the ``--format doc`` output of
 two short runs off the README point (``sim_*``), and the CSV and
-``--format doc`` output of a small ``optimize`` grid (``opt_*``).
-``tests/test_golden.py`` asserts that the CLI reproduces every file byte
-for byte, so regenerate them only for a change that is meant to alter
-solver, metric or simulator numbers, and say so:
+``--format doc`` output of a small ``optimize`` grid (``opt_*``), and the
+``--help`` text of the program and of each command at 80 columns
+(``help*.txt``).  ``tests/test_golden.py`` asserts that the CLI reproduces
+every file byte for byte, so regenerate them only for a change that is
+meant to alter solver, metric or simulator numbers or the ``--help`` text,
+and say so:
 
     PYTHONPATH=src python tests/data/golden/make_golden.py
 """
@@ -19,8 +21,10 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 from loracell import cli
 
@@ -88,6 +92,17 @@ OPTIMIZATIONS: dict[str, list[str]] = {
 }
 
 
+#: ``--help`` texts, by output file name: the program's and each command's.
+HELPS: dict[str, list[str]] = {
+    "help.txt": ["--help"],
+    **{f"help_{command}.txt": [command, "--help"]
+       for command in ("solve", "sweep", "simulate", "optimize", "compare")},
+}
+
+#: Terminal width of the ``--help`` goldens; argparse wraps to ``$COLUMNS``.
+HELP_COLUMNS = "80"
+
+
 def golden_outputs() -> dict[str, list[str]]:
     """CLI arguments of each golden file, by file name."""
     files = {f"{name}.csv": argv for name, argv in SWEEPS.items()}
@@ -114,9 +129,24 @@ def render(argv: list[str]) -> str:
     return out.getvalue()
 
 
+def render_help(argv: list[str]) -> str:
+    """Standard output of ``loracell <argv>``, a ``--help`` call, at ``HELP_COLUMNS``."""
+    out = io.StringIO()
+    try:
+        with mock.patch.dict(os.environ, {"COLUMNS": HELP_COLUMNS}), \
+                contextlib.redirect_stdout(out):
+            cli.main(argv)
+    except SystemExit as exc:
+        if exc.code == 0:
+            return out.getvalue()
+    raise RuntimeError(f"loracell {' '.join(argv)} printed no help")
+
+
 def main() -> int:
     for name, argv in golden_outputs().items():
         (HERE / name).write_text(render(argv))
+    for name, argv in HELPS.items():
+        (HERE / name).write_text(render_help(argv))
     return 0
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import json
 
+import numpy as np
 import pytest
 
 from loracell import analytic
@@ -90,6 +91,18 @@ class TestSolve:
     def test_retransmission_limits_capped_at_fifteen(self, override, message, capsys):
         assert run_cli("solve", "--set", override) == EXIT_VALIDATION
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [("solve",),
+                                      ("sweep", "--axis", "lambda_total", "--values", "0.5,1")],
+                             ids=lambda argv: argv[0])
+    def test_broken_sweep_maps_to_exit_4(self, argv, monkeypatch, capsys):
+        # An ACK survival above 1 breaks the downlink success at the default alpha = 0.
+        survival = analytic.ack_interference_survival
+        monkeypatch.setattr(analytic, "ack_interference_survival",
+                            lambda cfg, rates: np.full_like(survival(cfg, rates), 1.5))
+        assert run_cli(*argv) == EXIT_NO_CONVERGENCE
+        assert capsys.readouterr().err == ("solver error: downlink success probability "
+                                           "exceeded 1 (max 1.5); broken iterate\n")
 
     def test_non_convergence_exit_code(self, tmp_path):
         out = tmp_path / "solve.json"
@@ -408,7 +421,8 @@ class TestOptimize:
 
 
 class TestDefaults:
-    """The CLI restates the library's defaults; these catch the two drifting apart."""
+    """The CLI takes its defaults from the library; these check that each flag's
+    dest is the parameter or field that owns the default."""
 
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_simulator_defaults_equal_sim_config(self, command):

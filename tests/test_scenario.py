@@ -184,6 +184,13 @@ class TestLoadScenario:
         with pytest.raises(ValidationError, match="m must be an integer"):
             load_scenario("m: 2.5")
 
+    @pytest.mark.parametrize("name", ["c_channels", "n_demodulators"])
+    def test_channel_and_demodulator_counts_capped_at_1000(self, name):
+        # A billion of either would make a solve run for hours or a replication exhaust memory.
+        with pytest.raises(ValidationError, match=f"{name} must be <= 1000, got 1000000000"):
+            ScenarioConfig(**{name: 10**9})
+        assert getattr(ScenarioConfig(**{name: 1000}), name) == 1000
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("doc", [

@@ -48,11 +48,6 @@ class TestConfig:
         with pytest.raises(ValidationError, match="n_replications"):
             sim(n_replications=0)
 
-    @pytest.mark.parametrize("max_events", [0, -1])
-    def test_event_budget_below_one_rejected(self, max_events):
-        with pytest.raises(ValidationError, match="max_events must be >= 1"):
-            sim(max_events=max_events)
-
     def test_warmup_must_fit_in_duration(self):
         with pytest.raises(ValidationError, match="warmup"):
             sim(sim_duration=100.0, warmup=100.0)
@@ -428,19 +423,32 @@ class TestPeakInterference:
 
 
 class TestEventBudget:
-    def test_exceeding_max_events_raises(self):
+    def test_exceeding_max_events_raises(self, monkeypatch):
+        monkeypatch.setattr(simulate_mod, "_MAX_EVENTS", 1000)
         with pytest.raises(SimulationError, match="event budget exceeded"):
-            run(sim(scenario_kw={"lambda_total": 5.0}, max_events=1000))
+            run(sim(scenario_kw={"lambda_total": 5.0}))
 
-    def test_budget_of_exactly_the_events_handled_suffices(self):
+    def test_budget_of_exactly_the_events_handled_suffices(self, monkeypatch):
         cfg = sim(scenario_kw={"lambda_total": 1.0, "alpha": 0.5}, n_devices=20,
                   sim_duration=100.0, warmup=10.0, n_replications=1)
         report = run(cfg)
         events = report.replications[0].events
-        assert run(dataclasses.replace(cfg, max_events=events)) == \
-            dataclasses.replace(report, config=dataclasses.replace(cfg, max_events=events))
+        monkeypatch.setattr(simulate_mod, "_MAX_EVENTS", events)
+        assert run(cfg) == report
+        monkeypatch.setattr(simulate_mod, "_MAX_EVENTS", events - 1)
         with pytest.raises(SimulationError, match=f"event budget exceeded \\({events - 1} events"):
-            run(dataclasses.replace(cfg, max_events=events - 1))
+            run(cfg)
+
+
+class TestHalfDuplexInvariant:
+    def test_gateway_transmitting_while_receiving_raises(self, monkeypatch):
+        # With tau = 0 a window opens only when no reception is ongoing; a
+        # gateway that ignores that keys its radio over a reception.
+        monkeypatch.setattr(_Replication, "gw_blocked", lambda self, now, free_at, tau: False)
+        cfg = sim(scenario_kw={"lambda_total": 2.0, "alpha": 1.0, "tau1": 0, "tau2": 0},
+                  n_devices=100, sim_duration=300.0, n_replications=1)
+        with pytest.raises(SimulationError, match="gateway would transmit while receiving"):
+            run(cfg)
 
 
 class TestTrace:
