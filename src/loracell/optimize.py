@@ -36,7 +36,7 @@ from typing import Mapping
 import numpy as np
 
 from . import analytic, metrics
-from .scenario import N_SF, ScenarioConfig, SfDistribution, ValidationError
+from .scenario import N_SF, ScenarioConfig, SfDistribution, ValidationError, _set_number
 from .simulate import _fan_out
 
 #: Named objectives: weights applied to MetricsReport fields.
@@ -76,8 +76,7 @@ class OptimizationProblem:
         for name, values in grids.items():
             for value in values:
                 replace(self.base_cfg, **{name: value})
-        if self.max_ascent_iters < 0:
-            raise ValidationError(f"max_ascent_iters must be >= 0, got {self.max_ascent_iters}")
+        _set_number(self, "max_ascent_iters", int, minimum=0)
         weights = self.objective_weights()
         if any(not np.isfinite(w) for w in weights.values()):
             raise ValidationError("objective weights must be finite")

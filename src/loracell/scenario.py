@@ -59,6 +59,32 @@ def _as_float_tuple(name: str, values) -> tuple[float, ...]:
     return vals
 
 
+def _set_number(obj, name: str, kind: type, minimum=None, maximum=None):
+    """Coerce the setting ``name`` of the frozen ``obj`` with ``kind``, check it, store it.
+
+    A ``float`` setting takes what ``float`` parses, strings included (YAML 1.1
+    reads ``1e-3`` as a string), and must be finite.  An ``int`` setting takes a
+    number equal to an integer, such as 8 or 8.0, and no bool or string.  Both
+    must lie in [minimum, maximum] where those are given.
+    """
+    raw = getattr(obj, name)
+    try:
+        value = kind(raw)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if kind is int and (value is None or value != raw or isinstance(raw, bool)):
+        raise ValidationError(f"{name} must be an integer, got {raw!r}")
+    if value is None:
+        raise ValidationError(f"{name} must be a number, got {raw!r}")
+    if kind is float and not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValidationError(f"{name} must be <= {maximum}, got {value}")
+    object.__setattr__(obj, name, value)
+
+
 @dataclass(frozen=True)
 class AirtimeTable:
     """Per-SF airtimes [s] of data packets and of ACKs in the two receive windows.
@@ -185,56 +211,28 @@ class ScenarioConfig:
     n_demodulators: int = 8
 
     def __post_init__(self):
-        self._set_float("lambda_total", minimum=0.0)
-        self._set_float("alpha", minimum=0.0, maximum=1.0)
+        _set_number(self, "lambda_total", float, minimum=0.0)
+        _set_number(self, "alpha", float, minimum=0.0, maximum=1.0)
         # LoRaWAN's 4-bit NbTrans field (LinkADRReq) caps both at 15.
-        self._set_int("h", minimum=1, maximum=15)
-        self._set_int("m", minimum=1, maximum=15)
-        self._set_float("delta_sb1", minimum=0.0)
-        self._set_float("delta_sb2", minimum=0.0)
-        self._set_int("tau1", minimum=0, maximum=1)
-        self._set_int("tau2", minimum=0, maximum=1)
+        _set_number(self, "h", int, minimum=1, maximum=15)
+        _set_number(self, "m", int, minimum=1, maximum=15)
+        _set_number(self, "delta_sb1", float, minimum=0.0)
+        _set_number(self, "delta_sb2", float, minimum=0.0)
+        _set_number(self, "tau1", int, minimum=0, maximum=1)
+        _set_number(self, "tau2", int, minimum=0, maximum=1)
         # At most 1,000 channels and demodulators, ten times the 96 uplink channels of LoRaWAN's
         # largest regional plan (CN470-510).  Solve time grows with the demodulators and
         # simulator memory with the channels.
-        self._set_int("c_channels", minimum=1, maximum=1000)
-        self._set_float("mu_retx", minimum=0.0)
-        self._set_float("w_gw", minimum=0.0, maximum=1.0)
-        self._set_float("w_ed", minimum=0.0, maximum=1.0)
-        self._set_int("n_demodulators", minimum=1, maximum=1000)
+        _set_number(self, "c_channels", int, minimum=1, maximum=1000)
+        _set_number(self, "mu_retx", float, minimum=0.0)
+        _set_number(self, "w_gw", float, minimum=0.0, maximum=1.0)
+        _set_number(self, "w_ed", float, minimum=0.0, maximum=1.0)
+        _set_number(self, "n_demodulators", int, minimum=1, maximum=1000)
         for name in ("p_unconfirmed", "p_confirmed"):
             if not isinstance(getattr(self, name), SfDistribution):
                 raise ValidationError(f"{name} must be an SfDistribution")
         if not isinstance(self.airtimes, AirtimeTable):
             raise ValidationError("airtimes must be an AirtimeTable")
-
-    def _set_float(self, name: str, minimum: float | None = None, maximum: float | None = None):
-        raw = getattr(self, name)
-        try:
-            value = float(raw)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{name} must be a number, got {raw!r}") from exc
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value!r}")
-        if minimum is not None and value < minimum:
-            raise ValidationError(f"{name} must be >= {minimum}, got {value}")
-        if maximum is not None and value > maximum:
-            raise ValidationError(f"{name} must be <= {maximum}, got {value}")
-        object.__setattr__(self, name, value)
-
-    def _set_int(self, name: str, minimum: int, maximum: int | None = None):
-        raw = getattr(self, name)
-        if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
-            raise ValidationError(f"{name} must be an integer, got {raw!r}")
-        try:
-            value = int(raw)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{name} must be an integer, got {raw!r}") from exc
-        if value < minimum:
-            raise ValidationError(f"{name} must be >= {minimum}, got {value}")
-        if maximum is not None and value > maximum:
-            raise ValidationError(f"{name} must be <= {maximum}, got {value}")
-        object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
         """Plain-scalar mapping: schema_version, then every field in field order."""

@@ -69,7 +69,7 @@ from heapq import heappop, heappush
 import numpy as np
 
 from .metrics import METRICS, _jain
-from .scenario import N_SF, ScenarioConfig, ValidationError
+from .scenario import N_SF, ScenarioConfig, ValidationError, _set_number
 
 # Uplink PHY outcomes, also the row of each outcome's per-SF counter.
 _OUT_DELIVERED = 0
@@ -85,6 +85,11 @@ _CAPTURE_MODELS = ("probabilistic", "geometric")
 _BLOCK = 1024  # draws per refill of a random stream
 
 _MAX_EVENTS = 50_000_000  # heap events one replication may handle
+
+#: A replication holds about 340 B per device, so a million devices take about
+#: 340 MB before the first event; that is three times the largest cell studied
+#: so far (300,000 devices).
+_MAX_DEVICES = 1_000_000
 
 
 class SimulationError(RuntimeError):
@@ -109,22 +114,20 @@ class SimConfig:
     trace_path: str | None = None       # per-event line trace, disabled by default
 
     def __post_init__(self):
-        if self.n_devices < 1:
-            raise ValidationError(f"n_devices must be >= 1, got {self.n_devices}")
-        if self.n_replications < 1:
-            raise ValidationError(f"n_replications must be >= 1, got {self.n_replications}")
+        _set_number(self, "n_devices", int, minimum=1, maximum=_MAX_DEVICES)
+        _set_number(self, "n_replications", int, minimum=1)
+        _set_number(self, "seed", int, minimum=0)
+        for name in ("radius_m", "cr_db", "sim_duration"):
+            _set_number(self, name, float)
+        _set_number(self, "path_loss_exponent", float, minimum=0.0)
+        if self.warmup is not None:
+            _set_number(self, "warmup", float)
         if self.arrival_model not in _ARRIVAL_MODELS:
             raise ValidationError(f"arrival_model must be one of {_ARRIVAL_MODELS}")
         if self.capture_model not in _CAPTURE_MODELS:
             raise ValidationError(f"capture_model must be one of {_CAPTURE_MODELS}")
         if self.radius_m <= 0:
             raise ValidationError("radius_m must be positive")
-        for name in ("radius_m", "path_loss_exponent", "cr_db"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.path_loss_exponent < 0:
-            raise ValidationError(
-                f"path_loss_exponent must be >= 0, got {self.path_loss_exponent}")
         # ACK capture reads device-to-device powers, up to twice the radius apart.
         if max(2.0 * self.radius_m, 1.0) ** -self.path_loss_exponent < np.finfo(float).tiny:
             raise ValidationError(
@@ -132,10 +135,6 @@ class SimConfig:
                 f"power at twice radius_m {self.radius_m}")
         if self.sim_duration <= 0:
             raise ValidationError("sim_duration must be positive")
-        if not math.isfinite(self.sim_duration):
-            raise ValidationError(f"sim_duration must be finite, got {self.sim_duration}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.warmup is not None and not 0 <= self.warmup < self.sim_duration:
             raise ValidationError("need sim_duration > warmup >= 0")
 
@@ -205,7 +204,6 @@ class MetricSummary:
 
 @dataclass(frozen=True)
 class SimReport:
-    config: SimConfig
     replications: tuple[ReplicationResult, ...]
     uu: MetricSummary
     cu: MetricSummary
@@ -411,9 +409,11 @@ class _Replication:
         # finished replication holds no reference cycle and is freed at once.
         ch_rng, timeout_rng, coin_rng, gap_rng, pick_rng = rng.spawn(5)
         n_ch = sc.c_channels
-        lo, hi = sc.mu_retx - 1.0, sc.mu_retx + 1.0
+        # Uniform on mu_retx +- min(1 s, mu_retx): mean mu_retx, never negative.
+        spread = min(1.0, sc.mu_retx)
+        lo, hi = sc.mu_retx - spread, sc.mu_retx + spread
         self.next_channel = _stream(lambda k: ch_rng.integers(n_ch, size=k))
-        self.next_timeout = _stream(lambda k: np.maximum(timeout_rng.uniform(lo, hi, k), 0.0))
+        self.next_timeout = _stream(lambda k: timeout_rng.uniform(lo, hi, k))
         self.next_coin = _stream(coin_rng.random)
         self.next_arrival = None        # () -> (time, device) of the cell's next arrival
         if sc.lambda_total > 0.0:
@@ -833,7 +833,6 @@ def run(sim_cfg: SimConfig, workers: int | None = 1) -> SimReport:
                     workers)
 
     return SimReport(
-        config=sim_cfg,
         replications=tuple(reps),
         **{name: _summary([getattr(rep, name) for rep in reps]) for name in METRICS},
         busy_at_arrival=tuple(map(_mean, zip(*(rep.busy_at_arrival for rep in reps)))),

@@ -342,11 +342,13 @@ class TestCompare:
     (("simulate", "--seed", "-1"), "seed must be >= 0"),
     (("simulate", "--duration", "nan"), "sim_duration must be finite"),
     (("simulate", "--duration", "inf"), "sim_duration must be finite"),
+    (("simulate", "--duration=-inf"), "sim_duration must be finite"),
     (("optimize", "--lambdas", "1", "--max-ascent-iters", "-3"),
      "max_ascent_iters must be >= 0"),
     (("solve", "--tol", "nan"), "tol must be positive"),
     (("simulate", "--capture", "geometric", "--radius", "nan"), "radius_m must be finite"),
     (("simulate", "--radius", "inf"), "radius_m must be finite"),
+    (("simulate", "--radius=-inf"), "radius_m must be finite"),
     (("simulate", "--path-loss-exponent", "nan"), "path_loss_exponent must be finite"),
     (("simulate", "--capture", "geometric", "--set", "alpha=1", "--set", "delta_sb1=0",
       "--path-loss-exponent", "-400"), "path_loss_exponent must be >= 0"),

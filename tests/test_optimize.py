@@ -195,7 +195,8 @@ class TestOptimize:
 
     def test_invalid_problem_is_validation_error(self):
         for kw in (dict(lambdas=()), dict(lambdas=(-1.0,)), dict(h_grid=(0,)),
-                   dict(max_ascent_iters=-1), dict(objective="maximize_vibes"),
+                   dict(max_ascent_iters=-1), dict(max_ascent_iters=2.5),
+                   dict(max_ascent_iters=True), dict(objective="maximize_vibes"),
                    dict(objective={"throughput": 1.0}), dict(objective={"uu": np.inf}),
                    # Grid values the scenario rejects, caught before any grid point runs.
                    dict(m_grid=(16,)), dict(h_grid=(1, 16)), dict(lambdas=(np.inf,)),

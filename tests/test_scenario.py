@@ -184,6 +184,14 @@ class TestLoadScenario:
         with pytest.raises(ValidationError, match="m must be an integer"):
             load_scenario("m: 2.5")
 
+    def test_quoted_integer_field_rejected(self):
+        with pytest.raises(ValidationError, match="m must be an integer, got '8'"):
+            load_scenario("m: '8'")
+
+    def test_exponent_without_a_dot_reads_as_a_float(self):
+        # YAML 1.1 reads 1e-3 as a string; a float field parses it.
+        assert load_scenario("lambda_total: 1e-3").lambda_total == 0.001
+
     @pytest.mark.parametrize("name", ["c_channels", "n_demodulators"])
     def test_channel_and_demodulator_counts_capped_at_1000(self, name):
         # A billion of either would make a solve run for hours or a replication exhaust memory.

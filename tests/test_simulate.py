@@ -58,6 +58,32 @@ class TestConfig:
         with pytest.raises(ValidationError):
             sim(capture_model="magic")
 
+    @pytest.mark.parametrize("kw, message", [
+        ({"n_devices": 20.5}, "n_devices must be an integer"),
+        ({"n_devices": True}, "n_devices must be an integer"),
+        ({"n_replications": 1.5}, "n_replications must be an integer"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"seed": "3"}, "seed must be an integer"),
+        ({"radius_m": "far"}, "radius_m must be a number"),
+        ({"radius_m": -math.inf}, "radius_m must be finite"),
+        ({"sim_duration": -math.inf}, "sim_duration must be finite"),
+        ({"warmup": math.nan}, "warmup must be finite"),
+    ])
+    def test_bad_setting_rejected_at_construction(self, kw, message):
+        with pytest.raises(ValidationError, match=message):
+            sim(**kw)
+
+    def test_counts_stored_as_ints_and_times_as_floats(self):
+        cfg = sim(n_devices=np.int64(20), seed=7.0, sim_duration=400, warmup=50)
+        assert (type(cfg.n_devices), type(cfg.seed)) == (int, int)
+        assert (type(cfg.sim_duration), type(cfg.warmup)) == (float, float)
+
+    def test_device_count_capped(self):
+        # Checked at construction only: a billion devices would need hundreds of GB.
+        with pytest.raises(ValidationError, match="n_devices must be <= 1000000, got 1000000000"):
+            sim(n_devices=10**9)
+        assert sim(n_devices=10**6).n_devices == 10**6
+
     def test_default_warmup_scales_with_slowest_retransmission_cycle(self):
         cfg = SimConfig(scenario=ScenarioConfig(delta_sb1=99.0, mu_retx=2.0),
                         sim_duration=20000.0)
@@ -231,6 +257,22 @@ class TestBlockBoundaries:
             assert ref() is None
         finally:
             gc.enable()
+
+
+class TestRetransmissionTimeout:
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
+    def test_mean_is_mu_retx(self, mu):
+        cfg = sim(scenario_kw={"mu_retx": mu})
+        rep = _Replication(cfg, np.random.default_rng(1), seed_label=0)
+        # 0.01 is at least five standard errors of the mean of 102,400 draws.
+        draws = np.array([rep.next_timeout() for _ in range(100 * _BLOCK)])
+        assert draws.min() >= 0.0
+        assert draws.mean() == pytest.approx(mu, abs=0.01)
+
+    def test_zero_mean_draws_zero(self):
+        rep = _Replication(sim(scenario_kw={"mu_retx": 0.0}), np.random.default_rng(1),
+                           seed_label=0)
+        assert {rep.next_timeout() for _ in range(2 * _BLOCK)} == {0.0}
 
 
 class TestDegenerateCells:
@@ -462,7 +504,7 @@ class TestTrace:
         first = lines[0].split()
         assert len(first) >= 5
         float(first[0])  # leading timestamp parses
-        assert dataclasses.replace(traced, config=cfg) == run(cfg)
+        assert traced == run(cfg)
 
 
 def _without_events(rep):
