@@ -12,20 +12,20 @@ are ``(K,)`` arrays (or shared scalars) and whose SF distributions are
 ``(K, 6)``.  The rows of a batch share ``h`` and the fields on which
 :func:`~loracell.analytic.solve_many` groups a batch (``m``, ``tau1``,
 ``tau2``, ``n_demodulators``, the airtimes), which fix the shapes of the
-state's and the metrics' arrays.  A metric that is undefined for one
-row raises :class:`MetricsError` in a one-row call and reads NaN in a
-batched one.  Each row equals its one-row call bit for bit, which
-:func:`compute_report` relies on: a batched call gives one report per row,
-and :func:`report_many` batches a list of solved configs that way.
+state's and the metrics' arrays.  A metric that is undefined for a row
+reads NaN there, in a one-row call as in a batch, and each row of a batch
+equals its one-row call bit for bit.  :func:`compute_report` reports a
+one-row state as a batch of one, and :func:`report_many` batches a list
+of solved configs; a NaN field of a report row reads ``None``.
 
 Fairness is reported only by :func:`compute_report`: Jain's index over the
 (traffic type, SF) populations, ``None`` when no population has any
 success.  It is the one metric whose vector length differs by row: a row
-has only the populations that have devices, so a batched call marks the
-absent ones NaN.  :func:`jain_index` computes the rows of each such
-category mask as one compact block, because numpy's pairwise sum changes
-its blocking at 8 elements: summing a 6-category row padded to 12 would
-not round like the 6-element sum of its one-row call.
+has only the populations that have devices, so the absent ones read NaN.
+:func:`jain_index` computes the rows of each such category mask as one
+compact block, because numpy's pairwise sum changes its blocking at 8
+elements: summing a 6-category row padded to 12 would not round like the
+6-element sum of the row alone.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ _TINY = np.finfo(float).tiny
 
 
 class MetricsError(ValueError):
-    """A metric is undefined for the given state (e.g. no traffic to measure)."""
+    """:func:`jain_index` got no valid allocation vector (empty, negative or all zero)."""
 
 
 @dataclass(frozen=True)
@@ -111,13 +111,6 @@ def _weighted(p: np.ndarray, per_sf: np.ndarray):
     return float(total) if total.ndim == 0 else total
 
 
-def _undefined(state: SteadyState, rows, message: str):
-    """The rows where a metric is undefined: raises for a one-row state."""
-    if np.ndim(state.s_ul) == 1 and rows:
-        raise MetricsError(message)
-    return rows
-
-
 def delays(state: SteadyState, cfg: ScenarioConfig):
     """Mean uplink and downlink delays of successful confirmed packets [s].
 
@@ -129,15 +122,11 @@ def delays(state: SteadyState, cfg: ScenarioConfig):
     conditional ACK delay when those probabilities do not sum to 1.
     Failed packets are excluded: the per-attempt weights are normalized
     over successful attempts, per SF.  A batched state gives ``(K,)``
-    delays, NaN where a row has no confirmed traffic that can succeed.
+    delays; both read NaN where a row has no confirmed traffic that can succeed.
     """
-    unconfirmed = _undefined(state, np.asarray(cfg.alpha) <= 0.0,
-                             "delays are undefined without confirmed traffic (alpha = 0)")
     p_ul = attempt_distributions(state.s_ul, cfg.m)
     p_dl = attempt_distributions(state.s_ul * state.s_dl, cfg.m)
-    undefined = unconfirmed | _undefined(
-        state, ~(p_dl.sum(axis=-1) > 0.0).any(axis=-1),
-        "downlink delay undefined: no confirmed packet can succeed")
+    undefined = (np.asarray(cfg.alpha) <= 0.0) | ~(p_dl.sum(axis=-1) > 0.0).any(axis=-1)
     p_c = np.asarray(cfg.p_confirmed.p)
     airtimes = cfg.airtimes
     t_data, t_ack1, t_ack2 = airtimes._t_data, airtimes._t_ack1, airtimes._t_ack2
@@ -156,15 +145,14 @@ def delays(state: SteadyState, cfg: ScenarioConfig):
 
 def _mean_delay(p_c: np.ndarray, p: np.ndarray, t: np.ndarray):
     """Sum over SFs i of ``p_c[i]`` times the ``p[i]``-weighted mean of ``t[i]`` (0 if
-    ``p[i]`` is all zero), bit-identical to a per-SF loop of ``weights @ t[i]``:
-    a float for one row, else one value per row."""
+    ``p[i]`` is all zero), bit-identical to a per-SF loop of ``weights @ t[i]``,
+    for each row."""
     total = p.sum(axis=-1)
     keep = total > 0.0
     weights = p / np.where(keep, total, 1.0)[..., None]
     per_sf = np.where(keep, (weights[..., None, :] @ t[..., :, None])[..., 0, 0], 0.0)
     # Python's sum adds the SFs left to right, as the per-SF loop did.
-    delay = sum((p_c * per_sf).T)
-    return float(delay) if np.ndim(delay) == 0 else delay
+    return sum((p_c * per_sf).T)
 
 
 def jain_index(x):
@@ -207,15 +195,14 @@ def _categories(cfg: ScenarioConfig, uu_i, cu_i) -> np.ndarray:
     Categories are the up-to-12 (traffic type, SF) populations: the
     uplink success probability ``uu_i`` (from :func:`reliability`) for
     unconfirmed devices and ``cu_i`` for confirmed ones.  Structurally empty
-    categories (no devices) are excluded so they cannot depress the index;
-    a batched config gives a ``(K, 12)`` stack in which they are NaN, the
-    form :func:`jain_index` reads.
+    categories (no devices) read NaN, which :func:`jain_index` leaves out, so
+    they cannot depress the index; a batched config gives a ``(K, 12)`` stack.
     """
     alpha = _col(cfg.alpha)
     present = np.concatenate(((1.0 - alpha) * np.asarray(cfg.p_unconfirmed.p) > 0.0,
                               alpha * np.asarray(cfg.p_confirmed.p) > 0.0), axis=-1)
     categories = np.concatenate((uu_i, cu_i), axis=-1)
-    return categories[present] if categories.ndim == 1 else np.where(present, categories, np.nan)
+    return np.where(present, categories, np.nan)
 
 
 def retx_distribution(state: SteadyState, cfg: ScenarioConfig) -> np.ndarray:
@@ -223,11 +210,10 @@ def retx_distribution(state: SteadyState, cfg: ScenarioConfig) -> np.ndarray:
 
     Returns m+1 entries: the aggregate probability of first ACK success
     at attempt j = 1..m, then the residual share that exhausts all m
-    attempts without an ACK.  Entries sum to 1.  A batched state gives a
-    ``(K, m+1)`` stack, NaN in the rows without confirmed traffic.
+    attempts without an ACK.  Entries sum to 1, or all read NaN without
+    confirmed traffic.  A batched state gives a ``(K, m+1)`` stack.
     """
-    undefined = _undefined(state, np.asarray(cfg.alpha) <= 0.0,
-                           "retransmission distribution undefined without confirmed traffic")
+    undefined = np.asarray(cfg.alpha) <= 0.0
     p_c = np.asarray(cfg.p_confirmed.p)
     p_dl = attempt_distributions(state.s_ul * state.s_dl, cfg.m)
     shares = (p_c[..., None, :] @ p_dl)[..., 0, :]
@@ -248,8 +234,6 @@ def loss_decomposition(state: SteadyState, cfg: ScenarioConfig):
     d = state.rates.d
     s = _col(state.demod.s_demod)
     f_nmd = 1.0 - state.demod.s_demod
-    if np.ndim(f_nmd) == 0:
-        f_nmd = float(f_nmd)
     f_gwtx = _weighted(d, s * (1.0 - state.s_tx))
     f_int = _weighted(d, s * state.s_tx * (1.0 - state.s_int))
     return f_nmd, f_gwtx, f_int
@@ -258,41 +242,30 @@ def loss_decomposition(state: SteadyState, cfg: ScenarioConfig):
 def compute_report(state: SteadyState, cfg: ScenarioConfig):
     """Assemble the full metrics report of a solved configuration.
 
-    A batched state and config give a list with one report per row, each
-    equal to the report of its one-row call.
+    A one-row state and config are reported as a batch of one; a batched
+    state and config give a list with one report per row.
     """
+    one_row = np.ndim(state.s_ul) == 1
+    if one_row:
+        state, cfg = _stack([state]), _batch([cfg], _BATCH_KEY)
     uu, cu, cd, uu_i, cu_i, cd_i = reliability(state, cfg)
-    try:
-        delta_ul, delta_dl = delays(state, cfg)
-    except MetricsError:
-        delta_ul = delta_dl = None
-    try:
-        retx = retx_distribution(state, cfg)
-    except MetricsError:
-        retx = None
+    delta_ul, delta_dl = delays(state, cfg)
+    retx = retx_distribution(state, cfg)
     f_nmd, f_gwtx, f_int = loss_decomposition(state, cfg)
     jain = _jain(_categories(cfg, uu_i, cu_i))
     values = (uu, cu, cd, uu_i, cu_i, cd_i, delta_ul, delta_dl, jain, retx, f_nmd, f_gwtx, f_int)
-    if np.ndim(uu) == 0:
-        return MetricsReport(*map(_field, values))
-    return [MetricsReport(*row) for row in zip(*map(_column, values))]
+    reports = [MetricsReport(*row) for row in zip(*map(_column, values))]
+    return reports[0] if one_row else reports
 
 
-def _jain(categories: np.ndarray):
-    """Jain index of each row's categories: undefined, not an error, when no
-    population has any success (None for one row, NaN in a batch)."""
-    if categories.ndim == 1:
-        return jain_index(categories) if categories.any() else None
+def _jain(categories: np.ndarray) -> np.ndarray:
+    """Jain index of each row's categories: NaN, not an error, where no
+    population has any success."""
     live = np.nan_to_num(categories).any(axis=-1)   # an absent category's NaN reads 0
     jain = np.full(len(categories), np.nan)
     if live.any():
         jain[live] = jain_index(categories[live])
     return jain
-
-
-def _field(value):
-    """A one-row report field: a tuple of floats for a vector."""
-    return tuple(value.tolist()) if isinstance(value, np.ndarray) else value
 
 
 def _column(values: np.ndarray) -> list:

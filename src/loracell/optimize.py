@@ -69,13 +69,14 @@ class OptimizationProblem:
     perturbed_restarts: bool = False # also ascend from 3 deterministic perturbations
 
     def __post_init__(self):
-        grids = {"lambda_total": self.lambdas, "m": self.m_grid, "h": self.h_grid}
-        if not all(map(len, grids.values())):
+        grids = {"lambdas": "lambda_total", "m_grid": "m", "h_grid": "h"}
+        if not all(len(getattr(self, attr)) for attr in grids):
             raise ValidationError("lambdas, m_grid and h_grid must be non-empty")
-        # The scenario's own checks on each grid value, before any grid point runs.
-        for name, values in grids.items():
-            for value in values:
-                replace(self.base_cfg, **{name: value})
+        # The scenario's own checks on each grid value, before any grid point
+        # runs; a grid keeps its values as the scenario coerces them.
+        for attr, name in grids.items():
+            object.__setattr__(self, attr, tuple(getattr(replace(self.base_cfg, **{name: v}), name)
+                                                 for v in getattr(self, attr)))
         _set_number(self, "max_ascent_iters", int, minimum=0)
         weights = self.objective_weights()
         if any(not np.isfinite(w) for w in weights.values()):

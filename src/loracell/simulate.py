@@ -68,7 +68,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .metrics import METRICS, _jain
+from .metrics import METRICS, jain_index
 from .scenario import N_SF, ScenarioConfig, ValidationError, _set_number
 
 # Uplink PHY outcomes, also the row of each outcome's per-SF counter.
@@ -769,7 +769,7 @@ class _Replication:
             cd=_ratio(sum(self.acked_app_c), off_c),
             delta_ul=_ratio(self.ul_delay_sum, self.ul_delay_n),
             delta_dl=_ratio(self.dl_delay_sum, self.dl_delay_n),
-            jain=_jain(np.array(shares)),
+            jain=jain_index(shares) if any(shares) else None,
             f_nmd=_ratio(sum(lost_nmd), off_phy),
             f_gwtx=_ratio(sum(lost_gwtx), off_phy),
             f_int=_ratio(sum(lost_int), off_phy),

@@ -368,6 +368,15 @@ def test_out_of_range_options_are_validation_errors(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_negative_non_decimal_value_needs_an_equals_sign(capsys):
+    # argparse reads "-inf" (or "-1e3") after a space as an option, not a value;
+    # "--duration=-inf" reaches the simulator's check and exits 3 (see above).
+    with pytest.raises(SystemExit) as exc:
+        run_cli("simulate", "--duration", "-inf")
+    assert exc.value.code == EXIT_PARSE
+    assert "argument --duration: expected one argument" in capsys.readouterr().err
+
+
 _SMALL_SIM = ("--devices", "20", "--duration", "100", "--warmup", "10",
               "--replications", "1", "--set", "lambda_total=0.5", "--set", "alpha=0.5")
 

@@ -204,6 +204,13 @@ class TestOptimize:
             with pytest.raises(ValidationError):
                 tiny_problem(**kw)
 
+    def test_grid_values_are_stored_as_the_scenario_coerces_them(self):
+        problem = tiny_problem(lambdas=("1",), m_grid=(2.0,), h_grid=(1,), max_ascent_iters=1)
+        assert problem.lambdas == (1.0,) and type(problem.m_grid[0]) is int
+        [record] = optimize(problem).records
+        assert record.lam == 1.0 and type(record.lam) is float
+        assert type(record.m) is int and type(record.h) is int
+
     def test_every_start_breaking_raises_the_model_error(self, monkeypatch):
         def broken(cfg, **kw):
             raise analytic.ModelError("non-finite value in s_tx")

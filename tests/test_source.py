@@ -43,3 +43,39 @@ def test_unread_parameter_is_reported():
                      "def public(unused):\n    pass\n"
                      "class _C:\n    def _m(self, x):\n        pass\n")
     assert unread_parameters(tree) == ["_f: b", "_f: kw", "_m: x"]
+
+
+def unreferenced_private_functions(trees: dict[str, ast.AST]) -> list[str]:
+    """``module: function`` for every private module-level function that no
+    code in ``trees`` names outside its own ``def``.
+
+    A name counts as a reference wherever it is read, as a plain name or as
+    an attribute (``module._f``); an import alone is not a use.
+    """
+    defined = [(module, node.name) for module, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name.startswith("_") and not node.name.startswith("__")]
+    used = set()
+    for tree in trees.values():
+        for top in tree.body:
+            own = getattr(top, "name", None)
+            for n in ast.walk(top):
+                name = (n.id if isinstance(n, ast.Name)
+                        else n.attr if isinstance(n, ast.Attribute) else None)
+                if name is not None and name != own:
+                    used.add(name)
+    return [f"{module}: {name}" for module, name in defined if name not in used]
+
+
+def test_every_private_function_is_referenced():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    assert unreferenced_private_functions(trees) == []
+
+
+def test_unreferenced_private_function_is_reported():
+    trees = {"a.py": ast.parse("def _used():\n    pass\n"
+                               "def _dead():\n    return _dead()\n"
+                               "def _only_imported():\n    pass\n"
+                               "def public():\n    pass\n"),
+             "b.py": ast.parse("from a import _only_imported\nimport a\na._used()\n")}
+    assert unreferenced_private_functions(trees) == ["a.py: _dead", "a.py: _only_imported"]
