@@ -11,6 +11,8 @@ The package combines three tools that share one scenario description:
   to cross-validate the analytic results.
 """
 
+import importlib
+
 from .scenario import (
     SPREADING_FACTORS,
     AirtimeTable,
@@ -24,14 +26,26 @@ from .scenario import (
 )
 from .analytic import ModelError, SteadyState, solve
 from .metrics import MetricsReport, compute_report, jain_index
-# ``optimize`` stays the submodule; its search function is ``optimize.optimize``.
-from .optimize import (
-    OptimizationProblem,
-    OptimizationResult,
-    evaluate_configuration,
-    project_to_simplex,
-)
-from .simulate import SimConfig, SimReport, SimulationError, run
+
+#: Names that load their submodule on first use (PEP 562), so ``import loracell``
+#: leaves the optimizer and the simulator unloaded.  ``optimize`` is the
+#: submodule; its search function is ``optimize.optimize``.
+_LAZY = {
+    "optimize": "optimize",
+    **dict.fromkeys(("OptimizationProblem", "OptimizationResult",
+                     "evaluate_configuration", "project_to_simplex"), "optimize"),
+    **dict.fromkeys(("SimConfig", "SimReport", "SimulationError", "run"), "simulate"),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LAZY[name]}", __name__)
+    value = module if name == _LAZY[name] else getattr(module, name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "SPREADING_FACTORS",

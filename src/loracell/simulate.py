@@ -60,11 +60,14 @@ is finished, and its device freed, only when that window closes.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import json
 import math
 import os
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from pathlib import Path
 
 import numpy as np
 
@@ -91,6 +94,14 @@ _MAX_EVENTS = 50_000_000  # heap events one replication may handle
 #: so far (300,000 devices).
 _MAX_DEVICES = 1_000_000
 
+#: A run's 95% intervals read the Student-t quantile for n - 1 degrees of
+#: freedom from a table, so at most this many replications.
+_MAX_REPLICATIONS = 1000
+
+#: The 0.975 quantile of Student's t for df = 1 ... _MAX_REPLICATIONS - 1, as one
+#: JSON line; ``tests/data/golden/make_student_t.py`` regenerates it.
+_T975_PATH = Path(__file__).with_name("student_t_975.json")
+
 
 class SimulationError(RuntimeError):
     """An internal simulator invariant was violated or a budget exceeded."""
@@ -115,7 +126,7 @@ class SimConfig:
 
     def __post_init__(self):
         _set_number(self, "n_devices", int, minimum=1, maximum=_MAX_DEVICES)
-        _set_number(self, "n_replications", int, minimum=1)
+        _set_number(self, "n_replications", int, minimum=1, maximum=_MAX_REPLICATIONS)
         _set_number(self, "seed", int, minimum=0)
         for name in ("radius_m", "cr_db", "sim_duration"):
             _set_number(self, name, float)
@@ -344,16 +355,20 @@ def _mean(values) -> float | None:
     return float(np.mean(defined)) if defined else None
 
 
+@functools.cache
+def _t975() -> tuple[float, ...]:
+    """The two-sided 95% Student-t quantiles, indexed by degrees of freedom - 1."""
+    return tuple(json.loads(_T975_PATH.read_text()))
+
+
 def _summary(values) -> MetricSummary:
     defined = [v for v in values if v is not None]
     mean = _mean(defined)
     if len(defined) < 2:
         return MetricSummary(mean, None)
-    from scipy.special import stdtrit  # imported here: scipy is slow to load
-
     n = len(defined)
     sd = float(np.std(defined, ddof=1))
-    return MetricSummary(mean, float(stdtrit(n - 1, 0.975) * sd / math.sqrt(n)))
+    return MetricSummary(mean, _t975()[n - 2] * sd / math.sqrt(n))
 
 
 def _ratio(num, den) -> float | None:

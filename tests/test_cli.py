@@ -340,6 +340,7 @@ class TestCompare:
      "tol must be positive"),
     (("compare", "--max-iter", "0"), "max_iter must be >= 1"),
     (("simulate", "--seed", "-1"), "seed must be >= 0"),
+    (("simulate", "--replications", "1001"), "n_replications must be <= 1000, got 1001"),
     (("simulate", "--duration", "nan"), "sim_duration must be finite"),
     (("simulate", "--duration", "inf"), "sim_duration must be finite"),
     (("simulate", "--duration=-inf"), "sim_duration must be finite"),

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 import loracell
 from loracell import analytic, metrics
@@ -23,11 +23,13 @@ from loracell import simulate as simulate_mod
 from loracell.scenario import ScenarioConfig, SfDistribution, ValidationError
 from loracell.simulate import (
     _BLOCK,
+    _MAX_REPLICATIONS,
     SimConfig,
     SimulationError,
     _max_concurrent_power,
     _Replication,
     _summary,
+    _t975,
     place_devices,
     run,
 )
@@ -83,6 +85,11 @@ class TestConfig:
         with pytest.raises(ValidationError, match="n_devices must be <= 1000000, got 1000000000"):
             sim(n_devices=10**9)
         assert sim(n_devices=10**6).n_devices == 10**6
+
+    def test_replication_count_capped_at_the_t_table(self):
+        with pytest.raises(ValidationError, match="n_replications must be <= 1000, got 1001"):
+            sim(n_replications=1001)
+        assert sim(n_replications=1000).n_replications == 1000
 
     def test_default_warmup_scales_with_slowest_retransmission_cycle(self):
         cfg = SimConfig(scenario=ScenarioConfig(delta_sb1=99.0, mu_retx=2.0),
@@ -432,14 +439,47 @@ class TestSummary:
         expected = float(stats.t.ppf(0.975, n - 1) * sd / math.sqrt(n))
         assert _summary(values).halfwidth == expected
 
-    def test_importing_the_package_leaves_scipy_unloaded(self):
-        src = str(Path(loracell.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, loracell; print('scipy' in sys.modules)"],
-            capture_output=True, text=True, env=env, timeout=60, check=True)
-        assert proc.stdout.strip() == "False"
+    def test_t_table_holds_scipys_quantiles_up_to_the_replication_bound(self):
+        table = _t975()
+        assert len(table) == _MAX_REPLICATIONS - 1
+        assert table == tuple(float(special.stdtrit(df, 0.975))
+                              for df in range(1, _MAX_REPLICATIONS))
+
+    def test_importing_the_package_leaves_scipy_unloaded(self, tmp_path):
+        # Nor does a simulation or a ``compare``: their intervals read the table.
+        out = _python(
+            "import sys, loracell",
+            "print('scipy' in sys.modules)",
+            "from loracell import cli, simulate",
+            "from loracell.scenario import ScenarioConfig",
+            "simulate.run(simulate.SimConfig(ScenarioConfig(), n_devices=20, sim_duration=100.0,"
+            " warmup=10.0, n_replications=2))",
+            "print('scipy' in sys.modules)",
+            "code = cli.main(['compare', '--devices', '20', '--duration', '100', '--warmup', '10',"
+            f" '--replications', '2', '--workers', '1', '--out', {str(tmp_path / 'c.csv')!r}])",
+            "print(code, 'scipy' in sys.modules)")
+        assert out.split("\n") == ["False", "False", "0 False"]
+
+    def test_importing_the_package_leaves_the_optimizer_and_simulator_unloaded(self):
+        out = _python(
+            "import sys, loracell",
+            "print(sorted(m for m in sys.modules if m.startswith('loracell.')))",
+            "print(all(getattr(loracell, name) is not None for name in loracell.__all__))",
+            "print(loracell.optimize is sys.modules['loracell.optimize'],"
+            " loracell.run is sys.modules['loracell.simulate'].run)")
+        assert out.split("\n") == [
+            "['loracell.analytic', 'loracell.metrics', 'loracell.scenario']", "True",
+            "True True"]
+
+
+def _python(*lines: str) -> str:
+    """Stripped stdout of a fresh interpreter that runs ``lines`` with the package on its path."""
+    src = str(Path(loracell.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", "\n".join(lines)],
+                          capture_output=True, text=True, env=env, timeout=120, check=True)
+    return proc.stdout.strip()
 
 
 class TestPeakInterference:
