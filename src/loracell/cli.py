@@ -201,6 +201,11 @@ def _sim_settings(sim_cfg: simulate.SimConfig) -> dict:
             "n_replications": sim_cfg.n_replications}
 
 
+def _sim_doc(sim_cfg: simulate.SimConfig) -> dict:
+    """The ``sim`` object of a document: the settings and the number of chains."""
+    return {**_sim_settings(sim_cfg), "chains": len(sim_cfg.chains())}
+
+
 def _saturation(result) -> dict:
     """The saturation fields of a ``ReplicationResult`` or ``SimReport``."""
     return {"busy_at_arrival": list(result.busy_at_arrival),
@@ -221,8 +226,9 @@ def cmd_simulate(args) -> int:
     means = (["mean", report.offered_app, report.offered_phy]
              + [s.mean for s in summaries] + [report.dc_violations])
     cis = ["ci95", None, None] + [s.halfwidth for s in summaries] + [None]
-    doc = {"command": "simulate", "config": cfg.to_dict(), "sim": extra,
-           "replications": [{**dict(zip(columns, row)), **_saturation(rep)}
+    doc = {"command": "simulate", "config": cfg.to_dict(), "sim": _sim_doc(sim_cfg),
+           "replications": [{**dict(zip(columns, row)), "chain": rep.chain,
+                             **_saturation(rep)}
                             for row, rep in zip(rows, report.replications)],
            "mean": {**dict(zip(columns, means)), **_saturation(report)},
            "ci95": dict(zip(columns, cis))}
@@ -300,7 +306,7 @@ def cmd_compare(args) -> int:
     extra = {"seed": sim_cfg.seed, "n_replications": sim_cfg.n_replications,
              "sim_duration": sim_cfg.sim_duration}
     columns = ["metric", "analytic", "simulated", "abs_diff", "sim_ci95"]
-    doc = {"command": "compare", "config": cfg.to_dict(), "sim": _sim_settings(sim_cfg),
+    doc = {"command": "compare", "config": cfg.to_dict(), "sim": _sim_doc(sim_cfg),
            "saturation": _saturation(sim_report),
            "rows": [dict(zip(columns, row)) for row in rows]}
     _emit(args, doc, _config_header(cfg, "compare", extra), columns, rows)
@@ -349,10 +355,10 @@ def _add_sim(sub):
 
 def _add_workers(sub):
     sub.add_argument("--workers", type=int, default=None,
-                     help="processes that run the replications or grid points, this one "
-                          "included (default: one per usable core; at most one per replication "
-                          "or grid point); 1 keeps them in one process; same output for any "
-                          "count; below 1 exits 3")
+                     help="processes that run the simulator's chains or the grid points, this "
+                          "one included (default: one per usable core; at most one per chain or "
+                          "grid point); 1 keeps them in one process; same output for any count; "
+                          "below 1 exits 3")
 
 
 def build_parser() -> argparse.ArgumentParser:

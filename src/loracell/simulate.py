@@ -19,11 +19,22 @@ RX1 acknowledgement) is the list of same-channel same-SF transmissions
 that overlap it.  Their received powers are evaluated only when the
 reception resolves, by one capture rule shared by uplinks and ACKs.
 
-Each replication places its devices with its own generator, then spawns
-one child stream per purpose: channel choice, retransmission timeout,
-capture coin, inter-arrival gap and arriving device.  Streams are drawn in
-blocks, so event handlers make no scalar generator call, and each purpose
-sees the same numbers whatever the others consume.
+A run is a batch-means run (Schmeiser, "Batch size effects in the
+analysis of simulation output", Operations Research 1982).  Its
+replications are batches: ``n_replications`` of them split into
+ceil(n_replications / 5) chains, and each chain is one event loop that
+runs one warmup, then its batches back to back, each ``sim_duration -
+warmup`` long.  A packet belongs to the batch of its first attempt and an
+uplink transmission to the batch of its own start.  After the last batch
+the arrivals go on, uncounted, until every packet whose first attempt came
+before that batch's end has finished, so the last packets of a chain meet
+the same load as the others.
+
+Each chain places its devices with its own generator, then spawns one
+child stream per purpose: channel choice, retransmission timeout, capture
+coin, inter-arrival gap and arriving device.  Streams are drawn in blocks,
+so event handlers make no scalar generator call, and each purpose sees the
+same numbers whatever the others consume.
 
 The heap holds one pending arrival for the whole cell.  With Poisson
 arrivals, n independent Poisson(lambda/n) sources are exactly one
@@ -67,6 +78,7 @@ import math
 import os
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from operator import length_hint
 from pathlib import Path
 
 import numpy as np
@@ -87,9 +99,11 @@ _CAPTURE_MODELS = ("probabilistic", "geometric")
 
 _BLOCK = 1024  # draws per refill of a random stream
 
-_MAX_EVENTS = 50_000_000  # heap events one replication may handle
+_BATCHES_PER_CHAIN = 5  # the most replications one chain runs
 
-#: A replication holds about 340 B per device, so a million devices take about
+_MAX_EVENTS = 50_000_000  # heap events a chain may handle per replication
+
+#: A chain holds about 340 B per device, so a million devices take about
 #: 340 MB before the first event; that is three times the largest cell studied
 #: so far (300,000 devices).
 _MAX_DEVICES = 1_000_000
@@ -162,12 +176,20 @@ class SimConfig:
                 f"{self.sim_duration:.0f} s; pass an explicit warmup")
         return warmup
 
+    def chains(self) -> list[range]:
+        """The replications of each chain, in order: the fewest chains of at
+        most ``_BATCHES_PER_CHAIN``, whose sizes differ by at most one."""
+        n = self.n_replications
+        k = -(-n // _BATCHES_PER_CHAIN)
+        return [range(n * c // k, n * (c + 1) // k) for c in range(k)]
+
 
 @dataclass(frozen=True)
 class ReplicationResult:
-    """Counters and empirical metrics of one replication (post-warmup)."""
+    """Counters and empirical metrics of one replication, a batch of a chain."""
 
-    seed: int
+    seed: int                           # the replication's number in the run
+    chain: int                          # the number of the chain that ran it
     # Application-layer counts per SF.
     offered_app_u: tuple[int, ...]
     offered_app_c: tuple[int, ...]
@@ -196,13 +218,15 @@ class ReplicationResult:
     f_gwtx: float | None
     f_int: float | None
     dc_violations: int
-    # Saturation: per SF, the share of post-warmup arrivals that find their
+    # Saturation: per SF, the share of the batch's arrivals that find their
     # device busy with an earlier packet (None: no arrival on that SF), and
     # the offered application rate over lambda (None when lambda is 0).
     busy_at_arrival: tuple[float | None, ...]
     offered_rate_ratio: float | None
-    events: int                         # heap events handled; a window surely
-                                        # blocked by its sub-band's duty cycle is none
+    events: int                         # heap events handled in the batch's window, the
+                                        # first batch's warmup and the last one's tail
+                                        # included; a window surely blocked by its
+                                        # sub-band's duty cycle is none
 
 
 @dataclass(frozen=True)
@@ -239,11 +263,14 @@ class SimReport:
 
 
 def place_devices(sim_cfg: SimConfig, seed) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Draw device positions, traffic types and SFs for one replication.
+    """Draw device positions and assign traffic types and SFs for one chain.
 
     Positions are uniform on the disc of radius ``radius_m`` around the
-    gateway; each device is confirmed with probability alpha and draws
-    its SF from the distribution of its traffic type.  Returns
+    gateway.  Types and SFs are set by quota: n (1 - alpha) p_u,k
+    unconfirmed and n alpha p_c,k confirmed devices on SF k, rounded by
+    largest remainder (ties to the unconfirmed type and the lower SF), so
+    each count is its quota rounded down or up and the counts sum to n.
+    Devices come in (type, SF) order, unconfirmed SF7 first.  Returns
     ``(x, y, confirmed, sf_index)`` arrays.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -253,13 +280,12 @@ def place_devices(sim_cfg: SimConfig, seed) -> tuple[np.ndarray, np.ndarray, np.
     angle = rng.uniform(0.0, 2.0 * math.pi, n)
     x = radius * np.cos(angle)
     y = radius * np.sin(angle)
-    confirmed = rng.random(n) < sc.alpha
-    sf_idx = np.empty(n, dtype=np.int64)
-    n_conf = int(confirmed.sum())
-    if n_conf:
-        sf_idx[confirmed] = rng.choice(N_SF, size=n_conf, p=np.asarray(sc.p_confirmed.p))
-    if n - n_conf:
-        sf_idx[~confirmed] = rng.choice(N_SF, size=n - n_conf, p=np.asarray(sc.p_unconfirmed.p))
+    quotas = n * np.concatenate([(1.0 - sc.alpha) * np.asarray(sc.p_unconfirmed.p),
+                                 sc.alpha * np.asarray(sc.p_confirmed.p)])
+    counts = np.floor(quotas).astype(np.int64)
+    counts[np.argsort(counts - quotas, kind="stable")[:n - int(counts.sum())]] += 1
+    confirmed = np.repeat(np.arange(2 * N_SF) >= N_SF, counts)
+    sf_idx = np.repeat(np.tile(np.arange(N_SF), 2), counts)
     return x, y, confirmed, sf_idx
 
 
@@ -280,7 +306,7 @@ class _Device:
         self.busy = False
         self.attempts = 0
         self.first_attempt = 0.0
-        self.counted = False
+        self.counted = None         # batch of the current packet's first attempt, None: uncounted
         self.delivered_time = None  # first gateway delivery time of the current packet
         self.backoff = 0.0          # retransmission timeout drawn at the last uplink's end
 
@@ -295,7 +321,7 @@ class _Tx:
         self.slot = slot            # ch * N_SF + device.sfi: index into on_air and listeners
         self.start = start
         self.end = end
-        self.counted = counted
+        self.counted = counted      # batch of the start, None: uncounted
         self.fate = None            # set when lost at arrival or aborted
 
 
@@ -375,28 +401,61 @@ def _ratio(num, den) -> float | None:
     return None if den == 0 else num / den
 
 
-class _Replication:
-    """One single-threaded event loop; state is local to a replication.
+class _Tally:
+    """The counters of one batch."""
+
+    __slots__ = ("offered_app_u", "offered_app_c", "delivered_app_u", "delivered_app_c",
+                 "acked_app_c", "offered_phy", "phy_outcomes", "dl_sb1_sent", "dl_sb2_sent",
+                 "dl_no_window", "dl_rx1_corrupted", "ul_delay_sum", "ul_delay_n",
+                 "dl_delay_sum", "dl_delay_n", "dc_violations", "arrivals", "busy_arrivals")
+
+    def __init__(self):
+        self.offered_app_u = [0] * N_SF; self.offered_app_c = [0] * N_SF
+        self.delivered_app_u = [0] * N_SF; self.delivered_app_c = [0] * N_SF
+        self.acked_app_c = [0] * N_SF
+        self.offered_phy = [0] * N_SF
+        self.phy_outcomes = tuple([0] * N_SF for _ in _OUTCOME_NAMES)  # row per _OUT_*
+        self.dl_sb1_sent = 0; self.dl_sb2_sent = 0
+        self.dl_no_window = 0; self.dl_rx1_corrupted = 0
+        self.ul_delay_sum = 0.0; self.ul_delay_n = 0
+        self.dl_delay_sum = 0.0; self.dl_delay_n = 0
+        self.dc_violations = 0
+        self.arrivals = [0] * N_SF; self.busy_arrivals = [0] * N_SF
+
+
+class _Chain:
+    """One single-threaded event loop that runs a chain of batches; state is
+    local to the chain.
 
     A heap entry is ``(time, seq, handler, payload)``, pushed with
     ``heappush``: ``seq`` breaks ties in schedule order and
     ``handler(time, payload)`` runs the event.
+
+    ``batches`` holds the run's numbers of the chain's replications, one
+    tally each; ``batch`` is the index into ``tallies`` of the batch under
+    way, None in the warmup and the tail.  An event at a batch boundary
+    switches it.  Events and duty-cycle violations count in the window of
+    the batch they fall in, the warmup's in the first and the tail's in the
+    last.
 
     Tests replace some methods to observe or alter a run, so the event
     handlers call them through ``self``: ``rx1_surely_blocked``,
     ``rx2_surely_blocked`` and ``confirmed_attempt_failed`` (on the class),
     and ``on_tx_start`` (on the instance).  Each push therefore binds its
     handler afresh.  A handler bound once and stored on ``self`` would
-    also make a reference cycle, so a finished replication would wait
-    for the cycle collector instead of being freed at once.
+    also make a reference cycle, so a finished chain would wait for the
+    cycle collector instead of being freed at once.
     """
 
-    def __init__(self, sim_cfg: SimConfig, rng: np.random.Generator, seed_label: int):
+    def __init__(self, sim_cfg: SimConfig, rng: np.random.Generator, index: int,
+                 batches: range):
         self.cfg = sim_cfg
         self.sc = sc = sim_cfg.scenario
-        self.seed_label = seed_label
+        self.index = index
+        self.batches = batches
         self.warmup = sim_cfg.resolved_warmup()
-        self.duration = sim_cfg.sim_duration
+        self.batch_length = sim_cfg.sim_duration - self.warmup
+        self.horizon = self.warmup + len(batches) * self.batch_length  # the last batch's end
         self.geometric = sim_cfg.capture_model == "geometric"
         self.margin = 10.0 ** (sim_cfg.cr_db / 10.0)
 
@@ -421,7 +480,7 @@ class _Replication:
 
         # One block-drawn stream per purpose.  The draw closures and the
         # arrival generator capture locals only, never ``self``, so a
-        # finished replication holds no reference cycle and is freed at once.
+        # finished chain holds no reference cycle and is freed at once.
         ch_rng, timeout_rng, coin_rng, gap_rng, pick_rng = rng.spawn(5)
         n_ch = sc.c_channels
         # Uniform on mu_retx +- min(1 s, mu_retx): mean mu_retx, never negative.
@@ -456,17 +515,13 @@ class _Replication:
         self.heap = []
         self.seq = itertools.count()
 
-        self.offered_app_u = [0] * N_SF; self.offered_app_c = [0] * N_SF
-        self.delivered_app_u = [0] * N_SF; self.delivered_app_c = [0] * N_SF
-        self.acked_app_c = [0] * N_SF
-        self.offered_phy = [0] * N_SF
-        self.phy_outcomes = tuple([0] * N_SF for _ in _OUTCOME_NAMES)  # row per _OUT_*
-        self.dl_sb1_sent = 0; self.dl_sb2_sent = 0
-        self.dl_no_window = 0; self.dl_rx1_corrupted = 0
-        self.ul_delay_sum = 0.0; self.ul_delay_n = 0
-        self.dl_delay_sum = 0.0; self.dl_delay_n = 0
-        self.dc_violations = 0
-        self.arrivals = [0] * N_SF; self.busy_arrivals = [0] * N_SF
+        self.tallies = [_Tally() for _ in batches]
+        self.batch = None
+        self.window = 0                 # index of the tally that events count in
+        self.marks = []                 # events handled when each batch after the first began
+        self.tail_open = None           # in the tail: packets left that began before the horizon
+        self.budget = 0                 # events the chain may handle
+        self.ticks = None               # the main loop's iterator over event numbers
         self.trace = None
 
     # -- event plumbing ----------------------------------------------------
@@ -482,27 +537,31 @@ class _Replication:
         dev.queued -= 1
         dev.attempts = 0
         dev.delivered_time = None
-        dev.counted = False
         allowed = dev.next_allowed
         heappush(self.heap, (allowed if allowed > now else now, next(self.seq),
                              self.on_tx_start, dev))
 
     def finish_packet(self, dev, acked, now):
-        if dev.counted:
+        if dev.counted is not None:
+            tally = self.tallies[dev.counted]
             if dev.confirmed:
                 if dev.delivered_time is not None:
-                    self.delivered_app_c[dev.sfi] += 1
-                    self.ul_delay_sum += dev.delivered_time - dev.first_attempt
-                    self.ul_delay_n += 1
+                    tally.delivered_app_c[dev.sfi] += 1
+                    tally.ul_delay_sum += dev.delivered_time - dev.first_attempt
+                    tally.ul_delay_n += 1
                 if acked:
-                    self.acked_app_c[dev.sfi] += 1
-                    self.dl_delay_sum += now - dev.first_attempt
-                    self.dl_delay_n += 1
+                    tally.acked_app_c[dev.sfi] += 1
+                    tally.dl_delay_sum += now - dev.first_attempt
+                    tally.dl_delay_n += 1
             elif dev.delivered_time is not None:
-                self.delivered_app_u[dev.sfi] += 1
+                tally.delivered_app_u[dev.sfi] += 1
         dev.busy = False
         if dev.queued:
             self.start_packet(dev, now)
+        if self.tail_open and dev.first_attempt < self.horizon:
+            self.tail_open -= 1
+            if not self.tail_open:
+                heappush(self.heap, (now, next(self.seq), self.on_end, None))
 
     def confirmed_attempt_failed(self, dev, ul_end):
         fail_at = ul_end + 2.0  # the attempt ends when its second window closes
@@ -569,44 +628,63 @@ class _Replication:
 
     # -- event handlers ----------------------------------------------------
 
+    def on_batch_start(self, now, batch):
+        """Count what starts from now on in ``batch``, an index into ``tallies``."""
+        if batch:
+            self.marks.append(self.budget - length_hint(self.ticks))
+        self.batch = self.window = batch
+
+    def on_tail_start(self, now, _):
+        """Count nothing more, and end the chain once every packet that has
+        made its first attempt by now has finished."""
+        self.batch = None
+        self.tail_open = sum(dev.busy and dev.attempts > 0 for dev in self.devices)
+        if not self.tail_open:
+            self.on_end(now, None)
+
+    def on_end(self, now, _):
+        """Drop every pending event, which ends the main loop."""
+        self.heap.clear()
+
     def schedule_arrival(self):
         time, dev = self.next_arrival()
         heappush(self.heap, (time, next(self.seq), self.on_arrival, dev))
 
     def on_arrival(self, now, dev):
-        if now >= self.duration:
-            return
         self.schedule_arrival()
-        if now >= self.warmup:
-            self.arrivals[dev.sfi] += 1
+        batch = self.batch
+        if batch is not None:
+            tally = self.tallies[batch]
+            tally.arrivals[dev.sfi] += 1
             if dev.busy:
-                self.busy_arrivals[dev.sfi] += 1
+                tally.busy_arrivals[dev.sfi] += 1
         dev.queued += 1
         if not dev.busy:
             self.start_packet(dev, now)
 
     def on_tx_start(self, now, dev):
         if now < dev.next_allowed - 1e-9:
-            self.dc_violations += 1
+            self.tallies[self.window].dc_violations += 1
         sfi = dev.sfi
         airtime = self.t_data[sfi]
         end = now + airtime
         slot = self.next_channel() * N_SF + sfi
-        counted = self.warmup <= now <= self.duration
+        batch = self.batch
         dev.attempts = attempts = dev.attempts + 1
         if attempts == 1:
             dev.first_attempt = now
-            dev.counted = counted
-            if counted:
+            dev.counted = batch
+        if batch is not None:
+            tally = self.tallies[batch]
+            tally.offered_phy[sfi] += 1
+            if attempts == 1:
                 if dev.confirmed:
-                    self.offered_app_c[sfi] += 1
+                    tally.offered_app_c[sfi] += 1
                 else:
-                    self.offered_app_u[sfi] += 1
-        if counted:
-            self.offered_phy[sfi] += 1
+                    tally.offered_app_u[sfi] += 1
         dev.next_allowed = end + self.delta_sb1 * airtime
 
-        tx = _Tx(dev, slot, now, end, counted)
+        tx = _Tx(dev, slot, now, end, batch)
         ears = self.listeners[slot]
         if ears:
             for interferers in ears.values():
@@ -635,8 +713,8 @@ class _Replication:
             del self.listeners[slot][tx]
             ok = self.captured(rx, None, dev.power, tx.start, now, self.w_gw)
             outcome = _OUT_DELIVERED if ok else _OUT_INTERFERENCE
-        if tx.counted:
-            self.phy_outcomes[outcome][dev.sfi] += 1
+        if tx.counted is not None:
+            self.tallies[tx.counted].phy_outcomes[outcome][dev.sfi] += 1
         if self.trace is not None:
             self.emit(now, dev, slot, "ul_end", _OUTCOME_NAMES[outcome])
 
@@ -672,8 +750,8 @@ class _Replication:
     def drop_ack(self, now, ctx):
         """No window is left for the ACK of ``ctx``: the attempt fails."""
         dev, slot, ul_end = ctx
-        if dev.counted:
-            self.dl_no_window += 1
+        if dev.counted is not None:
+            self.tallies[dev.counted].dl_no_window += 1
         if self.trace is not None:
             self.emit(now, dev, slot, "ack_dropped", "no_window")
         self.confirmed_attempt_failed(dev, ul_end)
@@ -686,8 +764,8 @@ class _Replication:
         airtime = self.t_ack1[dev.sfi]
         self.gw_transmit(now, airtime, self.sc.tau1)
         self.sb1_free_at = now + airtime * (1.0 + self.delta_sb1)
-        if dev.counted:
-            self.dl_sb1_sent += 1
+        if dev.counted is not None:
+            self.tallies[dev.counted].dl_sb1_sent += 1
         self.listeners[slot][dev] = interferers = list(self.on_air[slot])
         heappush(self.heap, (now + airtime, next(self.seq), self.on_ack_end,
                              (dev, slot, ul_end, 1, interferers, now)))
@@ -702,8 +780,8 @@ class _Replication:
         airtime = self.t_ack2[dev.sfi]
         self.gw_transmit(now, airtime, self.sc.tau2)
         self.sb2_free_at = now + airtime * (1.0 + self.sc.delta_sb2)
-        if dev.counted:
-            self.dl_sb2_sent += 1
+        if dev.counted is not None:
+            self.tallies[dev.counted].dl_sb2_sent += 1
         heappush(self.heap, (now + airtime, next(self.seq), self.on_ack_end,
                              (dev, slot, ul_end, 2, None, now)))
         if self.trace is not None:
@@ -714,8 +792,8 @@ class _Replication:
         if window == 1:
             del self.listeners[slot][dev]
             if not self.captured(interferers, dev, dev.power, start, now, self.sc.w_ed):
-                if dev.counted:
-                    self.dl_rx1_corrupted += 1
+                if dev.counted is not None:
+                    self.tallies[dev.counted].dl_rx1_corrupted += 1
                 if self.trace is not None:
                     self.emit(now, dev, slot, "ack1_end", "corrupted")
                 self.confirmed_attempt_failed(dev, ul_end)
@@ -726,16 +804,23 @@ class _Replication:
 
     # -- main loop ----------------------------------------------------------
 
-    def run(self) -> ReplicationResult:
+    def run(self) -> list[ReplicationResult]:
+        """Run the chain; one result per batch, in order."""
         if self.cfg.trace_path is not None:
             self.trace = open(self.cfg.trace_path, "a")
         heap = self.heap
-        budget = _MAX_EVENTS
+        self.budget = budget = _MAX_EVENTS * len(self.batches)
+        # Batch boundaries read how many event numbers the loop has drawn.
+        self.ticks = ticks = iter(range(budget))
         events = 0
         try:
+            for i in range(len(self.batches)):
+                heappush(heap, (self.warmup + i * self.batch_length, next(self.seq),
+                                self.on_batch_start, i))
+            heappush(heap, (self.horizon, next(self.seq), self.on_tail_start, None))
             if self.next_arrival is not None:
                 self.schedule_arrival()
-            for events in range(budget):  # ``events`` counts the events handled so far
+            for events in ticks:  # ``events`` counts the events handled so far
                 if not heap:
                     break
                 now, _, handler, payload = heappop(heap)
@@ -745,61 +830,64 @@ class _Replication:
                 if heap:
                     raise SimulationError(f"event budget exceeded ({budget} events)")
         finally:
-            self.events = events
             if self.trace is not None:
                 self.trace.close()
                 self.trace = None
-        return self.result()
+        bounds = [0, *self.marks, events]
+        return [self.result(i, bounds[i + 1] - bounds[i]) for i in range(len(self.batches))]
 
     # -- reporting -----------------------------------------------------------
 
-    def result(self) -> ReplicationResult:
-        delivered_phy, lost_int, lost_gwtx, lost_nmd = self.phy_outcomes
-        off_u = sum(self.offered_app_u)
-        off_c = sum(self.offered_app_c)
-        off_phy = sum(self.offered_phy)
-        offered_rate = (off_u + off_c) / (self.duration - self.warmup)
+    def result(self, i, events) -> ReplicationResult:
+        """The result of the chain's batch ``i``, which handled ``events`` events."""
+        t = self.tallies[i]
+        delivered_phy, lost_int, lost_gwtx, lost_nmd = t.phy_outcomes
+        off_u = sum(t.offered_app_u)
+        off_c = sum(t.offered_app_c)
+        off_phy = sum(t.offered_phy)
+        offered_rate = (off_u + off_c) / self.batch_length
         # Jain's index over the delivery ratios of the populations that offered traffic.
         shares = [delivered / offered for delivered, offered
-                  in zip(self.delivered_app_u + self.delivered_app_c,
-                         self.offered_app_u + self.offered_app_c) if offered > 0]
+                  in zip(t.delivered_app_u + t.delivered_app_c,
+                         t.offered_app_u + t.offered_app_c) if offered > 0]
         return ReplicationResult(
-            seed=self.seed_label,
-            offered_app_u=tuple(self.offered_app_u),
-            offered_app_c=tuple(self.offered_app_c),
-            delivered_app_u=tuple(self.delivered_app_u),
-            delivered_app_c=tuple(self.delivered_app_c),
-            acked_app_c=tuple(self.acked_app_c),
-            offered_phy=tuple(self.offered_phy),
+            seed=self.batches[i],
+            chain=self.index,
+            offered_app_u=tuple(t.offered_app_u),
+            offered_app_c=tuple(t.offered_app_c),
+            delivered_app_u=tuple(t.delivered_app_u),
+            delivered_app_c=tuple(t.delivered_app_c),
+            acked_app_c=tuple(t.acked_app_c),
+            offered_phy=tuple(t.offered_phy),
             delivered_phy=tuple(delivered_phy),
             lost_interference=tuple(lost_int),
             lost_gwtx=tuple(lost_gwtx),
             lost_nmd=tuple(lost_nmd),
-            dl_sb1_sent=self.dl_sb1_sent,
-            dl_sb2_sent=self.dl_sb2_sent,
-            dl_no_window=self.dl_no_window,
-            dl_rx1_corrupted=self.dl_rx1_corrupted,
-            uu=_ratio(sum(self.delivered_app_u), off_u),
-            cu=_ratio(sum(self.delivered_app_c), off_c),
-            cd=_ratio(sum(self.acked_app_c), off_c),
-            delta_ul=_ratio(self.ul_delay_sum, self.ul_delay_n),
-            delta_dl=_ratio(self.dl_delay_sum, self.dl_delay_n),
+            dl_sb1_sent=t.dl_sb1_sent,
+            dl_sb2_sent=t.dl_sb2_sent,
+            dl_no_window=t.dl_no_window,
+            dl_rx1_corrupted=t.dl_rx1_corrupted,
+            uu=_ratio(sum(t.delivered_app_u), off_u),
+            cu=_ratio(sum(t.delivered_app_c), off_c),
+            cd=_ratio(sum(t.acked_app_c), off_c),
+            delta_ul=_ratio(t.ul_delay_sum, t.ul_delay_n),
+            delta_dl=_ratio(t.dl_delay_sum, t.dl_delay_n),
             jain=jain_index(shares) if any(shares) else None,
             f_nmd=_ratio(sum(lost_nmd), off_phy),
             f_gwtx=_ratio(sum(lost_gwtx), off_phy),
             f_int=_ratio(sum(lost_int), off_phy),
-            dc_violations=self.dc_violations,
-            busy_at_arrival=tuple(map(_ratio, self.busy_arrivals, self.arrivals)),
+            dc_violations=t.dc_violations,
+            busy_at_arrival=tuple(map(_ratio, t.busy_arrivals, t.arrivals)),
             offered_rate_ratio=_ratio(offered_rate, self.sc.lambda_total),
-            events=self.events,
+            events=events,
         )
 
 
-def _run_one(args) -> ReplicationResult:
-    sim_cfg, r = args
+def _run_chain(job) -> list[ReplicationResult]:
+    sim_cfg, index, batches = job
     rng = np.random.default_rng(np.random.SeedSequence(entropy=sim_cfg.seed,
-                                                       spawn_key=(r,)))
-    return _Replication(sim_cfg, rng, seed_label=r).run()
+                                                       spawn_key=(index,)))
+    return _Chain(sim_cfg, rng, index, batches).run()
 
 
 def _fan_out(fn, jobs: list, workers: int | None) -> list:
@@ -835,17 +923,20 @@ def _fan_out(fn, jobs: list, workers: int | None) -> list:
 def run(sim_cfg: SimConfig, workers: int | None = 1) -> SimReport:
     """Run all replications and aggregate them into a report.
 
-    Each replication draws fresh positions, SF assignments and traffic
-    from its own deterministic stream, so the same ``seed`` always
-    produces a bit-identical report, whatever ``workers`` is; see
-    ``_fan_out`` for how ``workers`` splits the replications.  A traced run
-    stays in one process, since every replication appends to one file.
+    The replications are the batches of ``sim_cfg.chains()``.  Each chain
+    draws its positions, SF assignments and traffic from its own
+    deterministic stream, so the same ``seed`` always produces a
+    bit-identical report, whatever ``workers`` is; see ``_fan_out`` for how
+    ``workers`` splits the chains.  A traced run stays in one process,
+    since every chain appends to one file.
     """
     sim_cfg.resolved_warmup()  # a default warmup that does not fit fails before any fork
     if sim_cfg.trace_path is not None:
         workers = 1 if workers is None else min(workers, 1)
-    reps = _fan_out(_run_one, [(sim_cfg, r) for r in range(sim_cfg.n_replications)],
-                    workers)
+    chains = _fan_out(_run_chain, [(sim_cfg, index, batches)
+                                   for index, batches in enumerate(sim_cfg.chains())],
+                      workers)
+    reps = [rep for chain in chains for rep in chain]
 
     return SimReport(
         replications=tuple(reps),

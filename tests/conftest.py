@@ -1,5 +1,9 @@
-"""Shared test plumbing: surface acceptance verdicts in the run summary, and
-the random solved configs that several suites check."""
+"""Shared test plumbing: surface acceptance verdicts in the run summary, the
+golden-file script as a module, and the random solved configs that several
+suites check."""
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,12 @@ from loracell import analytic
 from loracell.scenario import ScenarioConfig, SfDistribution
 
 ACCEPTANCE_VERDICTS: list[str] = []
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+
+_spec = importlib.util.spec_from_file_location("make_golden", GOLDEN / "make_golden.py")
+make_golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_golden)
 
 
 def pytest_terminal_summary(terminalreporter):

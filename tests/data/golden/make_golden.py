@@ -6,27 +6,38 @@ sweep (``alpha.json``), the CSV and ``--full-state --format doc`` output
 of two one-row ``solve`` calls (``solve_*``), plus the CSV of a shortened
 README validation ``compare``, the CSV and ``--format doc`` output of a
 shortened geometric-capture ``simulate`` and the ``--format doc`` output of
-two short runs off the README point (``sim_*``), and the CSV and
-``--format doc`` output of a small ``optimize`` grid (``opt_*``), and the
-``--help`` text of the program and of each command at 80 columns
-(``help*.txt``).  ``tests/test_golden.py`` asserts that the CLI reproduces
+three short runs off the README point, one of them two chains long
+(``sim_*``), and the CSV and ``--format doc`` output of a small
+``optimize`` grid (``opt_*``), and the ``--help`` text of the program and
+of each command at 80 columns (``help*.txt``).  ``tests/test_golden.py`` asserts that the CLI reproduces
 every file byte for byte, so regenerate them only for a change that is
 meant to alter solver, metric or simulator numbers or the ``--help`` text,
 and say so:
 
     PYTHONPATH=src python tests/data/golden/make_golden.py
+
+With ``--pins`` it writes nothing and prints instead the event counts and
+trace digests that ``tests/test_simulate.py`` pins as literals, one line per
+test, computed from the configurations defined here, which those tests
+use too:
+
+    PYTHONPATH=src python tests/data/golden/make_golden.py --pins
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import hashlib
 import io
 import os
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
-from loracell import cli
+from loracell import cli, simulate
+from loracell.scenario import ScenarioConfig
 
 HERE = Path(__file__).resolve().parent
 
@@ -64,7 +75,8 @@ SOLVES: dict[str, list[str]] = {
 _SIM = ["--set", "lambda_total=1", "--set", "alpha=1", "--set", "m=8",
         "--devices", "1200", "--duration", "2000", "--replications", "2", "--seed", "1"]
 
-#: A short cell, 2 x 1500 s at seed 3, for the paths the README point never reaches.
+#: A short cell, 2 x 1400 s after a 100 s warmup at seed 3, for the paths the
+#: README point never reaches.
 _SHORT = ["--devices", "300", "--duration", "1500", "--warmup", "100",
           "--replications", "2", "--seed", "3", "--format", "doc"]
 
@@ -72,7 +84,8 @@ _SHORT = ["--devices", "300", "--duration", "1500", "--warmup", "100",
 #: pinned as ``.json``, the others as ``.csv``.  ``sim_periodic`` sends
 #: unconfirmed copies (h = 3) on periodic arrivals with tau = 0;
 #: ``sim_rx_windows`` lifts the duty cycle, so every RX window is an event,
-#: and each RX1 ACK's geometric capture reads its interferers' power at the device.
+#: and each RX1 ACK's geometric capture reads its interferers' power at the device;
+#: ``sim_chains`` runs seven replications, which are two chains of three and four.
 SIMULATIONS: dict[str, list[str]] = {
     "sim_compare": ["compare", *_SIM],
     "sim_geometric": ["simulate", "--capture", "geometric", *_SIM],
@@ -82,6 +95,9 @@ SIMULATIONS: dict[str, list[str]] = {
     "sim_rx_windows": ["compare", "--capture", "geometric", "--set", "alpha=1",
                        "--set", "m=4", "--set", "delta_sb1=0", "--set", "delta_sb2=0",
                        *_SHORT],
+    "sim_chains": ["simulate", "--set", "alpha=0.5", "--set", "m=4", "--devices", "200",
+                   "--duration", "600", "--warmup", "100", "--replications", "7",
+                   "--seed", "4", "--format", "doc"],
 }
 
 
@@ -142,11 +158,68 @@ def render_help(argv: list[str]) -> str:
     raise RuntimeError(f"loracell {' '.join(argv)} printed no help")
 
 
-def main() -> int:
-    for name, argv in golden_outputs().items():
-        (HERE / name).write_text(render(argv))
-    for name, argv in HELPS.items():
-        (HERE / name).write_text(render_help(argv))
+def readme_point() -> simulate.SimConfig:
+    """The README validation point, shortened to one 700 s replication after a
+    100 s warmup."""
+    return simulate.SimConfig(ScenarioConfig(lambda_total=1.0, alpha=1.0, m=8),
+                              n_devices=1200, sim_duration=800.0, warmup=100.0, seed=1,
+                              n_replications=1)
+
+
+def rx2_cell(capture="probabilistic", arrivals="poisson", tau1=1, delta=(9.0, 9.0),
+             **kw) -> simulate.SimConfig:
+    """A small confirmed cell whose SB2 duty cycle blocks many RX2 windows:
+    150 devices, 2 x 450 s after a 50 s warmup at seed 123, unless ``kw`` says
+    otherwise."""
+    settings = dict(n_devices=150, capture_model=capture, arrival_model=arrivals,
+                    sim_duration=500.0, warmup=50.0, seed=123, n_replications=2)
+    settings.update(kw)
+    return simulate.SimConfig(
+        ScenarioConfig(lambda_total=3.0, alpha=0.8, m=4, tau1=tau1, delta_sb1=delta[0],
+                       delta_sb2=delta[1]),
+        **settings)
+
+
+def pins() -> dict[str, tuple]:
+    """The literals of ``tests/test_simulate.py``, by test: the events of one
+    replication with the window shortcuts and with every RX1 or RX2 window an
+    event, and the trace digest and per-replication events of ``rx2_cell``."""
+    def events(cfg):
+        return simulate.run(cfg).replications[0].events
+
+    every_rx1 = mock.patch.object(simulate._Chain, "rx1_surely_blocked",
+                                  lambda self, rx1_at: False)
+    every_rx2 = mock.patch.object(simulate._Chain, "rx2_surely_blocked",
+                                  lambda self, dev, rx2_at: False)
+    shortcut = events(readme_point())
+    with every_rx1:
+        rx1 = events(readme_point())
+    with every_rx2:
+        rx2 = events(readme_point())
+    found = {"TestRx1Shortcut.test_fewer_events_at_readme_compare_point": (shortcut, rx1),
+             "TestRx2Shortcut.test_fewer_events_at_readme_compare_point": (shortcut, rx2)}
+    with tempfile.TemporaryDirectory() as tmp:
+        for capture in ("probabilistic", "geometric"):
+            path = Path(tmp) / f"{capture}.log"
+            report = simulate.run(rx2_cell(capture, trace_path=str(path)))
+            found[f"TestRx2Shortcut.test_trace_bytes_and_event_counts_are_pinned[{capture}]"] = (
+                hashlib.sha256(path.read_bytes()).hexdigest(),
+                tuple(rep.events for rep in report.replications))
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--pins", action="store_true",
+                        help="print the literals that tests/test_simulate.py pins; write nothing")
+    if parser.parse_args(argv).pins:
+        for test, value in pins().items():
+            print(f"{test}: {value!r}")
+        return 0
+    for name, command in golden_outputs().items():
+        (HERE / name).write_text(render(command))
+    for name, command in HELPS.items():
+        (HERE / name).write_text(render_help(command))
     return 0
 
 

@@ -288,6 +288,25 @@ class TestSimulate:
             assert len(row["busy_at_arrival"]) == 6
             assert row["offered_rate_ratio"] > 0.0
 
+    def test_doc_names_each_replications_chain_and_csv_keeps_its_layout(self, tmp_path):
+        # Seven replications are two chains, of three and four.
+        argv = ("simulate", "--devices", "20", "--duration", "100", "--warmup", "10",
+                "--replications", "7", "--set", "lambda_total=0.5")
+        doc_out, csv_out = tmp_path / "sim.json", tmp_path / "sim.csv"
+        assert run_cli(*argv, "--format", "doc", "--out", str(doc_out)) == EXIT_OK
+        doc = json.loads(doc_out.read_text())
+        assert doc["sim"]["chains"] == 2
+        assert [row["chain"] for row in doc["replications"]] == [0, 0, 0, 1, 1, 1, 1]
+        assert [row["rep"] for row in doc["replications"]] == list(range(7))
+        assert "chain" not in doc["mean"] and "chain" not in doc["ci95"]
+        assert run_cli(*argv, "--out", str(csv_out)) == EXIT_OK
+        header, columns, rows = read_csv(csv_out)
+        assert columns == ["rep", "offered_app", "offered_phy", *METRICS, "dc_violations"]
+        assert [line.split(":")[0] for line in header[2:]] == [
+            "# seed", "# n_devices", "# arrival_model", "# capture_model", "# sim_duration",
+            "# warmup", "# n_replications"]
+        assert len(rows) == 7 + 2
+
     def test_simulation_assertion_maps_to_exit_5(self, monkeypatch):
         import loracell.cli as cli
         from loracell.simulate import SimulationError
@@ -323,7 +342,7 @@ class TestCompare:
         doc = json.loads(doc_out.read_text())
         assert doc["sim"] == {"seed": 1, "n_replications": 2, "sim_duration": 400.0,
                               "n_devices": 150, "arrival_model": "periodic",
-                              "capture_model": "geometric", "warmup": 50.0}
+                              "capture_model": "geometric", "warmup": 50.0, "chains": 1}
         assert len(doc["saturation"]["busy_at_arrival"]) == 6
         assert 0.0 < doc["saturation"]["offered_rate_ratio"] <= 1.1
         # The CSV header keeps its three simulator keys.

@@ -5,22 +5,15 @@ The files under ``tests/data/golden/`` and the script that regenerates them
 ``--format doc`` output of the ``alpha`` sweep, the CSV and full-state doc of
 two one-row ``solve`` calls, plus a shortened README ``compare`` (CSV) and
 geometric-capture ``simulate`` (CSV and doc) at seed 1, two short runs at
-seed 3 on paths the README point never reaches (doc), and a small
-``optimize`` grid (CSV and doc), and the ``--help`` text of the program and
-of each command at 80 columns.  The simulations and the optimizer run on
+seed 3 on paths the README point never reaches and one at seed 4 that is
+two chains long (doc), and a small ``optimize`` grid (CSV and doc), and the
+``--help`` text of the program and of each command at 80 columns.  The simulations and the optimizer run on
 every usable core by default; ``--workers 1`` must give the same bytes.
 """
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
-
-_spec = importlib.util.spec_from_file_location("make_golden", GOLDEN / "make_golden.py")
-make_golden = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(make_golden)
+from conftest import GOLDEN, make_golden
 
 
 def test_every_figure_sweep_has_a_golden_file():

@@ -4,6 +4,7 @@ import concurrent.futures
 import dataclasses
 import gc
 import hashlib
+import heapq
 import math
 import multiprocessing
 import os
@@ -20,19 +21,21 @@ import loracell
 from loracell import analytic, metrics
 from loracell import optimize as optimize_mod
 from loracell import simulate as simulate_mod
-from loracell.scenario import ScenarioConfig, SfDistribution, ValidationError
+from loracell.scenario import N_SF, ScenarioConfig, SfDistribution, ValidationError
 from loracell.simulate import (
     _BLOCK,
     _MAX_REPLICATIONS,
     SimConfig,
     SimulationError,
     _max_concurrent_power,
-    _Replication,
+    _Chain,
     _summary,
     _t975,
     place_devices,
     run,
 )
+
+from conftest import make_golden
 
 SF7_ONLY = SfDistribution((1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
 
@@ -114,7 +117,39 @@ class TestPlacement:
                   n_devices=100_000)
         _, _, _, sf_idx = place_devices(cfg, seed=10)
         hist = np.bincount(sf_idx, minlength=6) / 100_000
-        assert hist == pytest.approx(np.asarray(explora.p), abs=0.01)
+        assert hist == pytest.approx(np.asarray(explora.p), abs=1e-5)
+
+    @staticmethod
+    def class_counts(cfg) -> list[int]:
+        """Devices per (type, SF) class: unconfirmed SF7 ... SF12, then confirmed."""
+        _, _, confirmed, sf_idx = place_devices(cfg, seed=4)
+        return np.bincount(sf_idx + N_SF * confirmed, minlength=2 * N_SF).tolist()
+
+    @pytest.mark.parametrize("alpha, n, counts", [
+        (1.0, 1200, [0] * 6 + [200] * 6),
+        (0.5, 1200, [100] * 12),
+        # Every quota is 7/12: the seven largest remainders tie, and the earliest win.
+        (0.5, 7, [1] * 7 + [0] * 5),
+        (0.0, 1, [1] + [0] * 11),
+    ])
+    def test_counts_are_exact_where_quotas_say(self, alpha, n, counts):
+        assert self.class_counts(sim(scenario_kw={"alpha": alpha}, n_devices=n)) == counts
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 1 / 3])
+    @pytest.mark.parametrize("n", [1, 5, 50, 1201])
+    def test_counts_are_largest_remainder_quotas(self, alpha, n):
+        explora = SfDistribution.explora()
+        cfg = sim(scenario_kw={"alpha": alpha, "p_confirmed": explora}, n_devices=n)
+        counts = np.array(self.class_counts(cfg))
+        quotas = n * np.concatenate([(1 - alpha) * np.full(N_SF, 1 / N_SF),
+                                     alpha * np.asarray(explora.p)])
+        assert counts.sum() == n
+        assert np.all(np.abs(counts - quotas) < 1)
+        # A class rounded up keeps a remainder no smaller than any class rounded down.
+        rounded_up = counts > quotas
+        if rounded_up.any() and not rounded_up.all():
+            remainders = quotas - np.floor(quotas)
+            assert remainders[rounded_up].min() >= remainders[~rounded_up].max() - 1e-9
 
 
 class TestDeterminism:
@@ -131,24 +166,26 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("capture", ["probabilistic", "geometric"])
     def test_worker_pool_matches_serial(self, capture):
+        # Eleven replications are three chains of 3, 4 and 4.
         cfg = sim(scenario_kw={"lambda_total": 2.0, "alpha": 0.5, "m": 2},
-                  capture_model=capture, n_replications=3)
+                  capture_model=capture, n_replications=11)
+        assert [len(chain) for chain in cfg.chains()] == [3, 4, 4]
         serial = run(cfg, workers=1)
         for workers in (None, 2, 3, 16):
             assert run(cfg, workers=workers) == serial
 
 
-#: ``multiprocessing.active_children()`` counts seen by ``_counting_run_one``
+#: ``multiprocessing.active_children()`` counts seen by ``_counting_run_chain``
 #: and ``_counting_solve_grid_point``.  They are module-level so that the pool
 #: can pickle the patched function.
 _children_seen: list[int] = []
-_plain_run_one = simulate_mod._run_one
+_plain_run_chain = simulate_mod._run_chain
 _plain_solve_grid_point = optimize_mod._solve_grid_point
 
 
-def _counting_run_one(job):
+def _counting_run_chain(job):
     _children_seen.append(len(multiprocessing.active_children()))
-    return _plain_run_one(job)
+    return _plain_run_chain(job)
 
 
 def _counting_solve_grid_point(job):
@@ -157,15 +194,16 @@ def _counting_solve_grid_point(job):
 
 
 class TestWorkers:
-    CFG = sim(scenario_kw={"lambda_total": 2.0, "alpha": 0.5, "m": 2}, n_replications=3)
+    # Three chains of five replications.
+    CFG = sim(scenario_kw={"lambda_total": 2.0, "alpha": 0.5, "m": 2}, n_replications=15)
     # Two grid points: the caller solves m=1 and a pool of one solves m=2.
     PROBLEM = optimize_mod.OptimizationProblem(
         base_cfg=ScenarioConfig(alpha=0.3), lambdas=(1.0,), m_grid=(1, 2), h_grid=(1,),
         max_ascent_iters=2)
 
-    def test_worker_count_is_capped_at_the_replications(self, monkeypatch):
-        # The caller runs one replication and a pool of two the others.
-        monkeypatch.setattr(simulate_mod, "_run_one", _counting_run_one)
+    def test_worker_count_is_capped_at_the_chains(self, monkeypatch):
+        # The caller runs one chain and a pool of two the others.
+        monkeypatch.setattr(simulate_mod, "_run_chain", _counting_run_chain)
         _children_seen.clear()
         run(self.CFG, workers=16)
         assert _children_seen and max(_children_seen) <= 2
@@ -190,21 +228,21 @@ class TestWorkers:
             raise AssertionError("a process pool was started")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        cfg = SimConfig(scenario=ScenarioConfig(), sim_duration=100.0, n_replications=3)
+        cfg = SimConfig(scenario=ScenarioConfig(), sim_duration=100.0, n_replications=15)
         with pytest.raises(ValidationError, match="warmup"):
             run(cfg, workers=3)
 
     @pytest.mark.parametrize("failing, where", [(2, "a worker's share"),
                                                 (0, "the caller's share")])
     def test_error_crosses_back_and_no_child_outlives_run(self, monkeypatch, failing, where):
-        plain = _Replication.run
+        plain = _Chain.run
 
         def failing_run(self):
-            if self.seed_label == failing:
+            if self.index == failing:
                 raise SimulationError(f"synthetic failure in {where}")
             return plain(self)
 
-        monkeypatch.setattr(_Replication, "run", failing_run)
+        monkeypatch.setattr(_Chain, "run", failing_run)
         with pytest.raises(SimulationError, match=f"synthetic failure in {where}"):
             run(self.CFG, workers=2)
         assert multiprocessing.active_children() == []
@@ -226,7 +264,7 @@ class TestWorkers:
         assert multiprocessing.active_children() == []
 
     def test_traced_run_stays_in_one_process(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(simulate_mod, "_run_one", _counting_run_one)
+        monkeypatch.setattr(simulate_mod, "_run_chain", _counting_run_chain)
         _children_seen.clear()
         run(dataclasses.replace(self.CFG, trace_path=str(tmp_path / "events.log")),
             workers=None)
@@ -257,7 +295,7 @@ class TestBlockBoundaries:
                   capture_model=capture)
         gc.disable()
         try:
-            rep = _Replication(cfg, np.random.default_rng(1), seed_label=0)
+            rep = _Chain(cfg, np.random.default_rng(1), 0, range(1))
             rep.run()
             ref = weakref.ref(rep)
             del rep
@@ -270,15 +308,14 @@ class TestRetransmissionTimeout:
     @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
     def test_mean_is_mu_retx(self, mu):
         cfg = sim(scenario_kw={"mu_retx": mu})
-        rep = _Replication(cfg, np.random.default_rng(1), seed_label=0)
+        rep = _Chain(cfg, np.random.default_rng(1), 0, range(1))
         # 0.01 is at least five standard errors of the mean of 102,400 draws.
         draws = np.array([rep.next_timeout() for _ in range(100 * _BLOCK)])
         assert draws.min() >= 0.0
         assert draws.mean() == pytest.approx(mu, abs=0.01)
 
     def test_zero_mean_draws_zero(self):
-        rep = _Replication(sim(scenario_kw={"mu_retx": 0.0}), np.random.default_rng(1),
-                           seed_label=0)
+        rep = _Chain(sim(scenario_kw={"mu_retx": 0.0}), np.random.default_rng(1), 0, range(1))
         assert {rep.next_timeout() for _ in range(2 * _BLOCK)} == {0.0}
 
 
@@ -336,6 +373,90 @@ class TestConservation:
         assert report.offered_phy > 0
         assert (report.lost_nmd + report.lost_gwtx + report.lost_interference
                 + report.delivered_phy == report.offered_phy)
+
+
+class TestBatches:
+    """A run's replications are the batches of its chains."""
+
+    # Confirmed packets with retransmissions and unconfirmed copies straddle
+    # every boundary: four 250 s batches in one chain.
+    CELL = {"lambda_total": 4.0, "alpha": 0.6, "m": 4, "h": 2}
+
+    @pytest.mark.parametrize("capture", ["probabilistic", "geometric"])
+    def test_batch_counts_what_a_chain_of_one_counts_from_its_start(self, capture):
+        # Counting does not steer the cell, so batch j sees the traffic of a
+        # one-batch chain whose warmup runs up to the batch's start.
+        cfg = sim(scenario_kw=self.CELL, n_devices=100, capture_model=capture,
+                  sim_duration=300.0, warmup=50.0, n_replications=4)
+        batches = run(cfg).replications
+        for j, batch in enumerate(batches):
+            start = 50.0 + 250.0 * j
+            alone = run(dataclasses.replace(cfg, warmup=start, sim_duration=start + 250.0,
+                                            n_replications=1)).replications[0]
+            assert sum(alone.offered_app_c) > 0
+            assert dataclasses.replace(alone, seed=j, events=0) == \
+                dataclasses.replace(batch, events=0)
+
+    def test_first_chain_does_not_depend_on_the_others(self):
+        # Seven replications are chains of three and four; three are one chain.
+        cfg = sim(scenario_kw=self.CELL, n_devices=100, sim_duration=300.0, warmup=50.0,
+                  n_replications=7)
+        seven = run(cfg).replications
+        assert [rep.chain for rep in seven] == [0, 0, 0, 1, 1, 1, 1]
+        assert [rep.seed for rep in seven] == list(range(7))
+        assert seven[:3] == run(dataclasses.replace(cfg, n_replications=3)).replications
+        assert seven[3:] != seven[:4]
+
+    @pytest.mark.parametrize("capture", ["probabilistic", "geometric"])
+    def test_every_batch_conserves_packets(self, capture):
+        report = run(sim(scenario_kw=self.CELL, n_devices=100, capture_model=capture,
+                         sim_duration=300.0, warmup=50.0, n_replications=7))
+        for rep in report.replications:
+            assert sum(rep.offered_app_u) > 0 and sum(rep.offered_app_c) > 0
+            for i in range(N_SF):
+                assert (rep.delivered_phy[i] + rep.lost_interference[i] + rep.lost_gwtx[i]
+                        + rep.lost_nmd[i]) == rep.offered_phy[i]
+                assert rep.delivered_app_u[i] <= rep.offered_app_u[i]
+                assert rep.acked_app_c[i] <= rep.delivered_app_c[i] <= rep.offered_app_c[i]
+                # Every offered packet makes its first attempt in the batch.
+                assert rep.offered_app_u[i] + rep.offered_app_c[i] <= rep.offered_phy[i]
+            assert rep.dc_violations == 0
+
+    def test_events_of_a_chain_add_up(self, monkeypatch):
+        # A batch counts the events of its window, the first batch the warmup's
+        # too and the last the tail's, so a chain's batches share its events.
+        popped = []
+
+        def counting_heappop(heap):
+            popped.append(None)
+            return heapq.heappop(heap)
+
+        cfg = sim(scenario_kw=self.CELL, n_devices=100, sim_duration=300.0, warmup=50.0,
+                  n_replications=3)
+        monkeypatch.setattr(simulate_mod, "heappop", counting_heappop)
+        report = run(cfg)
+        monkeypatch.undo()
+        total = sum(rep.events for rep in report.replications)
+        assert total == len(popped)
+        # The budget is per replication: a chain of three may handle three times it.
+        monkeypatch.setattr(simulate_mod, "_MAX_EVENTS", -(-total // 3))
+        assert run(cfg) == report
+        monkeypatch.setattr(simulate_mod, "_MAX_EVENTS", -(-total // 3) - 1)
+        with pytest.raises(SimulationError, match="event budget exceeded"):
+            run(cfg)
+
+    def test_short_batches_agree_with_a_long_chain_on_cd(self):
+        # The tail stays loaded, so the packets at a chain's end meet the same
+        # load as the others: eleven 50 s batches (three chains, so three of
+        # them end a chain) give the CD of one chain of five 1500 s batches.
+        # A tail without arrivals reads 0.12 higher here.
+        scenario = {"lambda_total": 1.0, "alpha": 1.0, "m": 8}
+        short = run(sim(scenario_kw=scenario, n_devices=200, sim_duration=150.0,
+                        warmup=100.0, n_replications=11, seed=5))
+        long = run(sim(scenario_kw=scenario, n_devices=200, sim_duration=1600.0,
+                       warmup=100.0, n_replications=5, seed=6))
+        assert len({rep.chain for rep in long.replications}) == 1
+        assert abs(short.cd.mean - long.cd.mean) <= short.cd.halfwidth + long.cd.halfwidth
 
 
 class TestDutyCycleThrottling:
@@ -526,7 +647,7 @@ class TestHalfDuplexInvariant:
     def test_gateway_transmitting_while_receiving_raises(self, monkeypatch):
         # With tau = 0 a window opens only when no reception is ongoing; a
         # gateway that ignores that keys its radio over a reception.
-        monkeypatch.setattr(_Replication, "gw_blocked", lambda self, now, free_at, tau: False)
+        monkeypatch.setattr(_Chain, "gw_blocked", lambda self, now, free_at, tau: False)
         cfg = sim(scenario_kw={"lambda_total": 2.0, "alpha": 1.0, "tau1": 0, "tau2": 0},
                   n_devices=100, sim_duration=300.0, n_replications=1)
         with pytest.raises(SimulationError, match="gateway would transmit while receiving"):
@@ -567,7 +688,7 @@ class TestSingleArrivalEvent:
     def test_heap_holds_one_pending_arrival(self, arrivals):
         cfg = sim(scenario_kw={"lambda_total": 4.0, "alpha": 0.5, "m": 2},
                   arrival_model=arrivals, n_replications=1)
-        rep = _Replication(cfg, np.random.default_rng(1), seed_label=0)
+        rep = _Chain(cfg, np.random.default_rng(1), 0, range(1))
         pending = []
         on_tx_start = rep.on_tx_start
 
@@ -617,34 +738,28 @@ class TestRx1Shortcut:
                   n_devices=150, capture_model=capture, arrival_model=arrivals,
                   sim_duration=500.0, warmup=50.0)
         shortcut = run(cfg)
-        monkeypatch.setattr(_Replication, "rx1_surely_blocked", lambda self, rx1_at: False)
+        monkeypatch.setattr(_Chain, "rx1_surely_blocked", lambda self, rx1_at: False)
         _assert_only_events_drop(shortcut, run(cfg))
 
     def test_fewer_events_at_readme_compare_point(self, monkeypatch):
-        cfg = SimConfig(scenario=ScenarioConfig(lambda_total=1.0, alpha=1.0, m=8),
-                        n_devices=1200, sim_duration=800.0, warmup=100.0, seed=1,
-                        n_replications=1)
+        # ``make_golden.py --pins`` prints the literal.
+        cfg = make_golden.readme_point()
         shortcut = run(cfg).replications[0]
-        monkeypatch.setattr(_Replication, "rx1_surely_blocked", lambda self, rx1_at: False)
+        monkeypatch.setattr(_Chain, "rx1_surely_blocked", lambda self, rx1_at: False)
         every_window = run(cfg).replications[0]
         assert _without_events(shortcut) == _without_events(every_window)
-        assert (shortcut.events, every_window.events) == (14004, 17464)
+        assert (shortcut.events, every_window.events) == (26482, 32815)
 
 
 class TestRx2Shortcut:
     """An RX2 window that SB2's duty cycle already blocks is not an event
     while the packet has attempts left."""
 
-    @staticmethod
-    def cell(capture="probabilistic", arrivals="poisson", tau1=1, delta=(9.0, 9.0), **kw):
-        return sim(scenario_kw={"lambda_total": 3.0, "alpha": 0.8, "m": 4, "tau1": tau1,
-                                "delta_sb1": delta[0], "delta_sb2": delta[1]},
-                   n_devices=150, capture_model=capture, arrival_model=arrivals,
-                   sim_duration=500.0, warmup=50.0, **kw)
+    cell = staticmethod(make_golden.rx2_cell)
 
     @staticmethod
     def every_window(monkeypatch):
-        monkeypatch.setattr(_Replication, "rx2_surely_blocked", lambda self, dev, rx2_at: False)
+        monkeypatch.setattr(_Chain, "rx2_surely_blocked", lambda self, dev, rx2_at: False)
 
     @pytest.mark.parametrize("delta", [(99.0, 9.0), (0.0, 0.0), (9.0, 9.0)],
                              ids=["dc", "no_dc", "dc_backoff_binds"])
@@ -666,14 +781,14 @@ class TestRx2Shortcut:
         # some retransmission times, and the shortcut still fires.
         cfg = self.cell(delta=(delta_sb1, 9.0))
         decided = []
-        failed = _Replication.confirmed_attempt_failed
+        failed = _Chain.confirmed_attempt_failed
 
         def recording(self, dev, ul_end):
             if dev.attempts < self.m:
                 decided.append(ul_end + 2.0 + dev.backoff > dev.next_allowed)
             failed(self, dev, ul_end)
 
-        monkeypatch.setattr(_Replication, "confirmed_attempt_failed", recording)
+        monkeypatch.setattr(_Chain, "confirmed_attempt_failed", recording)
         shortcut = run(cfg)
         assert decided
         assert any(decided) == binds
@@ -684,24 +799,24 @@ class TestRx2Shortcut:
             sum(r.events for r in every_window.replications)
 
     def test_fewer_events_at_readme_compare_point(self, monkeypatch):
-        cfg = SimConfig(scenario=ScenarioConfig(lambda_total=1.0, alpha=1.0, m=8),
-                        n_devices=1200, sim_duration=800.0, warmup=100.0, seed=1,
-                        n_replications=1)
+        # ``make_golden.py --pins`` prints the literal.
+        cfg = make_golden.readme_point()
         shortcut = run(cfg).replications[0]
         self.every_window(monkeypatch)
         every_window = run(cfg).replications[0]
         assert _without_events(shortcut) == _without_events(every_window)
-        assert (shortcut.events, every_window.events) == (14004, 16620)
+        assert (shortcut.events, every_window.events) == (26482, 31528)
 
     @pytest.mark.parametrize("capture, digest, events", [
-        ("probabilistic", "725a891a34ec1ca3b0e6bead73a604a003cac5edfd3868c9fc172ebed824a3fd",
-         (13105, 12994)),
-        ("geometric", "fe197c917f80a5c80417a1c63b83f7960f4f465e677e9951e6a7b67a86cd621a",
-         (13103, 12944)),
+        ("probabilistic", "4c4bc6201de36429630f6f59195a52ef89547e5a0236cf5fa67084f14160af95",
+         (11935, 12545)),
+        ("geometric", "e5424d4a8355d081b515c60933e485bd1ed43d02db7a591a3a1996e04dc895cb",
+         (12176, 12636)),
     ])
     def test_trace_bytes_and_event_counts_are_pinned(self, tmp_path, capture, digest, events):
         # The results do not show the order of events or what each one traced:
         # these literals do, so a hot-path rewrite that reorders either fails here.
+        # ``make_golden.py --pins`` prints them.
         path = tmp_path / "events.log"
         report = run(self.cell(capture, trace_path=str(path)))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
