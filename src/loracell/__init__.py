@@ -32,8 +32,8 @@ from .metrics import MetricsReport, compute_report, jain_index
 #: submodule; its search function is ``optimize.optimize``.
 _LAZY = {
     "optimize": "optimize",
-    **dict.fromkeys(("OptimizationProblem", "OptimizationResult",
-                     "evaluate_configuration", "project_to_simplex"), "optimize"),
+    **dict.fromkeys(("OptimizationProblem", "OptimizationResult", "project_to_simplex"),
+                    "optimize"),
     **dict.fromkeys(("SimConfig", "SimReport", "SimulationError", "run"), "simulate"),
 }
 
@@ -65,7 +65,6 @@ __all__ = [
     "jain_index",
     "OptimizationProblem",
     "OptimizationResult",
-    "evaluate_configuration",
     "optimize",
     "project_to_simplex",
     "SimConfig",

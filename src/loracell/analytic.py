@@ -17,10 +17,10 @@ at the gateway and ``w_ed`` at the device.
 
 ``solve_many`` solves many scenarios at once.  Those that agree on the
 fields fixing array shapes, loop counts or the ``gw_may_transmit`` branch
-(``m``, ``tau1``, ``tau2``, ``n_demodulators``) and on the airtimes form one
-batch: per-SF vectors gain a leading row axis, ``(K, 6)``, per-row scalars
-(``p_on``, ``s_demod``, the other scenario fields such as ``h`` or ``w_gw``,
-...) become ``(K,)`` arrays, and the model functions below accept either form.
+(``m``, ``h``, ``tau1``, ``tau2``, ``n_demodulators``) and on the airtimes form
+one batch: per-SF vectors gain a leading row axis, ``(K, 6)``, per-row scalars
+(``p_on``, ``s_demod``, the other scenario fields such as ``w_gw``, ...)
+become ``(K,)`` arrays, and the model functions below accept either form.
 Each row stops when its own residual reaches the tolerance and is then
 frozen, so its numbers and sweep count are those of its own ``solve``,
 the one-row call of the same code.
@@ -490,15 +490,15 @@ def _start_vectors(start) -> tuple[np.ndarray, np.ndarray]:
 
 
 #: Fields that fix array shapes, loop counts or the ``gw_may_transmit`` branch,
-#: and the airtimes, which the model reads as per-SF vectors: configs solved as
-#: one batch must agree on them.
-_SHARED = ("m", "tau1", "tau2", "n_demodulators", "airtimes")
+#: and the airtimes, which the model reads as per-SF vectors: configs solved or
+#: reported as one batch must agree on them.
+_SHARED = ("m", "h", "tau1", "tau2", "n_demodulators", "airtimes")
 #: Scalars that the sweep reads from the config and that may differ by row.
-_PER_ROW = ("h", "delta_sb1", "delta_sb2", "c_channels", "w_gw", "w_ed")
+_PER_ROW = ("delta_sb1", "delta_sb2", "c_channels", "w_gw", "w_ed")
 
 
-def _by_shape(cfgs, run, shared=_SHARED) -> list:
-    """``run(group)`` on each group of ``cfgs`` that agree on the ``shared``
+def _by_shape(cfgs, run) -> list:
+    """``run(group)`` on each group of ``cfgs`` that agree on the ``_SHARED``
     fields; the results of all groups, scattered back into config order.
 
     ``run`` takes the list of indices into ``cfgs`` of one group and returns
@@ -508,7 +508,7 @@ def _by_shape(cfgs, run, shared=_SHARED) -> list:
         return list(run([0]))
     groups: dict[tuple, list[int]] = {}
     for i, cfg in enumerate(cfgs):
-        groups.setdefault(tuple(getattr(cfg, name) for name in shared), []).append(i)
+        groups.setdefault(tuple(getattr(cfg, name) for name in _SHARED), []).append(i)
     results: list = [None] * len(cfgs)
     for group in groups.values():
         for i, result in zip(group, run(group)):
@@ -516,18 +516,18 @@ def _by_shape(cfgs, run, shared=_SHARED) -> list:
     return results
 
 
-def _batch(cfgs, shared=_SHARED, names=None) -> SimpleNamespace:
-    """One scenario for configs that agree on the ``shared`` fields, in the
+def _batch(cfgs, names=None) -> SimpleNamespace:
+    """One scenario for configs that agree on the ``_SHARED`` fields, in the
     batched form that the model functions accept.
 
-    The ``shared`` fields keep their common value; every other field of
+    The ``_SHARED`` fields keep their common value; every other field of
     ``names`` (default: all) becomes a ``(K,)`` array, and an SF
     distribution a namespace whose ``p`` is ``(K, 6)``.
     """
     fields = {}
     for name in names or vars(cfgs[0]):
         value = getattr(cfgs[0], name)
-        if name in shared:
+        if name in _SHARED:
             fields[name] = value
         elif isinstance(value, SfDistribution):
             fields[name] = SimpleNamespace(p=np.array([getattr(c, name).p for c in cfgs]))
@@ -540,8 +540,8 @@ def solve_many(cfgs, tol: float = _TOL, max_iter: int = _MAX_ITER,
                start=None) -> list[SteadyState | ModelError]:
     """Solve every config as :func:`solve` would; one result per config, in order.
 
-    Configs that agree on ``m``, ``tau1``, ``tau2``, ``n_demodulators`` and
-    the airtimes are iterated together as one batch.  A row is frozen once
+    Configs that agree on ``m``, ``h``, ``tau1``, ``tau2``, ``n_demodulators``
+    and the airtimes are iterated together as one batch.  A row is frozen once
     its own residual reaches ``tol``, and a row whose sweep breaks yields
     its ``ModelError`` without stopping the others.  Every row starts from
     ``start`` when it is given.

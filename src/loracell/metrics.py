@@ -9,8 +9,8 @@ Every metric also takes a leading row axis, in the forms that the model
 functions of :mod:`~loracell.analytic` accept: a batched state whose
 per-SF vectors are ``(K, 6)``, and a batched config whose per-row fields
 are ``(K,)`` arrays (or shared scalars) and whose SF distributions are
-``(K, 6)``.  The rows of a batch share ``h`` and the fields on which
-:func:`~loracell.analytic.solve_many` groups a batch (``m``, ``tau1``,
+``(K, 6)``.  The rows of a batch share the fields on which
+:func:`~loracell.analytic.solve_many` groups a batch (``m``, ``h``, ``tau1``,
 ``tau2``, ``n_demodulators``, the airtimes), which fix the shapes of the
 state's and the metrics' arrays.  A metric that is undefined for a row
 reads NaN there, in a one-row call as in a batch, and each row of a batch
@@ -19,13 +19,9 @@ one-row state as a batch of one, and :func:`report_many` batches a list
 of solved configs; a NaN field of a report row reads ``None``.
 
 Fairness is reported only by :func:`compute_report`: Jain's index over the
-(traffic type, SF) populations, ``None`` when no population has any
-success.  It is the one metric whose vector length differs by row: a row
-has only the populations that have devices, so the absent ones read NaN.
-:func:`jain_index` computes the rows of each such category mask as one
-compact block, because numpy's pairwise sum changes its blocking at 8
-elements: summing a 6-category row padded to 12 would not round like the
-6-element sum of the row alone.
+(traffic type, SF) populations that have devices, ``None`` when no
+population has any success.  Its vector length differs by row, so
+:func:`jain_index` takes one vector and each row is computed on its own.
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import (_SHARED, SteadyState, _arange, _batch, _by_shape, _col, _stack,
+from .analytic import (SteadyState, _arange, _batch, _by_shape, _col, _stack,
                        attempt_distributions)
 from .scenario import ScenarioConfig
 
@@ -43,10 +39,6 @@ from .scenario import ScenarioConfig
 #: report, in CLI column order; each is a field of ``MetricsReport``,
 #: ``simulate.ReplicationResult`` and ``simulate.SimReport``.
 METRICS = ("uu", "cu", "cd", "delta_ul", "delta_dl", "jain", "f_nmd", "f_gwtx", "f_int")
-
-#: Config fields that rows reported as one batch share: those of a solver
-#: batch, and ``h``, which fixes the length of the unconfirmed attempt axis.
-_BATCH_KEY = _SHARED + ("h",)
 
 #: Smallest normal float: a sum of squares below it has lost precision to underflow.
 _TINY = np.finfo(float).tiny
@@ -155,38 +147,24 @@ def _mean_delay(p_c: np.ndarray, p: np.ndarray, t: np.ndarray):
     return sum((p_c * per_sf).T)
 
 
-def jain_index(x):
-    """Jain's fairness index (sum x)^2 / (n sum x^2); 1 means perfectly fair.
-
-    A ``(K, n)`` stack gives one index per row.  NaN entries of a stack
-    mark absent members, so rows may differ in size; each row's index
-    equals the one of its vector without them.
-    """
+def jain_index(x) -> float:
+    """Jain's fairness index (sum x)^2 / (n sum x^2) of one allocation
+    vector; 1 means perfectly fair."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 2:
-        present = ~np.isnan(x)
-        if not present.all():
-            masks, group = np.unique(present, axis=0, return_inverse=True)
-            index = np.empty(len(x))
-            for g, mask in enumerate(masks):
-                rows = group == g
-                # compress keeps each row contiguous, so its sum rounds as in a one-row call.
-                index[rows] = jain_index(np.compress(mask, x[rows], axis=1))
-            return index
-    if x.shape[-1] == 0:
+    if x.ndim != 1:
+        raise MetricsError(f"fairness takes one allocation vector, got shape {x.shape}")
+    if len(x) == 0:
         raise MetricsError("fairness undefined for an empty allocation vector")
     if (x < 0.0).any():
         raise MetricsError("fairness requires non-negative allocations")
-    total = x.sum(axis=-1)
-    if (total <= 0.0).any():
+    total = x.sum()
+    if total <= 0.0:
         raise MetricsError("fairness undefined for an all-zero allocation vector")
-    squares = (x * x).sum(axis=-1)
-    tiny = squares < _TINY
-    if tiny.any():
+    squares = (x * x).sum()
+    if squares < _TINY:
         # The squares underflow; the index is scale-free.
-        return jain_index(np.where(tiny[..., None], x / x.max(axis=-1, keepdims=True), x))
-    index = total * total / (x.shape[-1] * squares)
-    return float(index) if index.ndim == 0 else index
+        return jain_index(x / x.max())
+    return float(total * total / (len(x) * squares))
 
 
 def _categories(cfg: ScenarioConfig, uu_i, cu_i) -> np.ndarray:
@@ -195,8 +173,8 @@ def _categories(cfg: ScenarioConfig, uu_i, cu_i) -> np.ndarray:
     Categories are the up-to-12 (traffic type, SF) populations: the
     uplink success probability ``uu_i`` (from :func:`reliability`) for
     unconfirmed devices and ``cu_i`` for confirmed ones.  Structurally empty
-    categories (no devices) read NaN, which :func:`jain_index` leaves out, so
-    they cannot depress the index; a batched config gives a ``(K, 12)`` stack.
+    categories (no devices) read NaN, which the index leaves out, so they
+    cannot depress it; a batched config gives a ``(K, 12)`` stack.
     """
     alpha = _col(cfg.alpha)
     present = np.concatenate(((1.0 - alpha) * np.asarray(cfg.p_unconfirmed.p) > 0.0,
@@ -247,7 +225,7 @@ def compute_report(state: SteadyState, cfg: ScenarioConfig):
     """
     one_row = np.ndim(state.s_ul) == 1
     if one_row:
-        state, cfg = _stack([state]), _batch([cfg], _BATCH_KEY)
+        state, cfg = _stack([state]), _batch([cfg])
     uu, cu, cd, uu_i, cu_i, cd_i = reliability(state, cfg)
     delta_ul, delta_dl = delays(state, cfg)
     retx = retx_distribution(state, cfg)
@@ -259,13 +237,11 @@ def compute_report(state: SteadyState, cfg: ScenarioConfig):
 
 
 def _jain(categories: np.ndarray) -> np.ndarray:
-    """Jain index of each row's categories: NaN, not an error, where no
-    population has any success."""
+    """Jain index of each row's present (non-NaN) categories: NaN, not an
+    error, where no population has any success."""
     live = np.nan_to_num(categories).any(axis=-1)   # an absent category's NaN reads 0
-    jain = np.full(len(categories), np.nan)
-    if live.any():
-        jain[live] = jain_index(categories[live])
-    return jain
+    return np.array([jain_index(row[~np.isnan(row)]) if ok else np.nan
+                     for row, ok in zip(categories, live.tolist())])
 
 
 def _column(values: np.ndarray) -> list:
@@ -279,10 +255,9 @@ def _column(values: np.ndarray) -> list:
 def report_many(states, cfgs) -> list[MetricsReport]:
     """The report of every solved config, in order, as :func:`compute_report` gives it.
 
-    Configs that agree on ``h`` and on the fields with which
-    :func:`~loracell.analytic.solve_many` groups a batch (``m``, ``tau1``,
-    ``tau2``, ``n_demodulators``, the airtimes) are reported as one batch.
+    Configs that :func:`~loracell.analytic.solve_many` solves as one batch
+    (those that agree on ``m``, ``h``, ``tau1``, ``tau2``, ``n_demodulators``
+    and the airtimes) are reported as one batch.
     """
     return _by_shape(cfgs, lambda group: compute_report(
-        _stack([states[i] for i in group]), _batch([cfgs[i] for i in group], _BATCH_KEY)),
-        _BATCH_KEY)
+        _stack([states[i] for i in group]), _batch([cfgs[i] for i in group])))

@@ -373,14 +373,3 @@ def optimize(problem: OptimizationProblem, workers: int | None = 1) -> Optimizat
     )
     return OptimizationResult(best_cfg=best_cfg, best_value=best.value,
                               records=tuple(records))
-
-
-def evaluate_configuration(cfg: ScenarioConfig,
-                           lambda_values) -> tuple[metrics.MetricsReport, ...]:
-    """Solve one configuration across traffic loads; one report per load."""
-    cfgs = [replace(cfg, lambda_total=float(lam)) for lam in lambda_values]
-    states = analytic.solve_many(cfgs)
-    for state in states:
-        if isinstance(state, analytic.ModelError):
-            raise state
-    return tuple(metrics.report_many(states, cfgs))

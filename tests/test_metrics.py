@@ -21,7 +21,7 @@ from loracell.metrics import (
     report_many,
     retx_distribution,
 )
-from loracell.scenario import ScenarioConfig, SfDistribution
+from loracell.scenario import ScenarioConfig, SfDistribution, preset
 
 SF7_ONLY = SfDistribution((1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
 SF12_ONLY = SfDistribution((0.0, 0.0, 0.0, 0.0, 0.0, 1.0))
@@ -195,6 +195,11 @@ class TestFairness:
         with pytest.raises(MetricsError):
             jain_index([])
 
+    @pytest.mark.parametrize("x", [[[0.5, 0.5], [0.25, 0.75]], 0.5])
+    def test_takes_one_vector(self, x):
+        with pytest.raises(MetricsError, match="one allocation vector"):
+            jain_index(x)
+
     def test_underflowing_squares_rescaled(self):
         assert jain_index([1e-200, 2e-200]) == jain_index([1.0, 2.0])
 
@@ -361,7 +366,7 @@ class TestReport:
 def batch(cfgs):
     """Solved configs that can share one report batch, and their batched forms."""
     states = analytic.solve_many(cfgs)
-    return states, analytic._stack(states), analytic._batch(cfgs, metrics._BATCH_KEY)
+    return states, analytic._stack(states), analytic._batch(cfgs)
 
 
 class TestBatchedReport:
@@ -371,7 +376,7 @@ class TestBatchedReport:
         cfgs = [cfg for cfg, _ in random_states]
         states = [state for _, state in random_states]
         reports = report_many(states, cfgs)
-        keys = {tuple(getattr(c, name) for name in metrics._BATCH_KEY) for c in cfgs}
+        keys = {tuple(getattr(c, name) for name in analytic._SHARED) for c in cfgs}
         assert len(keys) < len(cfgs) / 3   # batches of several rows
         for report, state, cfg in zip(reports, states, cfgs):
             assert report == compute_report(state, cfg)
@@ -403,10 +408,20 @@ class TestBatchedReport:
                                tau2=t2, m=m, h=h)
                 for n in (4, 8) for t1 in (0, 1) for t2 in (0, 1) for m, h in ((2, 1), (8, 3))
                 for _ in range(2)]
+        # Two table rows: transmission priority everywhere with single attempts,
+        # and reception priority in RX1 with four attempts each way.
+        cfgs += [ScenarioConfig(lambda_total=lam, alpha=0.3, tau1=tau1, tau2=1, m=m, h=m,
+                                p_unconfirmed=preset(name), p_confirmed=preset(name))
+                 for tau1, m, name in ((1, 1, "equal"), (0, 4, "explora")) for lam in (0.1, 1.0)]
         states = analytic.solve_many(cfgs)
         reports = report_many(states, cfgs)
         for report, state, cfg in zip(reports, states, cfgs):
             assert report == compute_report(state, cfg)
+            assert 0.0 <= report.cd <= report.cu <= 1.0
+
+    def test_no_configs(self):
+        assert analytic.solve_many([]) == []
+        assert report_many([], []) == []
 
     def test_undefined_rows(self):
         cfgs = [ScenarioConfig(lambda_total=lam, alpha=1.0) for lam in (1.0, 1e4, 1e5)]
@@ -423,12 +438,3 @@ class TestBatchedReport:
         for i, (state, cfg) in enumerate(zip(states, cfgs)):
             assert np.array_equal((delta_ul[i], delta_dl[i]), delays(state, cfg), equal_nan=True)
             assert np.array_equal(retx[i], retx_distribution(state, cfg), equal_nan=True)
-
-    def test_jain_rows_with_absent_members(self):
-        rows = [[0.9, 0.3, 0.6, np.nan], [0.5, np.nan, 0.5, 0.25],
-                [1e-200, 2e-200, np.nan, np.nan], [0.2, 0.4, 0.6, 0.8]]
-        got = jain_index(rows)
-        for row, value in zip(rows, got):
-            assert value == jain_index([v for v in row if not np.isnan(v)])
-        with pytest.raises(MetricsError, match="all-zero"):
-            jain_index([[0.5, 0.5], [0.0, 0.0]])

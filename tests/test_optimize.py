@@ -17,7 +17,6 @@ from loracell.optimize import (
     _FD_STEP,
     _gradient,
     _project_pair,
-    evaluate_configuration,
     optimize,
     project_to_simplex,
 )
@@ -315,34 +314,3 @@ class TestImplicitGradient:
         warm, warm_state = evaluate(step, start=state)
         assert abs(warm - cold) <= 1e-9
         assert warm_state.iterations < cold_state.iterations
-
-
-class TestEvaluateConfiguration:
-    def test_reports_equal_per_row_reports(self):
-        cfg = ScenarioConfig(alpha=0.3, m=4, h=2)
-        lams = (0.0, 0.1, 1.0, 10.0, 1e4)
-        want = tuple(metrics.compute_report(analytic.solve(c), c)
-                     for c in (replace(cfg, lambda_total=lam) for lam in lams))
-        assert evaluate_configuration(cfg, lams) == want
-
-    def test_table_rows_solve_cleanly(self):
-        # Baseline row: transmission priority everywhere, single attempts.
-        c1 = ScenarioConfig(alpha=0.3, tau1=1, tau2=1, m=1, h=1,
-                            p_unconfirmed=preset("equal"), p_confirmed=preset("equal"))
-        # Strengthened row: reception priority in RX1, four attempts each way.
-        c3 = ScenarioConfig(alpha=0.3, tau1=0, tau2=1, m=4, h=4,
-                            p_unconfirmed=preset("explora"), p_confirmed=preset("explora"))
-        lams = (0.1, 1.0)
-        for cfg in (c1, c3):
-            reports = evaluate_configuration(cfg, lams)
-            assert len(reports) == 2
-            for report in reports:
-                assert 0.0 <= report.cd <= report.cu <= 1.0
-
-    def test_reports_depend_on_lambda(self):
-        cfg = ScenarioConfig(alpha=0.3, m=4)
-        low, high = evaluate_configuration(cfg, (0.01, 5.0))
-        assert low.cu > high.cu
-
-    def test_empty_sweep(self):
-        assert evaluate_configuration(ScenarioConfig(), ()) == ()

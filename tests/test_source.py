@@ -79,3 +79,38 @@ def test_unreferenced_private_function_is_reported():
                                "def public():\n    pass\n"),
              "b.py": ast.parse("from a import _only_imported\nimport a\na._used()\n")}
     assert unreferenced_private_functions(trees) == ["a.py: _dead", "a.py: _only_imported"]
+
+
+def unreferenced_private_constants(trees: dict[str, ast.AST]) -> list[str]:
+    """``module: name`` for every private module-level name that is assigned
+    but that no code in ``trees`` reads.
+
+    A name counts as read wherever it is loaded, as a plain name or as an
+    attribute (``module._X``); an import alone is not a use.
+    """
+    assigned = dict.fromkeys(
+        (module, n.id) for module, tree in trees.items() for top in tree.body
+        if isinstance(top, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        for target in (top.targets if isinstance(top, ast.Assign) else [top.target])
+        for n in ast.walk(target)
+        if isinstance(n, ast.Name) and n.id.startswith("_") and not n.id.startswith("__"))
+    read = {n.id if isinstance(n, ast.Name) else n.attr
+            for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute)
+            or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [f"{module}: {name}" for module, name in assigned if name not in read]
+
+
+def test_every_private_constant_is_read():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    assert unreferenced_private_constants(trees) == []
+
+
+def test_unread_private_constant_is_reported():
+    trees = {"a.py": ast.parse("_USED = 1\n_DEAD = 2\n_ONLY_IMPORTED = 3\n_A, _B = 4, 5\n"
+                               "PUBLIC = 6\n__all__ = []\n"
+                               "def f():\n    _local = 7\n    return _USED + _A\n"),
+             "b.py": ast.parse("from a import _ONLY_IMPORTED\nimport a\nprint(a._B)\n"
+                               "_ANNOTATED: int = 8\n_COUNT = 0\n_COUNT += 1\n")}
+    assert unreferenced_private_constants(trees) == [
+        "a.py: _DEAD", "a.py: _ONLY_IMPORTED", "b.py: _ANNOTATED", "b.py: _COUNT"]
