@@ -24,6 +24,14 @@ become ``(K,)`` arrays, and the model functions below accept either form.
 Each row stops when its own residual reaches the tolerance and is then
 frozen, so its numbers and sweep count are those of its own ``solve``,
 the one-row call of the same code.
+
+A sweep of one row works on 6-element vectors, so its cost is mostly numpy's
+per-call overhead, and the sweep keeps its calls few.  The airtime terms that
+do not change between sweeps (``t_ack1 + t_data`` and the products by the
+prioritization flags) are computed once per
+:class:`~loracell.scenario.AirtimeTable` and read from it, and a sweep hands
+the solver its arrays: a ``SteadyState`` is built only for a row that
+finishes, once.
 """
 
 from __future__ import annotations
@@ -167,21 +175,25 @@ def phy_rates(cfg: ScenarioConfig, p_dl, app=None) -> TrafficRates:
     if p_dl.shape[-2:] != (N_SF, m):
         raise ValueError(f"p_dl must have shape ({N_SF}, {m}), got {p_dl.shape}")
     head = p_dl[..., : m - 1]
-    head_sum = head.sum(axis=-1)
+    head_sum = np.add.reduce(head, -1)
     # Non-negative entries whose rounded row sums stay at most 1 pass both
     # checks below, since such a sum is no smaller than any of its terms.
-    if not (p_dl.min() >= 0.0 and (head_sum + p_dl[..., m - 1]).max() <= 1.0):
+    if not (np.minimum.reduce(p_dl, None) >= 0.0
+            and np.maximum.reduce(head_sum + p_dl[..., m - 1], None) <= 1.0):
         if p_dl.min() < -1e-12 or p_dl.max() > 1.0 + 1e-12:
             raise ValueError("p_dl entries must be probabilities in [0, 1]")
         if p_dl.sum(axis=-1).max() > 1.0 + 1e-9:
             raise ValueError("p_dl rows must sum to at most 1")
 
-    attempts = (head * _arange(m)[1:]).sum(axis=-1) + m * (1.0 - head_sum)
+    attempts = np.add.reduce(head * _arange(m)[1:], -1) + m * (1.0 - head_sum)
     r_c_phy = r_c_app * attempts
     r_u_phy = r_u_app * _col(cfg.h)
     r_phy = r_c_phy + r_u_phy
-    total = r_phy.sum(axis=-1, keepdims=True)
-    d = r_phy / np.where(total > 0.0, total, np.inf)   # zeros when idle
+    total = np.add.reduce(r_phy, -1)
+    idle = np.logical_not(total > 0.0)   # a NaN total too
+    if _any(idle):
+        total = np.where(idle, np.inf, total)
+    d = r_phy / _col(total)   # zeros when idle
     return TrafficRates(r_c_app, r_u_app, r_c_phy, r_u_phy, r_phy, d)
 
 
@@ -210,7 +222,7 @@ def gw_may_transmit(cfg: ScenarioConfig, rates: TrafficRates, k: int) -> float |
     tau = cfg.tau1 if k == 1 else cfg.tau2
     if tau == 1:
         return 1.0
-    return np.exp(-cfg.c_channels * (rates.r_phy * cfg.airtimes._t_data).sum(axis=-1))
+    return np.exp(-cfg.c_channels * np.add.reduce(rates.r_phy * cfg.airtimes._t_data, -1))
 
 
 def demod_chain(cfg: ScenarioConfig, rates: TrafficRates) -> DemodChainState:
@@ -221,8 +233,8 @@ def demod_chain(cfg: ScenarioConfig, rates: TrafficRates) -> DemodChainState:
     probability that demodulators 1..j-1 are all locked.  With no
     traffic every demodulator is free and ``s_demod`` is 1.
     """
-    e_lock = (rates.d * cfg.airtimes._t_data).sum(axis=-1)
-    total = cfg.c_channels * rates.r_phy.sum(axis=-1)
+    e_lock = np.add.reduce(rates.d * cfg.airtimes._t_data, -1)
+    total = cfg.c_channels * np.add.reduce(rates.r_phy, -1)
     # The recurrence runs unguarded, demodulator by demodulator, and its dead
     # ends are patched afterwards: cheaper than testing every step of every row.
     with np.errstate(divide="ignore", over="ignore"):
@@ -242,7 +254,7 @@ def demod_chain(cfg: ScenarioConfig, rates: TrafficRates) -> DemodChainState:
         dead = np.logical_or.accumulate(dead, axis=0)
         e_avail[1:][dead] = np.inf
         p_lock[1:][dead] = 0.0
-    return DemodChainState(e_lock, e_avail.T, p_lock.T, 1.0 - p_lock.prod(axis=0))
+    return DemodChainState(e_lock, e_avail.T, p_lock.T, 1.0 - np.multiply.reduce(p_lock, 0))
 
 
 #: Largest ACK rate whose mean wait 1/rate overflows to infinity.
@@ -251,18 +263,20 @@ _OVERFLOW_RATE = 1.0 / np.finfo(float).max
 
 def _subband(r: np.ndarray, t_ack: np.ndarray, delta: float, p_t,
              c_channels: int) -> SubBandState:
-    total = r.sum(axis=-1)
-    # Idle: no ACK traffic, or too little for a finite ON sojourn 1/(c total).
+    total = np.add.reduce(r, -1)
+    rate = c_channels * total
+    # Idle: no ACK traffic, or too little for a finite ON sojourn 1/rate.
     # A NaN total is not idle, so the sweep's failure check still reports it.
-    idle = c_channels * total <= _OVERFLOW_RATE
+    idle = rate <= _OVERFLOW_RATE
     any_idle = _any(idle)
     if any_idle:
         # Never duty-cycle blocked: a stand-in total of 1 gives b = r ~ 0,
         # e_off ~ 0 and p_on = 1; e_on becomes infinite below.
         total = total + idle
+        rate = c_channels * total
     b = r / _col(total)
-    e_on = 1.0 / (c_channels * total)
-    e_off = (b * (_col(1.0 + delta) * t_ack)).sum(axis=-1)
+    e_on = 1.0 / rate
+    e_off = np.add.reduce(b * (_col(1.0 + delta) * t_ack), -1)
     p_on = e_on / (e_on + e_off)
     if any_idle:
         e_on = np.where(idle, np.inf, e_on)[()]   # [()] keeps a numpy scalar a scalar
@@ -280,16 +294,17 @@ def subband_states(cfg: ScenarioConfig, rates: TrafficRates,
     its duty-cycle silence.
     """
     r1 = rates.r_c_phy * _vec(s_ul)
-    sb1 = _subband(r1, cfg.airtimes._t_ack1, cfg.delta_sb1, gw_may_transmit(cfg, rates, 1),
-                   cfg.c_channels)
+    p_t1 = gw_may_transmit(cfg, rates, 1)
+    # The sub-band enters gw_may_transmit only through its flag.
+    p_t2 = p_t1 if cfg.tau2 == cfg.tau1 else gw_may_transmit(cfg, rates, 2)
+    sb1 = _subband(r1, cfg.airtimes._t_ack1, cfg.delta_sb1, p_t1, cfg.c_channels)
     r2 = r1 * _col(sb1.p_off + sb1.p_on * (1.0 - sb1.p_t))
-    sb2 = _subband(r2, cfg.airtimes._t_ack2, cfg.delta_sb2, gw_may_transmit(cfg, rates, 2),
-                   cfg.c_channels)
+    sb2 = _subband(r2, cfg.airtimes._t_ack2, cfg.delta_sb2, p_t2, cfg.c_channels)
     return sb1, sb2
 
 
-def _tx_window_fraction(sb: SubBandState, t_ack: np.ndarray, tau: int,
-                        t_data: np.ndarray) -> np.ndarray:
+def _tx_window_fraction(sb: SubBandState, t_ack: np.ndarray,
+                        t_data_tau: np.ndarray) -> np.ndarray:
     """Fraction of time an uplink arrival falls in a gateway TX window.
 
     This is the mean vulnerable time per renewal cycle of the sub-band,
@@ -298,7 +313,7 @@ def _tx_window_fraction(sb: SubBandState, t_ack: np.ndarray, tau: int,
     whole renewal period (very aggressive ACK load, e.g. with duty
     cycling disabled), so it is capped at 1 to remain a probability.
     """
-    window = _col((sb.b * t_ack).sum(axis=-1)) + t_data * tau
+    window = _col(np.add.reduce(sb.b * t_ack, -1)) + t_data_tau
     return np.minimum(window / _col(sb.e_on + sb.e_off), 1.0)
 
 
@@ -312,8 +327,8 @@ def gw_tx_survival(cfg: ScenarioConfig, sb1: SubBandState,
     independent.
     """
     airtimes = cfg.airtimes
-    f_tx1 = _tx_window_fraction(sb1, airtimes._t_ack1, cfg.tau1, airtimes._t_data)
-    f_tx2 = _tx_window_fraction(sb2, airtimes._t_ack2, cfg.tau2, airtimes._t_data)
+    f_tx1 = _tx_window_fraction(sb1, airtimes._t_ack1, airtimes._t_data_tau[cfg.tau1])
+    f_tx2 = _tx_window_fraction(sb2, airtimes._t_ack2, airtimes._t_data_tau[cfg.tau2])
     s_tx = (1.0 - f_tx1) * (1.0 - f_tx2)
     return f_tx1, f_tx2, s_tx
 
@@ -329,11 +344,12 @@ def ack_interference_survival(cfg: ScenarioConfig, rates: TrafficRates) -> np.nd
     marginally exceed 1 when ``tau1 = 0`` under light load, so the result
     is truncated at 1.
     """
-    t_data, t_ack1 = cfg.airtimes._t_data, cfg.airtimes._t_ack1
+    windows = cfg.airtimes._t_rx1_tau
     r = rates.r_phy
-    clear = np.exp(-r * (t_ack1 + cfg.tau1 * t_data))
-    both = t_ack1 + t_data
-    captured = r * both * np.exp(-r * both) * _col(cfg.w_ed)
+    minus_r = -r
+    clear = np.exp(minus_r * windows[cfg.tau1])
+    both = windows[1]   # t_ack1 + t_data
+    captured = r * both * np.exp(minus_r * both) * _col(cfg.w_ed)
     return np.minimum(clear + captured, 1.0)
 
 
@@ -359,19 +375,19 @@ _S_DL_MAX = 1.0 + 1e-9
 _CHECKED_QUANTITIES = ("r_phy", "s_int", "s_tx", "s_ul", "s_int_ack1", "s_dl")
 
 
-def _failures(state: SteadyState) -> dict[int, str]:
+def _failures(r_phy, s_int, s_tx, s_ul, s_int_ack1, s_dl) -> dict[int, str]:
     """ModelError message of each row whose sweep broke, by row index.
 
     A row fails on the first broken check: ACK success above 1, then the
     finiteness of each quantity in the order of the sweep.
     """
-    checked = np.concatenate((state.rates.r_phy, state.s_int, state.s_tx, state.s_ul,
-                              state.s_int_ack1, state.s_dl), axis=-1)
+    checked = np.concatenate((r_phy, s_int, s_tx, s_ul, s_int_ack1, s_dl), axis=-1)
     # One sum is finite when every term is: only an overflow takes the long way.
-    if math.isfinite(checked.sum()) and state.s_dl.max() <= _S_DL_MAX:
+    if (math.isfinite(np.add.reduce(checked, None))
+            and np.maximum.reduce(s_dl, None) <= _S_DL_MAX):
         return {}
     finite = np.atleast_2d(np.isfinite(checked))   # one row per state row
-    s_dl = np.atleast_2d(state.s_dl)
+    s_dl = np.atleast_2d(s_dl)
     broken = ~finite.all(axis=-1) | (s_dl > _S_DL_MAX).any(axis=-1)
     failures = {}
     for i in np.flatnonzero(broken):
@@ -386,11 +402,14 @@ def _failures(state: SteadyState) -> dict[int, str]:
 
 
 def _sweep(cfg: ScenarioConfig, app, s_ul: np.ndarray,
-           s_dl: np.ndarray) -> tuple[SteadyState, dict[int, str]]:
+           s_dl: np.ndarray) -> tuple[dict, dict[int, str]]:
     """One update sweep of K rows given their application rates ``app``.
 
     The arrays are ``(K, 6)``, or ``(6,)`` for one row without a row axis.
-    Returns the new state and the failure message of each broken row.
+    Returns the new state's fields except ``iterations``, ``residual`` and
+    ``converged``, and the failure message of each broken row.  No
+    ``SteadyState`` is built here: the solver builds one per row that
+    finishes, so a sweep after which every row iterates on costs none.
     """
     rates = phy_rates(cfg, attempt_distributions(s_ul * s_dl, cfg.m), app)
     demod = demod_chain(cfg, rates)
@@ -400,29 +419,25 @@ def _sweep(cfg: ScenarioConfig, app, s_ul: np.ndarray,
     new_ul = s_int * s_tx * _col(demod.s_demod)
     s_int_ack1 = ack_interference_survival(cfg, rates)
     s_sb1, s_sb2, new_dl = dl_success(cfg, sb1, sb2, s_int_ack1)
-    state = SteadyState(
-        s_ul=new_ul, s_dl=new_dl, s_int=s_int, s_tx=s_tx,
-        f_tx1=f_tx1, f_tx2=f_tx2, s_int_ack1=s_int_ack1,
-        s_sb1=s_sb1, s_sb2=s_sb2, rates=rates, sb1=sb1, sb2=sb2, demod=demod,
-        iterations=1, residual=math.inf, converged=False,
-    )
-    return state, _failures(state)
+    fields = dict(s_ul=new_ul, s_dl=new_dl, s_int=s_int, s_tx=s_tx,
+                  f_tx1=f_tx1, f_tx2=f_tx2, s_int_ack1=s_int_ack1,
+                  s_sb1=s_sb1, s_sb2=s_sb2, rates=rates, sb1=sb1, sb2=sb2, demod=demod)
+    return fields, _failures(rates.r_phy, s_int, s_tx, new_ul, s_int_ack1, new_dl)
 
 
-def _take(obj, i: int, **changes):
-    """Row ``i`` of a batched result dataclass, nested dataclasses included.
+def _row(fields: dict, i: int) -> dict:
+    """Row ``i`` of a batched result's fields, nested dataclasses included.
 
-    Every array field has the row axis first; other fields are shared.
+    Every array has the row axis first; other values are shared.
     """
-    values = {}
-    for name, value in vars(obj).items():
-        if isinstance(value, np.ndarray):
-            value = value[i]
-        elif is_dataclass(value):
-            value = _take(value, i)
-        values[name] = value
-    values.update(changes)
-    return type(obj)(**values)
+    return {name: (value[i] if isinstance(value, np.ndarray)
+                   else _take(value, i) if is_dataclass(value) else value)
+            for name, value in fields.items()}
+
+
+def _take(obj, i: int):
+    """Row ``i`` of a batched result dataclass."""
+    return type(obj)(**_row(vars(obj), i))
 
 
 def _stack(objs):
@@ -448,10 +463,10 @@ def iterate(cfg: ScenarioConfig, s_ul, s_dl) -> SteadyState:
     non-finite quantity): the same per-row check with which
     :func:`solve_many` names the broken row of a batch.
     """
-    state, failures = _sweep(cfg, app_rates(cfg), _vec(s_ul), _vec(s_dl))
+    fields, failures = _sweep(cfg, app_rates(cfg), _vec(s_ul), _vec(s_dl))
     if failures:
         raise ModelError(failures[0])
-    return state
+    return SteadyState(**fields, iterations=1, residual=math.inf, converged=False)
 
 
 #: The solver's default stopping rule, also the CLI's ``--tol`` and ``--max-iter``.
@@ -575,9 +590,10 @@ def _solve_batch(cfgs, tol: float, max_iter: int, start) -> list[SteadyState | M
     else:
         s_ul, s_dl = (np.broadcast_to(v, app[0].shape) for v in start)
     for iterations in range(1, max_iter + 1):
-        state, failures = _sweep(cfg, app, s_ul, s_dl)
-        new_ul, new_dl = state.s_ul, state.s_dl
-        residual = np.maximum(np.abs(new_ul - s_ul), np.abs(new_dl - s_dl)).max(axis=-1)
+        fields, failures = _sweep(cfg, app, s_ul, s_dl)
+        new_ul, new_dl = fields["s_ul"], fields["s_dl"]
+        residual = np.maximum.reduce(np.maximum(np.abs(new_ul - s_ul), np.abs(new_dl - s_dl)),
+                                     -1)
         converged = residual <= tol
         if failures or iterations == max_iter or _any(converged):
             done = failures.keys() | np.flatnonzero(converged | (iterations == max_iter)).tolist()
@@ -586,10 +602,10 @@ def _solve_batch(cfgs, tol: float, max_iter: int, start) -> list[SteadyState | M
                     results[rows[i]] = ModelError(failures[i])
                     continue
                 at = i if batched else ()
-                changes = dict(iterations=iterations, residual=float(residual[at]),
-                               converged=bool(converged[at]))
-                results[rows[i]] = (_take(state, i, **changes) if batched
-                                    else SteadyState(**{**vars(state), **changes}))
+                results[rows[i]] = SteadyState(**(_row(fields, i) if batched else fields),
+                                               iterations=iterations,
+                                               residual=float(residual[at]),
+                                               converged=bool(converged[at]))
             if len(done) == len(rows):
                 break
             active = [i for i in range(len(rows)) if i not in done]

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import (SteadyState, _arange, _batch, _by_shape, _col, _stack,
+from .analytic import (SteadyState, _any, _arange, _batch, _by_shape, _col, _stack,
                        attempt_distributions)
 from .scenario import ScenarioConfig
 
@@ -130,7 +130,7 @@ def delays(state: SteadyState, cfg: ScenarioConfig):
     t_ul = t_data[:, None] + j0 * gamma[..., None]
     t_dl = t_ul + (j0 + 1.0) * phi[..., None]
     delta_ul, delta_dl = _mean_delay(p_c, p_ul, t_ul), _mean_delay(p_c, p_dl, t_dl)
-    if undefined.any():
+    if _any(undefined):
         delta_ul, delta_dl = (np.where(undefined, np.nan, v) for v in (delta_ul, delta_dl))
     return delta_ul, delta_dl
 
@@ -198,7 +198,7 @@ def retx_distribution(state: SteadyState, cfg: ScenarioConfig) -> np.ndarray:
     fail = 1.0 - shares.sum(axis=-1)
     out = np.concatenate((shares, np.maximum(fail, 0.0)[..., None]), axis=-1)
     out = out / out.sum(axis=-1, keepdims=True)
-    return np.where(_col(undefined), np.nan, out) if undefined.any() else out
+    return np.where(_col(undefined), np.nan, out) if _any(undefined) else out
 
 
 def loss_decomposition(state: SteadyState, cfg: ScenarioConfig):
@@ -239,7 +239,8 @@ def compute_report(state: SteadyState, cfg: ScenarioConfig):
 def _jain(categories: np.ndarray) -> np.ndarray:
     """Jain index of each row's present (non-NaN) categories: NaN, not an
     error, where no population has any success."""
-    live = np.nan_to_num(categories).any(axis=-1)   # an absent category's NaN reads 0
+    # A present category with any success; an absent one's NaN does not count.
+    live = (~np.isnan(categories) & (categories != 0.0)).any(axis=-1)
     return np.array([jain_index(row[~np.isnan(row)]) if ok else np.nan
                      for row, ok in zip(categories, live.tolist())])
 

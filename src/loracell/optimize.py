@@ -29,6 +29,7 @@ sweep counts as one objective evaluation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Mapping
@@ -233,10 +234,11 @@ class _Evaluator:
         batch = SimpleNamespace(**{**vars(self.cfg),
                                    "p_unconfirmed": SimpleNamespace(p=xs[:, :N_SF]),
                                    "p_confirmed": SimpleNamespace(p=xs[:, N_SF:])})
-        state, failures = analytic._sweep(batch, analytic.app_rates(batch),
-                                          zs[:, :N_SF], zs[:, N_SF:])
+        fields, failures = analytic._sweep(batch, analytic.app_rates(batch),
+                                           zs[:, :N_SF], zs[:, N_SF:])
         if failures:
             return None
+        state = analytic.SteadyState(**fields, iterations=1, residual=math.inf, converged=False)
         return np.column_stack([state.s_ul, state.s_dl, self._objective(state, batch)])
 
     def _objective(self, state: analytic.SteadyState, cfg: ScenarioConfig):

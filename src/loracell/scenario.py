@@ -85,6 +85,11 @@ def _set_number(obj, name: str, kind: type, minimum=None, maximum=None):
     object.__setattr__(obj, name, value)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class AirtimeTable:
     """Per-SF airtimes [s] of data packets and of ACKs in the two receive windows.
@@ -96,8 +101,17 @@ class AirtimeTable:
 
     Each column is also held as a read-only float array, ``_t_data``,
     ``_t_ack1`` and ``_t_ack2``, built once here for the model's per-SF
-    arithmetic.  They are not fields: equality, hashing and ``to_dict`` read
-    the tuples only.
+    arithmetic, and so are the airtime sums that the fixed-point sweep
+    reads every iteration, indexed by a prioritization flag tau in {0, 1}:
+
+    * ``_t_data_tau[tau]`` is ``t_data * tau``, the data airtime that a
+      gateway TX window adds when transmission preempts reception;
+    * ``_t_rx1_tau[tau]`` is ``t_ack1 + t_data * tau``, the no-collision
+      window of an RX1 ACK; ``_t_rx1_tau[1]``, ``t_ack1 + t_data``, is also
+      the window in which one uplink may be captured by the device.
+
+    None of them is a field: equality, hashing and ``to_dict`` read the
+    tuples only.
     """
 
     t_data: tuple[float, ...] = DEFAULT_DATA_AIRTIME
@@ -110,14 +124,16 @@ class AirtimeTable:
             object.__setattr__(self, name, vals)
             if any(not math.isfinite(v) or v <= 0.0 for v in vals):
                 raise ValidationError(f"airtimes.{name} entries must be strictly positive")
-            column = np.array(vals)
-            column.flags.writeable = False
-            object.__setattr__(self, f"_{name}", column)
+            object.__setattr__(self, f"_{name}", _read_only(np.array(vals)))
         # Doubling the symbol time per SF step makes these strictly increasing.
         for name in ("t_data", "t_ack1"):
             vals = getattr(self, name)
             if any(a >= b for a, b in zip(vals, vals[1:])):
                 raise ValidationError(f"airtimes.{name} must be strictly increasing in SF")
+        t_data_tau = tuple(_read_only(self._t_data * tau) for tau in (0, 1))
+        object.__setattr__(self, "_t_data_tau", t_data_tau)
+        object.__setattr__(self, "_t_rx1_tau",
+                           tuple(_read_only(self._t_ack1 + t) for t in t_data_tau))
 
     def __reduce__(self):
         # Rebuild from the tuples, so that a copy's arrays are read-only too.

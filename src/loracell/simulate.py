@@ -555,6 +555,10 @@ class _Chain:
                     tally.dl_delay_n += 1
             elif dev.delivered_time is not None:
                 tally.delivered_app_u[dev.sfi] += 1
+        # ``now`` may lie after the event that decided the finish: no uplink
+        # starts while the device's receive windows are still open (class A).
+        if dev.next_allowed < now:
+            dev.next_allowed = now
         dev.busy = False
         if dev.queued:
             self.start_packet(dev, now)

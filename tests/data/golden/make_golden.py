@@ -17,9 +17,9 @@ and say so:
     PYTHONPATH=src python tests/data/golden/make_golden.py
 
 With ``--pins`` it writes nothing and prints instead the event counts and
-trace digests that ``tests/test_simulate.py`` pins as literals, one line per
-test, computed from the configurations defined here, which those tests
-use too:
+trace digests that ``tests/test_simulate.py`` pins as literals, and the
+solver digests that ``tests/test_analytic.py`` pins, one line per test,
+computed from the configurations defined here, which those tests use too:
 
     PYTHONPATH=src python tests/data/golden/make_golden.py --pins
 """
@@ -36,7 +36,9 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
-from loracell import cli, simulate
+import numpy as np
+
+from loracell import analytic, cli, simulate
 from loracell.scenario import ScenarioConfig
 
 HERE = Path(__file__).resolve().parent
@@ -180,10 +182,35 @@ def rx2_cell(capture="probabilistic", arrivals="poisson", tau1=1, delta=(9.0, 9.
         **settings)
 
 
+def solver_grid() -> list[ScenarioConfig]:
+    """Criterion 1's 480 configs: 40 loads log-spaced over [0.01, 100] at each
+    m in (1, 2, 4, 8) and alpha in (0, 0.3, 1), with h = 1."""
+    return [ScenarioConfig(lambda_total=float(lam), alpha=alpha, m=m, h=1)
+            for m in (1, 2, 4, 8) for alpha in (0.0, 0.3, 1.0)
+            for lam in np.logspace(np.log10(0.01), np.log10(100.0), 40)]
+
+
+def solver_digests() -> tuple[str, str]:
+    """SHA-256 of the sweep count and the ``s_ul`` and ``s_dl`` bytes of each
+    state of ``solver_grid``: solved one ``solve`` call at a time, and in one
+    ``solve_many`` call, which iterates each m as one batch."""
+    def digest(states) -> str:
+        h = hashlib.sha256()
+        for state in states:
+            h.update(state.iterations.to_bytes(2, "little"))
+            h.update(state.s_ul.tobytes())
+            h.update(state.s_dl.tobytes())
+        return h.hexdigest()
+
+    cfgs = solver_grid()
+    return digest(map(analytic.solve, cfgs)), digest(analytic.solve_many(cfgs))
+
+
 def pins() -> dict[str, tuple]:
-    """The literals of ``tests/test_simulate.py``, by test: the events of one
-    replication with the window shortcuts and with every RX1 or RX2 window an
-    event, and the trace digest and per-replication events of ``rx2_cell``."""
+    """The literals of ``tests/test_simulate.py`` and ``tests/test_analytic.py``,
+    by test: the events of one replication with the window shortcuts and with
+    every RX1 or RX2 window an event, the trace digest and per-replication
+    events of ``rx2_cell``, and the two ``solver_digests``."""
     def events(cfg):
         return simulate.run(cfg).replications[0].events
 
@@ -205,13 +232,14 @@ def pins() -> dict[str, tuple]:
             found[f"TestRx2Shortcut.test_trace_bytes_and_event_counts_are_pinned[{capture}]"] = (
                 hashlib.sha256(path.read_bytes()).hexdigest(),
                 tuple(rep.events for rep in report.replications))
+    found["TestSolverBits.test_grid_states_and_sweep_counts_are_pinned"] = solver_digests()
     return found
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--pins", action="store_true",
-                        help="print the literals that tests/test_simulate.py pins; write nothing")
+                        help="print the literals that the tests pin; write nothing")
     if parser.parse_args(argv).pins:
         for test, value in pins().items():
             print(f"{test}: {value!r}")

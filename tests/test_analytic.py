@@ -29,6 +29,8 @@ from loracell.analytic import (
 )
 from loracell.scenario import ScenarioConfig, SfDistribution, ValidationError
 
+from conftest import make_golden
+
 SF7_ONLY = SfDistribution((1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
 
 
@@ -468,6 +470,19 @@ def assert_same_state(got, want):
             assert_same_state(a, b)
         else:
             assert np.array_equal(a, b), f.name
+
+
+class TestSolverBits:
+    """The solver's output bits on criterion 1's grid, pinned: a rewrite of the
+    sweep that moves one bit or one sweep count fails here, not only in the
+    benchmark's 1e-8 reference check."""
+
+    def test_grid_states_and_sweep_counts_are_pinned(self):
+        # ``make_golden.py --pins`` prints the literal: the one-row solves'
+        # digest, then the batched solve's, which equals it.
+        one_row, batched = make_golden.solver_digests()
+        assert one_row == batched == \
+            "171bd349fa4a4dc2f3706248b8b9b28db052809f28ce8ff4bb71fce69e07dd92"
 
 
 class TestBatchedRows:

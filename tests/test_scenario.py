@@ -8,6 +8,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -91,12 +92,20 @@ class TestAirtimeTable:
 
     @pytest.mark.parametrize("table", [AirtimeTable(), AirtimeTable(t_ack2=DEFAULT_ACK_AIRTIME)])
     def test_arrays_equal_their_tuples_and_are_read_only(self, table):
+        t_data, t_ack1 = np.array(table.t_data), np.array(table.t_ack1)
         for copy in (table, pickle.loads(pickle.dumps(table)), replace(table)):
             for name in ("t_data", "t_ack1", "t_ack2"):
                 column = getattr(copy, f"_{name}")
                 assert column.dtype == float and column.tolist() == list(getattr(table, name))
                 with pytest.raises(ValueError, match="read-only"):
                     column[0] = 1.0
+            # The sweep's airtime sums, by prioritization flag, bit for bit.
+            for tau in (0, 1):
+                for column, want in ((copy._t_data_tau[tau], t_data * tau),
+                                     (copy._t_rx1_tau[tau], t_ack1 + t_data * tau)):
+                    assert column.tobytes() == want.tobytes()
+                    with pytest.raises(ValueError, match="read-only"):
+                        column[0] = 1.0
 
     def test_arrays_leave_equality_hash_and_dict_to_the_tuples(self):
         table = AirtimeTable(t_ack2=DEFAULT_ACK_AIRTIME)

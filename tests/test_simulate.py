@@ -476,6 +476,42 @@ class TestDutyCycleThrottling:
         assert rep.dc_violations == 0
 
 
+class TestReceiveWindows:
+    """A class A device sends no new uplink while its receive windows are
+    open: not before RX2 has passed, 2 s after its last uplink ended, unless
+    an ACK has been received, and then not before that ACK has ended."""
+
+    @staticmethod
+    def early_starts(path) -> tuple[int, int]:
+        """Uplinks that start inside their device's previous windows, and all uplinks."""
+        closes: dict[str, float] = {}
+        early = starts = 0
+        for line in path.read_text().splitlines():
+            time, device, _, _, kind, *outcome = line.split()
+            if kind == "ul_start":
+                starts += 1
+                early += float(time) < closes.get(device, 0.0) - 1e-6   # 6-decimal trace
+            elif kind == "ul_end":
+                closes[device] = float(time) + 2.0
+            elif kind in ("ack1_end", "ack2_end") and outcome == ["received"]:
+                closes[device] = float(time)
+        return early, starts
+
+    @pytest.mark.parametrize("traffic", [{"alpha": 0.0, "h": 1}, {"alpha": 1.0, "m": 1}],
+                             ids=["unconfirmed", "confirmed"])
+    def test_no_uplink_starts_inside_the_previous_windows(self, tmp_path, traffic):
+        # Without a duty cycle nothing else keeps a busy device quiet for 2 s
+        # after a packet that ends without an ACK.
+        path = tmp_path / "events.log"
+        run(sim(scenario_kw={"lambda_total": 20.0, "delta_sb1": 0.0, "delta_sb2": 0.0,
+                             **traffic},
+                sim_duration=150.0, warmup=20.0, seed=3, n_replications=1,
+                trace_path=str(path)))
+        early, starts = self.early_starts(path)
+        assert starts > 1000
+        assert early == 0
+
+
 class TestPureAlohaLimit:
     def test_interference_survival_approaches_closed_form(self):
         # No capture, one SF, no downlink: survival should track exp(-2TR).
@@ -808,10 +844,10 @@ class TestRx2Shortcut:
         assert (shortcut.events, every_window.events) == (26482, 31528)
 
     @pytest.mark.parametrize("capture, digest, events", [
-        ("probabilistic", "4c4bc6201de36429630f6f59195a52ef89547e5a0236cf5fa67084f14160af95",
-         (11935, 12545)),
-        ("geometric", "e5424d4a8355d081b515c60933e485bd1ed43d02db7a591a3a1996e04dc895cb",
-         (12176, 12636)),
+        ("probabilistic", "07438078f422402742188f4c6a80aff53d23f5a3f6949826125b5fed6aa2ac3b",
+         (11996, 12526)),
+        ("geometric", "fb324f8f9919558dfab3de3501032aff8ffceda25292ce26c168791c40783ab9",
+         (12109, 12560)),
     ])
     def test_trace_bytes_and_event_counts_are_pinned(self, tmp_path, capture, digest, events):
         # The results do not show the order of events or what each one traced:
