@@ -499,7 +499,7 @@ def _start_vectors(start) -> tuple[np.ndarray, np.ndarray]:
     for v in (s_ul, s_dl):
         if v.shape != (N_SF,):
             raise ValidationError(f"start vectors must have shape ({N_SF},), got {v.shape}")
-        if not np.all((v >= 0.0) & (v <= 1.0)):   # also false for NaN
+        if not np.logical_and.reduce((v >= 0.0) & (v <= 1.0)):   # also false for NaN
             raise ValidationError(f"start entries must be probabilities in [0, 1], got {v.tolist()}")
     return s_ul, s_dl
 
@@ -587,8 +587,10 @@ def _solve_batch(cfgs, tol: float, max_iter: int, start) -> list[SteadyState | M
         cfg, app = cfgs[0], app_rates(cfgs[0])
     if start is None:
         s_ul = s_dl = np.ones(app[0].shape)
-    else:
+    elif batched:
         s_ul, s_dl = (np.broadcast_to(v, app[0].shape) for v in start)
+    else:
+        s_ul, s_dl = start
     for iterations in range(1, max_iter + 1):
         fields, failures = _sweep(cfg, app, s_ul, s_dl)
         new_ul, new_dl = fields["s_ul"], fields["s_dl"]

@@ -156,6 +156,17 @@ def _parse_values(spec: str) -> list[float]:
     return values
 
 
+def _sweep_point(base: ScenarioConfig, axis: str, value) -> ScenarioConfig:
+    """The config of one sweep point: ``base`` with ``axis`` set to ``value``.
+
+    The mapping holds ``base``'s validated field values, which
+    ``load_scenario`` takes as they are; a dotted axis edits a fresh
+    ``to_dict`` copy, whose nested mappings it can reach.
+    """
+    data = base.to_dict() if "." in axis else dict(vars(base))
+    return load_scenario(_set_path(data, axis, value))
+
+
 def cmd_sweep(args) -> int:
     base = _resolve_config(args)
     values = _parse_values(args.values)
@@ -166,7 +177,7 @@ def cmd_sweep(args) -> int:
         raise ValidationError(f"unknown sweep outputs: {sorted(unknown)}; "
                               f"available: {list(metrics.METRICS)}")
 
-    cfgs = [load_scenario(_set_path(base.to_dict(), args.axis, value)) for value in values]
+    cfgs = [_sweep_point(base, args.axis, value) for value in values]
     states = analytic.solve_many(cfgs, tol=args.tol, max_iter=args.max_iter)
     for state in states:
         if isinstance(state, analytic.ModelError):

@@ -88,9 +88,11 @@ def reliability(state: SteadyState, cfg: ScenarioConfig):
     """
     p_u = np.asarray(cfg.p_unconfirmed.p)
     p_c = np.asarray(cfg.p_confirmed.p)
-    uu_i = attempt_distributions(state.s_ul, cfg.h).sum(axis=-1)
-    cu_i = attempt_distributions(state.s_ul, cfg.m).sum(axis=-1)
-    cd_i = attempt_distributions(state.s_ul * state.s_dl, cfg.m).sum(axis=-1)
+    # The first n attempts of the longer distribution are those of an n-attempt one.
+    p_ul = attempt_distributions(state.s_ul, max(cfg.h, cfg.m))
+    uu_i = np.add.reduce(p_ul[..., :cfg.h], -1)
+    cu_i = np.add.reduce(p_ul[..., :cfg.m], -1)
+    cd_i = np.add.reduce(attempt_distributions(state.s_ul * state.s_dl, cfg.m), -1)
     return _weighted(p_u, uu_i), _weighted(p_c, cu_i), _weighted(p_c, cd_i), uu_i, cu_i, cd_i
 
 
@@ -118,7 +120,8 @@ def delays(state: SteadyState, cfg: ScenarioConfig):
     """
     p_ul = attempt_distributions(state.s_ul, cfg.m)
     p_dl = attempt_distributions(state.s_ul * state.s_dl, cfg.m)
-    undefined = (np.asarray(cfg.alpha) <= 0.0) | ~(p_dl.sum(axis=-1) > 0.0).any(axis=-1)
+    can_succeed = np.logical_or.reduce(np.add.reduce(p_dl, -1) > 0.0, -1)
+    undefined = (np.asarray(cfg.alpha) <= 0.0) | ~can_succeed
     p_c = np.asarray(cfg.p_confirmed.p)
     airtimes = cfg.airtimes
     t_data, t_ack1, t_ack2 = airtimes._t_data, airtimes._t_ack1, airtimes._t_ack2
@@ -139,7 +142,7 @@ def _mean_delay(p_c: np.ndarray, p: np.ndarray, t: np.ndarray):
     """Sum over SFs i of ``p_c[i]`` times the ``p[i]``-weighted mean of ``t[i]`` (0 if
     ``p[i]`` is all zero), bit-identical to a per-SF loop of ``weights @ t[i]``,
     for each row."""
-    total = p.sum(axis=-1)
+    total = np.add.reduce(p, -1)
     keep = total > 0.0
     weights = p / np.where(keep, total, 1.0)[..., None]
     per_sf = np.where(keep, (weights[..., None, :] @ t[..., :, None])[..., 0, 0], 0.0)
@@ -155,15 +158,15 @@ def jain_index(x) -> float:
         raise MetricsError(f"fairness takes one allocation vector, got shape {x.shape}")
     if len(x) == 0:
         raise MetricsError("fairness undefined for an empty allocation vector")
-    if (x < 0.0).any():
+    if np.logical_or.reduce(x < 0.0):
         raise MetricsError("fairness requires non-negative allocations")
-    total = x.sum()
+    total = np.add.reduce(x)
     if total <= 0.0:
         raise MetricsError("fairness undefined for an all-zero allocation vector")
-    squares = (x * x).sum()
+    squares = np.add.reduce(x * x)
     if squares < _TINY:
         # The squares underflow; the index is scale-free.
-        return jain_index(x / x.max())
+        return jain_index(x / np.maximum.reduce(x))
     return float(total * total / (len(x) * squares))
 
 
@@ -195,9 +198,9 @@ def retx_distribution(state: SteadyState, cfg: ScenarioConfig) -> np.ndarray:
     p_c = np.asarray(cfg.p_confirmed.p)
     p_dl = attempt_distributions(state.s_ul * state.s_dl, cfg.m)
     shares = (p_c[..., None, :] @ p_dl)[..., 0, :]
-    fail = 1.0 - shares.sum(axis=-1)
+    fail = 1.0 - np.add.reduce(shares, -1)
     out = np.concatenate((shares, np.maximum(fail, 0.0)[..., None]), axis=-1)
-    out = out / out.sum(axis=-1, keepdims=True)
+    out = out / np.add.reduce(out, -1, keepdims=True)
     return np.where(_col(undefined), np.nan, out) if _any(undefined) else out
 
 
@@ -240,7 +243,7 @@ def _jain(categories: np.ndarray) -> np.ndarray:
     """Jain index of each row's present (non-NaN) categories: NaN, not an
     error, where no population has any success."""
     # A present category with any success; an absent one's NaN does not count.
-    live = (~np.isnan(categories) & (categories != 0.0)).any(axis=-1)
+    live = np.logical_or.reduce(~np.isnan(categories) & (categories != 0.0), -1)
     return np.array([jain_index(row[~np.isnan(row)]) if ok else np.nan
                      for row, ok in zip(categories, live.tolist())])
 

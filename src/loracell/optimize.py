@@ -141,21 +141,24 @@ def project_to_simplex(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim not in (1, 2) or v.shape[-1] == 0:
         raise ValueError("expected a non-empty 1-D vector or a 2-D stack of them")
-    if not np.all(np.isfinite(v)):
+    if not np.logical_and.reduce(np.isfinite(v), None):
         raise ValueError("cannot project a non-finite vector")
     n = v.shape[-1]
-    u = np.sort(v, axis=-1)[..., ::-1]
-    shifted = np.cumsum(u, axis=-1) - 1.0
+    rows = v.reshape(-1, n)
+    u = np.sort(rows, axis=-1)[:, ::-1]
+    shifted = np.add.accumulate(u, -1) - 1.0
     positive = u - shifted / np.arange(1, n + 1) > 0
-    rho = n - np.argmax(positive[..., ::-1], axis=-1)[..., None]   # last positive, 1-based
-    theta = np.take_along_axis(shifted, rho - 1, axis=-1) / rho
-    return np.maximum(v - theta, 0.0)
+    rho = n - positive[:, ::-1].argmax(-1)   # last positive, 1-based
+    theta = shifted[np.arange(len(rows)), rho - 1] / rho
+    return np.maximum(v - theta.reshape(*v.shape[:-1], 1), 0.0)
 
 
 def _project_pair(x: np.ndarray) -> np.ndarray:
-    """Project the stacked (p_unconfirmed, p_confirmed) vector block-wise; rows of 2-D."""
-    return np.concatenate([project_to_simplex(x[..., :N_SF]),
-                           project_to_simplex(x[..., N_SF:])], axis=-1)
+    """Project the stacked (p_unconfirmed, p_confirmed) vector block-wise; rows of 2-D.
+
+    Every block of every row is one row of a single ``project_to_simplex`` call.
+    """
+    return project_to_simplex(x.reshape(-1, N_SF)).reshape(x.shape)
 
 
 def _starting_points(perturbed: bool) -> list[tuple[str, np.ndarray]]:
@@ -181,6 +184,9 @@ _FD_STEP = 1e-4
 #: Forward-difference step of the derivative sweep: the step in each unknown
 #: of the fixed point, and (times 1/h) the step along each probe direction.
 _DIFF_STEP = 1e-7
+#: The probe offsets: row 2i is +h e_i and row 2i+1 is -h e_i.
+_PROBES = _FD_STEP * np.kron(np.eye(2 * N_SF), [[1.0], [-1.0]])
+_PROBES.flags.writeable = False
 
 
 class _Evaluator:
@@ -197,8 +203,8 @@ class _Evaluator:
         self.reliability_only = weights.keys() <= {"uu", "cu", "cd"}
 
     def _config(self, x: np.ndarray) -> ScenarioConfig:
-        return replace(self.cfg, p_unconfirmed=SfDistribution(tuple(x[:N_SF])),
-                       p_confirmed=SfDistribution(tuple(x[N_SF:])))
+        return replace(self.cfg, p_unconfirmed=SfDistribution(x[:N_SF].tolist()),
+                       p_confirmed=SfDistribution(x[N_SF:].tolist()))
 
     def __call__(self, x: np.ndarray, start: analytic.SteadyState | None = None
                  ) -> tuple[float, analytic.SteadyState | None]:
@@ -239,7 +245,8 @@ class _Evaluator:
         if failures:
             return None
         state = analytic.SteadyState(**fields, iterations=1, residual=math.inf, converged=False)
-        return np.column_stack([state.s_ul, state.s_dl, self._objective(state, batch)])
+        objective = np.asarray(self._objective(state, batch))
+        return np.concatenate([state.s_ul, state.s_dl, objective[:, None]], axis=1)
 
     def _objective(self, state: analytic.SteadyState, cfg: ScenarioConfig):
         """Weighted objective of a state; one per row of a batched state and config."""
@@ -269,15 +276,15 @@ def _gradient(evaluate: _Evaluator, x: np.ndarray, state: analytic.SteadyState) 
     h = _FD_STEP
     # Rows 2i and 2i+1 probe x + h e_i and x - h e_i; projecting them keeps
     # the directions along the simplex tangent.
-    dirs = _project_pair(x + h * np.kron(np.eye(2 * N_SF), [[1.0], [-1.0]])) - x
+    dirs = _project_pair(x + _PROBES) - x
     eps = _DIFF_STEP
     z = np.concatenate([state.s_ul, state.s_dl])
     n = z.size
     dz = np.where(z > 0.5, -eps, eps)   # step into [0, 1]
     t = eps / h                         # x + t d is on the simplices for t <= 1
-    zs = np.tile(z, (1 + n + len(dirs), 1))
+    zs = np.repeat(z[None], 1 + n + len(dirs), axis=0)
     zs[1:1 + n] += np.diag(dz)
-    xs = np.tile(x, (len(zs), 1))
+    xs = np.repeat(x[None], len(zs), axis=0)
     xs[1 + n:] += t * dirs
     rows = evaluate.sweep(xs, zs)
     if rows is None:
@@ -306,7 +313,7 @@ def _ascend(evaluate: _Evaluator, x0: np.ndarray,
         if state is None:
             return x, fx, steps, "flat_gradient"
         grad = _gradient(evaluate, x, state)
-        if not np.all(np.isfinite(grad)) or not np.any(grad != 0.0):
+        if not np.logical_and.reduce(np.isfinite(grad)) or not np.logical_or.reduce(grad != 0.0):
             return x, fx, steps, "flat_gradient"
         alpha = min(4.0 * alpha, 1.0)
         for _ in range(30):
@@ -317,7 +324,7 @@ def _ascend(evaluate: _Evaluator, x0: np.ndarray,
             alpha *= 0.5
         else:
             return x, fx, steps, "no_ascent"
-        moved = float(np.max(np.abs(x_new - x)))
+        moved = float(np.maximum.reduce(np.abs(x_new - x)))
         gained = f_new - fx
         x, fx, state = x_new, f_new, state_new
         steps += 1

@@ -17,9 +17,10 @@ and say so:
     PYTHONPATH=src python tests/data/golden/make_golden.py
 
 With ``--pins`` it writes nothing and prints instead the event counts and
-trace digests that ``tests/test_simulate.py`` pins as literals, and the
-solver digests that ``tests/test_analytic.py`` pins, one line per test,
-computed from the configurations defined here, which those tests use too:
+trace digests that ``tests/test_simulate.py`` pins as literals, the
+solver digests that ``tests/test_analytic.py`` pins and the optimizer digest
+that ``tests/test_optimize.py`` pins, one line per test, computed from the
+configurations defined here, which those tests use too:
 
     PYTHONPATH=src python tests/data/golden/make_golden.py --pins
 """
@@ -38,7 +39,7 @@ from unittest import mock
 
 import numpy as np
 
-from loracell import analytic, cli, simulate
+from loracell import analytic, cli, optimize, simulate
 from loracell.scenario import ScenarioConfig
 
 HERE = Path(__file__).resolve().parent
@@ -206,11 +207,28 @@ def solver_digests() -> tuple[str, str]:
     return digest(map(analytic.solve, cfgs)), digest(analytic.solve_many(cfgs))
 
 
+def optimizer_problem() -> optimize.OptimizationProblem:
+    """A small optimizer grid at alpha = 0.3: lambda in (0.1, 1, 10), m and h
+    in (1, 8), with the default objective and step cap.  It holds the
+    benchmark's two grid points, lambda 1 and 10 at m = h = 8."""
+    return optimize.OptimizationProblem(ScenarioConfig(alpha=0.3), lambdas=(0.1, 1.0, 10.0),
+                                        m_grid=(1, 8), h_grid=(1, 8))
+
+
+def optimizer_digest() -> str:
+    """SHA-256 of the ``repr`` of every ``GridRecord`` of ``optimizer_problem``."""
+    h = hashlib.sha256()
+    for record in optimize.optimize(optimizer_problem()).records:
+        h.update(repr(record).encode())
+    return h.hexdigest()
+
+
 def pins() -> dict[str, tuple]:
-    """The literals of ``tests/test_simulate.py`` and ``tests/test_analytic.py``,
-    by test: the events of one replication with the window shortcuts and with
-    every RX1 or RX2 window an event, the trace digest and per-replication
-    events of ``rx2_cell``, and the two ``solver_digests``."""
+    """The literals of ``tests/test_simulate.py``, ``tests/test_analytic.py``
+    and ``tests/test_optimize.py``, by test: the events of one replication
+    with the window shortcuts and with every RX1 or RX2 window an event, the
+    trace digest and per-replication events of ``rx2_cell``, the two
+    ``solver_digests`` and the ``optimizer_digest``."""
     def events(cfg):
         return simulate.run(cfg).replications[0].events
 
@@ -233,6 +251,7 @@ def pins() -> dict[str, tuple]:
                 hashlib.sha256(path.read_bytes()).hexdigest(),
                 tuple(rep.events for rep in report.replications))
     found["TestSolverBits.test_grid_states_and_sweep_counts_are_pinned"] = solver_digests()
+    found["TestOptimizerBits.test_grid_records_are_pinned"] = optimizer_digest()
     return found
 
 

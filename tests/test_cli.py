@@ -16,13 +16,15 @@ from loracell.cli import (
     EXIT_PARSE,
     EXIT_VALIDATION,
     _parse_int_grid,
+    _set_path,
     _sim_config,
+    _sweep_point,
     build_parser,
     main,
 )
 from loracell.metrics import METRICS
 from loracell.optimize import STOP_REASONS, OptimizationProblem
-from loracell.scenario import ScenarioConfig
+from loracell.scenario import AirtimeTable, ScenarioConfig, SfDistribution, load_scenario
 from loracell.simulate import SimConfig
 
 
@@ -249,6 +251,34 @@ class TestSweep:
     def test_huge_retransmission_limit_rejected(self, capsys):
         assert run_cli("sweep", "--axis", "m", "--values", "1e20") == EXIT_VALIDATION
         assert "m must be <= 15" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("axis, value", [("lambda_total", 0.25), ("alpha", 1.0),
+                                             ("m", 3.0), ("tau2", 0.0), (" w_gw", 0.5),
+                                             ("n_demodulators", 16.0)])
+    def test_points_equal_a_full_reload(self, axis, value):
+        # A point is built from the base's validated parts; it equals the
+        # config that reloading the base's plain mapping gives, field by field.
+        base = ScenarioConfig(lambda_total=2.0, alpha=0.5, h=2, delta_sb2=0.0,
+                              p_unconfirmed=SfDistribution.explora(),
+                              airtimes=AirtimeTable(t_ack2=(1.0,) * 6))
+        point = _sweep_point(base, axis, value)
+        reloaded = load_scenario(_set_path(base.to_dict(), axis, value))
+        assert point == reloaded
+        assert [type(v) for v in vars(point).values()] == \
+            [type(v) for v in vars(reloaded).values()]
+        assert getattr(point, axis.strip()) == value
+
+    @pytest.mark.parametrize("axis, message", [
+        ("foo", "unknown scenario keys: ['foo']"),
+        ("foo.bar", "unknown scenario keys: ['foo']"),
+        ("airtimes.t_data", "airtimes.t_data must be a sequence of 6 numbers"),
+        ("p_unconfirmed.x", "--set path 'p_unconfirmed.x' does not name a mapping"),
+        ("lambda_total.x", "--set path 'lambda_total.x' does not name a mapping"),
+        ("airtimes", "airtimes must be a mapping with t_data/t_ack1/t_ack2 lists"),
+    ])
+    def test_unknown_and_dotted_axes_keep_their_errors(self, axis, message, capsys):
+        assert run_cli("sweep", "--axis", axis, "--values", "1,2") == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"validation error: {message}\n"
 
 
 class TestSimulate:

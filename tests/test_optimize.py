@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize as sciopt
 
+from conftest import make_golden
 from loracell import analytic, metrics
 from loracell.optimize import (
     OBJECTIVES,
@@ -242,6 +243,16 @@ class TestOptimize:
         record = optimize(tiny_problem(lambdas=(1.0,), m_grid=(8,), h_grid=(8,))).records[0]
         assert (record.stop, record.iterations, record.evaluations) == ("flat_gradient", 0, 2)
         assert record.solver_converged
+
+
+class TestOptimizerBits:
+    """The optimizer's records, pinned: a rewrite of the ascent, the projection
+    or the gradient that moves one bit of one record fails here."""
+
+    def test_grid_records_are_pinned(self):
+        # ``make_golden.py --pins`` prints the literal.
+        assert make_golden.optimizer_digest() == \
+            "cab9733f7fb00e79410ebff74f725598a1bd0f1b3fe91f43531cc2c4e2d9eccf"
 
 
 def central_difference_gradient(evaluate, x):
