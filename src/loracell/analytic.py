@@ -20,7 +20,8 @@ fields fixing array shapes, loop counts or the ``gw_may_transmit`` branch
 (``m``, ``h``, ``tau1``, ``tau2``, ``n_demodulators``) and on the airtimes form
 one batch: per-SF vectors gain a leading row axis, ``(K, 6)``, per-row scalars
 (``p_on``, ``s_demod``, the other scenario fields such as ``w_gw``, ...)
-become ``(K,)`` arrays, and the model functions below accept either form.
+become ``(K,)`` arrays, an SF distribution is read by its ``p`` alone, and the
+model functions below, :func:`iterate` among them, accept either form.
 Each row stops when its own residual reaches the tolerance and is then
 frozen, so its numbers and sweep count are those of its own ``solve``,
 the one-row call of the same code.
@@ -43,7 +44,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .scenario import N_SF, ScenarioConfig, SfDistribution, ValidationError
+from .scenario import N_SF, ScenarioConfig, ValidationError
 
 
 class ModelError(RuntimeError):
@@ -141,9 +142,9 @@ def _arange(n: int) -> np.ndarray:
 
 def app_rates(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     """Application-layer packet rates per channel and SF [pck/s]."""
-    scale = cfg.lambda_total / cfg.c_channels
-    return (_vec(cfg.p_confirmed.p) * scale * cfg.alpha,
-            _vec(cfg.p_unconfirmed.p) * scale * (1.0 - cfg.alpha))
+    scale, alpha = _col(cfg.lambda_total / cfg.c_channels), _col(cfg.alpha)
+    return (_vec(cfg.p_confirmed.p) * scale * alpha,
+            _vec(cfg.p_unconfirmed.p) * scale * (1.0 - alpha))
 
 
 def attempt_distributions(p, n: int) -> np.ndarray:
@@ -458,14 +459,15 @@ def iterate(cfg: ScenarioConfig, s_ul, s_dl) -> SteadyState:
     Recomputes, in order: attempt distributions, PHY rates, demodulator
     chain, sub-band states, interference/TX survivals, the new uplink
     success, ACK interference, and the new downlink success.  The
-    sub-band states are driven by the incoming ``s_ul`` iterate.  Raises
-    ``ModelError`` when the sweep breaks (ACK success above 1, or a
-    non-finite quantity): the same per-row check with which
+    sub-band states are driven by the incoming ``s_ul`` iterate; a batch
+    with ``(K, 6)`` iterates gives a batched state.  Raises ``ModelError``
+    with the first broken row's message when the sweep breaks (ACK success
+    above 1, or a non-finite quantity): the same per-row check with which
     :func:`solve_many` names the broken row of a batch.
     """
     fields, failures = _sweep(cfg, app_rates(cfg), _vec(s_ul), _vec(s_dl))
     if failures:
-        raise ModelError(failures[0])
+        raise ModelError(failures[min(failures)])
     return SteadyState(**fields, iterations=1, residual=math.inf, converged=False)
 
 
@@ -482,7 +484,8 @@ def solve(cfg: ScenarioConfig, tol: float = _TOL, max_iter: int = _MAX_ITER,
     below ``tol``.  If ``max_iter`` sweeps are exhausted first, the best
     iterate is returned with ``converged`` False.  ``start``, a pair
     ``(s_ul, s_dl)`` of per-SF probabilities, replaces the all-ones starting
-    point, e.g. with the fixed point of a nearby scenario.
+    point, e.g. with the fixed point of a nearby scenario.  ``cfg`` is one
+    scenario in any form that the model functions read.
     """
     [state] = solve_many([cfg], tol, max_iter, start)
     if isinstance(state, ModelError):
@@ -544,7 +547,7 @@ def _batch(cfgs, names=None) -> SimpleNamespace:
         value = getattr(cfgs[0], name)
         if name in _SHARED:
             fields[name] = value
-        elif isinstance(value, SfDistribution):
+        elif hasattr(value, "p"):   # an SF distribution
             fields[name] = SimpleNamespace(p=np.array([getattr(c, name).p for c in cfgs]))
         else:
             fields[name] = np.array([getattr(c, name) for c in cfgs])
@@ -585,12 +588,8 @@ def _solve_batch(cfgs, tol: float, max_iter: int, start) -> list[SteadyState | M
         # scalars are then numpy scalars, whose arithmetic costs a fraction of
         # a one-element array's.
         cfg, app = cfgs[0], app_rates(cfgs[0])
-    if start is None:
-        s_ul = s_dl = np.ones(app[0].shape)
-    elif batched:
-        s_ul, s_dl = (np.broadcast_to(v, app[0].shape) for v in start)
-    else:
-        s_ul, s_dl = start
+    # Every row starts from the same (6,) pair, which a batch's first sweep broadcasts.
+    s_ul, s_dl = (np.ones(N_SF),) * 2 if start is None else start
     for iterations in range(1, max_iter + 1):
         fields, failures = _sweep(cfg, app, s_ul, s_dl)
         new_ul, new_dl = fields["s_ul"], fields["s_dl"]

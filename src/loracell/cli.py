@@ -123,6 +123,11 @@ def cmd_solve(args) -> int:
 
 # -- sweep -------------------------------------------------------------------
 
+#: Most values of one ``--values`` or ``--lambdas``: a sweep point holds about 16 KB
+#: until the sweep ends (168 MB at 8,000 points), so a sweep stays below ~1.7 GB.
+_MAX_VALUES = 100_000
+
+
 def _parse_values(spec: str) -> list[float]:
     if ":" in spec:
         parts = spec.split(":")
@@ -133,8 +138,8 @@ def _parse_values(spec: str) -> list[float]:
         except ValueError as exc:
             raise ValidationError(f"cannot parse range {spec!r}") from exc
         scale = parts[3] if len(parts) == 4 else "lin"
-        if count < 1:
-            raise ValidationError("range count must be >= 1")
+        if not 1 <= count <= _MAX_VALUES:   # checked before any array is built
+            raise ValidationError(f"range count must be 1 to {_MAX_VALUES}, got {count}")
         if scale == "log":
             if start <= 0 or stop <= 0:
                 raise ValidationError("log range needs positive endpoints")
@@ -148,8 +153,8 @@ def _parse_values(spec: str) -> list[float]:
             values = [float(v) for v in spec.split(",") if v.strip() != ""]
         except ValueError as exc:
             raise ValidationError(f"cannot parse sweep values {spec!r}") from exc
-    if not values:
-        raise ValidationError("sweep values must be non-empty")
+    if not 1 <= len(values) <= _MAX_VALUES:
+        raise ValidationError(f"expected 1 to {_MAX_VALUES} sweep values, got {len(values)}")
     diffs = np.diff(values)
     if len(values) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ValidationError("sweep values must be strictly monotone")
@@ -271,12 +276,9 @@ def cmd_optimize(args) -> int:
         perturbed_restarts=args.perturbed_restarts)
     result = run_optimize(problem, workers=args.workers)
 
-    records = [{
-        "lambda": r.lam, "m": r.m, "h": r.h, "value": r.value,
-        "p_unconfirmed": list(r.p_unconfirmed), "p_confirmed": list(r.p_confirmed),
-        "iterations": r.iterations, "evaluations": r.evaluations,
-        "start": r.start, "solver_converged": r.solver_converged, "stop": r.stop,
-    } for r in result.records]
+    # Every GridRecord field, with ``lam`` written as ``lambda``; JSON writes tuples as lists.
+    records = [{("lambda" if name == "lam" else name): value for name, value in vars(r).items()}
+               for r in result.records]
     doc = {"command": "optimize", "config": cfg.to_dict(),
            "objective": problem.objective,
            "m_grid": list(problem.m_grid), "h_grid": list(problem.h_grid),
@@ -286,7 +288,7 @@ def cmd_optimize(args) -> int:
     keys = ["lambda", "m", "h", "value", "iterations", "evaluations", "start", "solver_converged"]
     columns = (keys + [f"p_u_sf{s}" for s in range(7, 13)]
                + [f"p_c_sf{s}" for s in range(7, 13)])
-    rows = [[rec[k] for k in keys] + rec["p_unconfirmed"] + rec["p_confirmed"]
+    rows = [[*(rec[k] for k in keys), *rec["p_unconfirmed"], *rec["p_confirmed"]]
             for rec in records]
     _emit(args, doc, _config_header(cfg, "optimize", {"objective": problem.objective}),
           columns, rows)

@@ -19,7 +19,7 @@ Gradient component i is [f'(d_i+) - f'(d_i-)] / 2h along the probe
 directions d_i+- = P(x +- h e_i) - x of a central difference (P projects
 onto the simplices, h is ``_FD_STEP``), so at interior points it equals the
 central difference of the objective to O(h^2).  The partial derivatives
-are forward differences of one batched sweep (``analytic._sweep``) of 37
+are forward differences of one batched sweep (``analytic.iterate``) of 37
 rows at z: the base row, one row per unknown of z and one per probe
 direction; one 12 x 12 linear solve then combines them.  The line search
 solves one candidate at a time with ``analytic.solve``, warm-started from
@@ -29,7 +29,6 @@ sweep counts as one objective evaluation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Mapping
@@ -190,7 +189,8 @@ _PROBES.flags.writeable = False
 
 
 class _Evaluator:
-    """Objective evaluation for one grid point; tracks eval count and solver health."""
+    """Objective evaluation for one grid point, by ``analytic.solve`` of one row or
+    ``analytic.iterate`` of a batch; tracks eval count and solver health."""
 
     def __init__(self, cfg: ScenarioConfig, weights: Mapping[str, float]):
         self.cfg = cfg
@@ -202,9 +202,12 @@ class _Evaluator:
         # delays, fairness and losses at several times the cost.
         self.reliability_only = weights.keys() <= {"uu", "cu", "cd"}
 
-    def _config(self, x: np.ndarray) -> ScenarioConfig:
-        return replace(self.cfg, p_unconfirmed=SfDistribution(x[:N_SF].tolist()),
-                       p_confirmed=SfDistribution(x[N_SF:].tolist()))
+    def _config(self, x: np.ndarray) -> SimpleNamespace:
+        """The grid point's scenario with the SF shares ``x``, one row ``(12,)`` or a batch
+        ``(K, 12)``; ``x`` is the ascent's own simplex projection, not validated again."""
+        return SimpleNamespace(**{**vars(self.cfg),
+                                  "p_unconfirmed": SimpleNamespace(p=x[..., :N_SF]),
+                                  "p_confirmed": SimpleNamespace(p=x[..., N_SF:])})
 
     def __call__(self, x: np.ndarray, start: analytic.SteadyState | None = None
                  ) -> tuple[float, analytic.SteadyState | None]:
@@ -235,17 +238,12 @@ class _Evaluator:
         and the objective, or None if a row broke.
         """
         self.evaluations += 1
-        # The grid point's scenario with one pair of SF distributions per row,
-        # in the batched form that the model functions accept.
-        batch = SimpleNamespace(**{**vars(self.cfg),
-                                   "p_unconfirmed": SimpleNamespace(p=xs[:, :N_SF]),
-                                   "p_confirmed": SimpleNamespace(p=xs[:, N_SF:])})
-        fields, failures = analytic._sweep(batch, analytic.app_rates(batch),
-                                           zs[:, :N_SF], zs[:, N_SF:])
-        if failures:
+        cfg = self._config(xs)
+        try:
+            state = analytic.iterate(cfg, zs[:, :N_SF], zs[:, N_SF:])
+        except analytic.ModelError:
             return None
-        state = analytic.SteadyState(**fields, iterations=1, residual=math.inf, converged=False)
-        objective = np.asarray(self._objective(state, batch))
+        objective = np.asarray(self._objective(state, cfg))
         return np.concatenate([state.s_ul, state.s_dl, objective[:, None]], axis=1)
 
     def _objective(self, state: analytic.SteadyState, cfg: ScenarioConfig):

@@ -76,6 +76,22 @@ class TestAppRates:
         assert r_c == pytest.approx(np.full(6, 1 / 6))
         assert r_u == pytest.approx(np.full(6, 1 / 6))
 
+    @pytest.mark.parametrize("k", [6, 4])
+    def test_batch_rows_equal_their_own_rates(self, k):
+        # Per-row load, channels and confirmed share broadcast down the rows;
+        # at K = 6 a broadcast along the SF axis would give (6, 6) rates too.
+        rng = np.random.default_rng(k)
+        cfgs = [cfg(lambda_total=float(10 ** rng.uniform(-2, 2)), alpha=float(rng.uniform()),
+                    c_channels=int(rng.integers(1, 4)),
+                    p_unconfirmed=SfDistribution(tuple(rng.dirichlet(np.ones(6)))),
+                    p_confirmed=SfDistribution(tuple(rng.dirichlet(np.ones(6)))))
+                for _ in range(k)]
+        r_c, r_u = app_rates(analytic._batch(cfgs))
+        assert r_c.shape == r_u.shape == (k, 6)
+        for i, c in enumerate(cfgs):
+            want_c, want_u = app_rates(c)
+            assert np.array_equal(r_c[i], want_c) and np.array_equal(r_u[i], want_u)
+
 
 class TestPhyRates:
     def test_first_attempt_success_means_single_transmission(self):
@@ -568,6 +584,36 @@ class TestBatchedRows:
             assert np.array_equal(mixed[i].s_ul, clean[i].s_ul)
             assert np.array_equal(mixed[i].s_dl, clean[i].s_dl)
             assert mixed[i].iterations == clean[i].iterations
+
+    def batch_rows(self):
+        """Configs that form one batch but differ in every field the sweep reads per row."""
+        base = cfg(lambda_total=1.0, alpha=0.5, m=4, h=2)
+        return [replace(base, lambda_total=lam, alpha=alpha, delta_sb1=delta, c_channels=c,
+                        w_gw=w, w_ed=1.0 - w, p_unconfirmed=p_u, p_confirmed=p_c)
+                for lam, alpha, delta, c, w, p_u, p_c in zip(
+                    (0.05, 1.0, 3.0, 20.0), (1.0, 0.3, 0.0, 0.7), (99.0, 9.0, 0.0, 99.0),
+                    (3, 1, 2, 3), (0.1, 0.5, 1.0, 0.0), BATCH_DISTRIBUTIONS,
+                    BATCH_DISTRIBUTIONS[::-1])]
+
+    def test_batched_iterate_rows_equal_their_own_sweeps(self):
+        cfgs = self.batch_rows()
+        rng = np.random.default_rng(11)
+        s_ul, s_dl = rng.uniform(0.2, 1.0, (2, len(cfgs), 6))
+        batched = iterate(analytic._batch(cfgs), s_ul, s_dl)
+        assert batched.s_ul.shape == (len(cfgs), 6)
+        for i, c in enumerate(cfgs):
+            assert_same_state(analytic._take(batched, i), iterate(c, s_ul[i], s_dl[i]))
+
+    def test_batched_iterate_raises_the_broken_rows_error(self, monkeypatch):
+        sweep = analytic._sweep
+
+        def breaking(cfg, app, s_ul, s_dl):
+            fields, failures = sweep(cfg, app, s_ul, s_dl)
+            return fields, {**failures, 2: "non-finite value in s_tx"}
+
+        monkeypatch.setattr(analytic, "_sweep", breaking)
+        with pytest.raises(ModelError, match="^non-finite value in s_tx$"):
+            iterate(analytic._batch(self.batch_rows()), np.ones((4, 6)), np.ones((4, 6)))
 
     def test_broken_iterate_detected(self, monkeypatch):
         # ACK success above 1 is checked once, in the sweep: ``iterate`` raises,

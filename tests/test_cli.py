@@ -15,7 +15,9 @@ from loracell.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_VALIDATION,
+    _MAX_VALUES,
     _parse_int_grid,
+    _parse_values,
     _set_path,
     _sim_config,
     _sweep_point,
@@ -247,6 +249,19 @@ class TestSweep:
     def test_unknown_output_rejected(self):
         assert run_cli("sweep", "--axis", "lambda_total", "--values", "1",
                        "--outputs", "nope") == EXIT_VALIDATION
+
+    def test_value_count_is_capped(self, capsys):
+        # One value over the cap, as ranges and as a comma list: each is
+        # rejected before an array of that length is built.
+        over = _MAX_VALUES + 1
+        for argv in (("sweep", "--axis", "lambda_total", "--values", f"0.01:100:{over}:log"),
+                     ("optimize", "--lambdas", f"0.1:10:{over}"),
+                     ("sweep", "--axis", "lambda_total",
+                      "--values", ",".join(map(str, range(1, over + 1))))):
+            assert run_cli(*argv) == EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert f"{_MAX_VALUES}" in err and f"got {over}" in err
+        assert len(_parse_values(f"0:1:{_MAX_VALUES}")) == _MAX_VALUES
 
     def test_huge_retransmission_limit_rejected(self, capsys):
         assert run_cli("sweep", "--axis", "m", "--values", "1e20") == EXIT_VALIDATION

@@ -55,6 +55,13 @@ def unreferenced_private_functions(trees: dict[str, ast.AST]) -> list[str]:
     defined = [(module, node.name) for module, tree in trees.items() for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                and node.name.startswith("_") and not node.name.startswith("__")]
+    used = _referenced_names(trees)
+    return [f"{module}: {name}" for module, name in defined if name not in used]
+
+
+def _referenced_names(trees: dict[str, ast.AST]) -> set[str]:
+    """Every name that code in ``trees`` reads, as a plain name or as an
+    attribute, outside the module-level statement that defines that name."""
     used = set()
     for tree in trees.values():
         for top in tree.body:
@@ -64,12 +71,40 @@ def unreferenced_private_functions(trees: dict[str, ast.AST]) -> list[str]:
                         else n.attr if isinstance(n, ast.Attribute) else None)
                 if name is not None and name != own:
                     used.add(name)
-    return [f"{module}: {name}" for module, name in defined if name not in used]
+    return used
 
 
 def test_every_private_function_is_referenced():
     trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
     assert unreferenced_private_functions(trees) == []
+
+
+def unreferenced_public_functions(trees: dict[str, ast.AST], exported) -> list[str]:
+    """``module: function`` for every public module-level function that no code
+    in ``trees`` names outside its own ``def`` and that ``exported`` does not list.
+
+    References count as for :func:`unreferenced_private_functions`.
+    """
+    used = _referenced_names(trees) | set(exported)
+    return [f"{module}: {node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_") and node.name not in used]
+
+
+def test_every_public_function_is_read_or_exported():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    assert unreferenced_public_functions(trees, loracell.__all__) == []
+
+
+def test_unread_public_function_is_reported():
+    trees = {"a.py": ast.parse("def used():\n    pass\n"
+                               "def exported():\n    pass\n"
+                               "def recursive():\n    return recursive()\n"
+                               "def only_imported():\n    pass\n"
+                               "def _private():\n    pass\n"),
+             "b.py": ast.parse("from a import only_imported\nimport a\na.used()\n")}
+    assert unreferenced_public_functions(trees, ["exported"]) == [
+        "a.py: recursive", "a.py: only_imported"]
 
 
 def test_unreferenced_private_function_is_reported():
