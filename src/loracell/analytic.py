@@ -24,15 +24,20 @@ become ``(K,)`` arrays, an SF distribution is read by its ``p`` alone, and the
 model functions below, :func:`iterate` among them, accept either form.
 Each row stops when its own residual reaches the tolerance and is then
 frozen, so its numbers and sweep count are those of its own ``solve``,
-the one-row call of the same code.
+the one-row call of the same code.  A finishing row is copied into the
+batch's output, one batched ``SteadyState`` whose arrays have a row for
+every config of the batch, so a finished row holds no sweep's arrays.
+:func:`solve_groups` hands out that output as it is, with the batched
+config, for a caller that reports a whole batch at once; :func:`solve_many`
+takes one ``SteadyState`` per config from it.
 
 A sweep of one row works on 6-element vectors, so its cost is mostly numpy's
 per-call overhead, and the sweep keeps its calls few.  The airtime terms that
 do not change between sweeps (``t_ack1 + t_data`` and the products by the
 prioritization flags) are computed once per
 :class:`~loracell.scenario.AirtimeTable` and read from it, and a sweep hands
-the solver its arrays: a ``SteadyState`` is built only for a row that
-finishes, once.
+the solver its arrays: a one-row solve builds its ``SteadyState`` once, when
+it finishes.
 """
 
 from __future__ import annotations
@@ -445,12 +450,42 @@ def _stack(objs):
     """The batched result dataclass of a list of one-row ones: the inverse of ``_take``.
 
     Every field gains a leading row axis, in nested dataclasses too, so
-    ``_take(_stack(objs), i)`` equals ``objs[i]``.
+    ``_take(_stack(objs), i)`` equals ``objs[i]``.  For a single object the
+    array fields are views of its own arrays: a batch of one copies nothing.
     """
     return type(objs[0])(**{
         name: (_stack([getattr(obj, name) for obj in objs]) if is_dataclass(value)
+               else np.asarray(value)[None] if len(objs) == 1
                else np.array([getattr(obj, name) for obj in objs]))
         for name, value in vars(objs[0]).items()})
+
+
+def _row_state(state: SteadyState, i: int) -> SteadyState:
+    """Row ``i`` of a batch's output, with the solver fields a one-row solve gives:
+    ``iterations``, ``residual`` and ``converged`` as ``int``, ``float`` and ``bool``."""
+    fields = _row(vars(state), i)
+    return SteadyState(**{**fields, "iterations": int(fields["iterations"]),
+                          "residual": float(fields["residual"]),
+                          "converged": bool(fields["converged"])})
+
+
+def _blank(fields: dict, k: int) -> dict:
+    """Output of a ``k``-row batch for the fields of one of its sweeps: every
+    array becomes a NaN array of ``k`` rows, in nested dataclasses too; other
+    values are shared."""
+    return {name: (np.full((k,) + value.shape[1:], np.nan) if isinstance(value, np.ndarray)
+                   else type(value)(**_blank(vars(value), k)) if is_dataclass(value) else value)
+            for name, value in fields.items()}
+
+
+def _put(out: dict, fields: dict, at, rows) -> None:
+    """Copy rows ``rows`` of every array of a sweep's ``fields`` to rows ``at``
+    of the same array of the output ``out``, nested dataclasses included."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            out[name][at] = value.take(rows, 0)   # cheaper than value[rows]
+        elif is_dataclass(value):
+            _put(vars(out[name]), vars(value), at, rows)
 
 
 def iterate(cfg: ScenarioConfig, s_ul, s_dl) -> SteadyState:
@@ -515,36 +550,27 @@ _SHARED = ("m", "h", "tau1", "tau2", "n_demodulators", "airtimes")
 _PER_ROW = ("delta_sb1", "delta_sb2", "c_channels", "w_gw", "w_ed")
 
 
-def _by_shape(cfgs, run) -> list:
-    """``run(group)`` on each group of ``cfgs`` that agree on the ``_SHARED``
-    fields; the results of all groups, scattered back into config order.
-
-    ``run`` takes the list of indices into ``cfgs`` of one group and returns
-    one result per index.
-    """
-    if len(cfgs) == 1:   # one group: nothing to sort or scatter
-        return list(run([0]))
+def _groups(cfgs) -> list[list[int]]:
+    """Indices into ``cfgs`` of each group of configs that agree on the
+    ``_SHARED`` fields, in order of first appearance."""
+    if len(cfgs) == 1:   # one group: nothing to sort
+        return [[0]]
     groups: dict[tuple, list[int]] = {}
     for i, cfg in enumerate(cfgs):
         groups.setdefault(tuple(getattr(cfg, name) for name in _SHARED), []).append(i)
-    results: list = [None] * len(cfgs)
-    for group in groups.values():
-        for i, result in zip(group, run(group)):
-            results[i] = result
-    return results
+    return list(groups.values())
 
 
-def _batch(cfgs, names=None) -> SimpleNamespace:
+def _batch(cfgs) -> SimpleNamespace:
     """One scenario for configs that agree on the ``_SHARED`` fields, in the
     batched form that the model functions accept.
 
-    The ``_SHARED`` fields keep their common value; every other field of
-    ``names`` (default: all) becomes a ``(K,)`` array, and an SF
-    distribution a namespace whose ``p`` is ``(K, 6)``.
+    The ``_SHARED`` fields keep their common value; every other field
+    becomes a ``(K,)`` array, and an SF distribution a namespace whose ``p``
+    is ``(K, 6)``.
     """
     fields = {}
-    for name in names or vars(cfgs[0]):
-        value = getattr(cfgs[0], name)
+    for name, value in vars(cfgs[0]).items():
         if name in _SHARED:
             fields[name] = value
         elif hasattr(value, "p"):   # an SF distribution
@@ -564,30 +590,71 @@ def solve_many(cfgs, tol: float = _TOL, max_iter: int = _MAX_ITER,
     its ``ModelError`` without stopping the others.  Every row starts from
     ``start`` when it is given.
     """
+    results: list = [None] * len(cfgs)
+    for indices, _, state, errors in _solve_groups(cfgs, tol, max_iter, start):
+        for j, i in enumerate(indices):
+            results[i] = (errors[j] if j in errors else state if len(indices) == 1
+                          else _row_state(state, j))
+    return results
+
+
+def solve_groups(cfgs, tol: float = _TOL, max_iter: int = _MAX_ITER, start=None) -> list[
+        tuple[list[int], SimpleNamespace, SteadyState | None, dict[int, ModelError]]]:
+    """:func:`solve_many`'s results as one batch per group of configs solved together.
+
+    Each group is ``(indices, cfg, state, errors)``: the indices into
+    ``cfgs`` of its configs, their batched config and batched state, whose
+    row ``j`` is the result of config ``indices[j]`` (``iterations``,
+    ``residual`` and ``converged`` are ``(K,)`` arrays too), and the
+    ``ModelError`` of each broken config by its index into ``cfgs``.  A
+    broken config's row reads NaN; a group of one config that broke has no
+    state.  The batched forms are those that the model and metric functions
+    accept, so ``metrics.compute_report(state, cfg)`` reports a whole group.
+    """
+    groups = []
+    for indices, cfg, state, errors in _solve_groups(cfgs, tol, max_iter, start):
+        if len(indices) == 1:
+            cfg, state = _batch([cfg]), state and _stack([state])
+        groups.append((indices, cfg, state, {indices[j]: e for j, e in errors.items()}))
+    return groups
+
+
+def _solve_groups(cfgs, tol: float, max_iter: int, start) -> list[tuple]:
+    """``(indices, cfg, state, errors)`` of each group of ``cfgs``, as
+    :func:`_solve_batch` gives them, after the arguments are checked."""
     if start is not None:
         start = _start_vectors(start)
     if not tol > 0.0:
         raise ValidationError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
-    return _by_shape(cfgs, lambda group: _solve_batch([cfgs[i] for i in group], tol,
-                                                      max_iter, start))
+    return [(indices, *_solve_batch([cfgs[i] for i in indices], tol, max_iter, start))
+            for indices in _groups(cfgs)]
 
 
-def _solve_batch(cfgs, tol: float, max_iter: int, start) -> list[SteadyState | ModelError]:
-    """:func:`solve_many` of configs that agree on ``_SHARED``, with validated arguments."""
-    results: list = [None] * len(cfgs)
-    rows = list(range(len(cfgs)))     # index in ``cfgs`` of each active row
-    batched = len(rows) > 1
-    if batched:
-        # One scenario for all rows: each per-row field is a (K,) array, rates (K, 6).
-        cfg = _batch(cfgs, names=_SHARED + _PER_ROW)
-        app = tuple(np.array(rates) for rates in zip(*map(app_rates, cfgs)))
-    else:
+def _solve_batch(cfgs, tol: float, max_iter: int, start) -> tuple:
+    """:func:`solve_many` of configs that agree on ``_SHARED``, with validated arguments.
+
+    Returns the scenario the rows ran on, their result and the ``ModelError``
+    of each broken row by its index into ``cfgs``.  One config runs on its
+    own and gives its one-row ``SteadyState`` (None when it broke).  More
+    configs run as one batch on their batched config and give the batch's
+    output, one batched ``SteadyState`` into which each row is copied when it
+    finishes; a broken row reads NaN there.
+    """
+    batched = len(cfgs) > 1
+    if not batched:
         # A single row runs on its own config without a row axis: its per-row
         # scalars are then numpy scalars, whose arithmetic costs a fraction of
         # a one-element array's.
-        cfg, app = cfgs[0], app_rates(cfgs[0])
+        batch = cfg = cfgs[0]
+    else:
+        # One scenario for all rows: each per-row field is a (K,) array, rates (K, 6).
+        batch = _batch(cfgs)
+        cfg = SimpleNamespace(**{name: getattr(batch, name) for name in _SHARED + _PER_ROW})
+        rows = np.arange(len(cfgs))   # index in ``cfgs`` of each active row
+        out, errors = None, {}
+    app = app_rates(batch)
     # Every row starts from the same (6,) pair, which a batch's first sweep broadcasts.
     s_ul, s_dl = (np.ones(N_SF),) * 2 if start is None else start
     for iterations in range(1, max_iter + 1):
@@ -597,23 +664,34 @@ def _solve_batch(cfgs, tol: float, max_iter: int, start) -> list[SteadyState | M
                                      -1)
         converged = residual <= tol
         if failures or iterations == max_iter or _any(converged):
-            done = failures.keys() | np.flatnonzero(converged | (iterations == max_iter)).tolist()
-            for i in done:
-                if i in failures:
-                    results[rows[i]] = ModelError(failures[i])
-                    continue
-                at = i if batched else ()
-                results[rows[i]] = SteadyState(**(_row(fields, i) if batched else fields),
-                                               iterations=iterations,
-                                               residual=float(residual[at]),
-                                               converged=bool(converged[at]))
-            if len(done) == len(rows):
+            if not batched:
+                if failures:
+                    return batch, None, {0: ModelError(failures[0])}
+                return batch, SteadyState(**fields, iterations=iterations,
+                                          residual=float(residual),
+                                          converged=bool(converged)), {}
+            if out is None:
+                out = _blank(fields, len(cfgs))
+                out.update(iterations=np.zeros(len(cfgs), dtype=int),
+                           residual=np.full(len(cfgs), np.nan),
+                           converged=np.zeros(len(cfgs), dtype=bool))
+            done = converged | (iterations == max_iter)
+            finished = done.copy()
+            for i, message in failures.items():
+                errors[int(rows[i])] = ModelError(message)
+                done[i], finished[i] = True, False
+            at, finished = rows[finished], np.flatnonzero(finished)
+            _put(out, fields, at, finished)
+            out["iterations"][at] = iterations
+            out["residual"][at] = residual[finished]
+            out["converged"][at] = converged[finished]
+            if done.all():
                 break
-            active = [i for i in range(len(rows)) if i not in done]
-            rows = [rows[i] for i in active]
+            active = np.flatnonzero(~done)
+            rows = rows[active]
             cfg = SimpleNamespace(**{name: value[active] if name in _PER_ROW else value
                                      for name, value in vars(cfg).items()})
             app = tuple(rates[active] for rates in app)
             new_ul, new_dl = new_ul[active], new_dl[active]
         s_ul, s_dl = new_ul, new_dl
-    return results
+    return batch, SteadyState(**out), errors

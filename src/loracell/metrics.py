@@ -15,8 +15,9 @@ are ``(K,)`` arrays (or shared scalars) and whose SF distributions are
 state's and the metrics' arrays.  A metric that is undefined for a row
 reads NaN there, in a one-row call as in a batch, and each row of a batch
 equals its one-row call bit for bit.  :func:`compute_report` reports a
-one-row state as a batch of one, and :func:`report_many` batches a list
-of solved configs; a NaN field of a report row reads ``None``.
+one-row state as a batch of one, and a batch of
+:func:`~loracell.analytic.solve_groups` in one call; a NaN field of a report
+row reads ``None``.
 
 Fairness is reported only by :func:`compute_report`: Jain's index over the
 (traffic type, SF) populations that have devices, ``None`` when no
@@ -30,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import (SteadyState, _any, _arange, _batch, _by_shape, _col, _stack,
-                       attempt_distributions)
+from .analytic import SteadyState, _any, _arange, _batch, _col, _stack, attempt_distributions
 from .scenario import ScenarioConfig
 
 
@@ -254,14 +254,3 @@ def _column(values: np.ndarray) -> list:
     if values.ndim == 2:
         return [None if row[0] != row[0] else tuple(row) for row in rows]
     return [None if v != v else v for v in rows]
-
-
-def report_many(states, cfgs) -> list[MetricsReport]:
-    """The report of every solved config, in order, as :func:`compute_report` gives it.
-
-    Configs that :func:`~loracell.analytic.solve_many` solves as one batch
-    (those that agree on ``m``, ``h``, ``tau1``, ``tau2``, ``n_demodulators``
-    and the airtimes) are reported as one batch.
-    """
-    return _by_shape(cfgs, lambda group: compute_report(
-        _stack([states[i] for i in group]), _batch([cfgs[i] for i in group])))

@@ -629,6 +629,60 @@ class TestBatchedRows:
             assert isinstance(row, ModelError) and "exceeded 1" in str(row)
 
 
+def state_arrays(state):
+    """Every array field of a solver result, nested dataclasses included."""
+    for f in fields(state):
+        value = getattr(state, f.name)
+        if is_dataclass(value):
+            yield from state_arrays(value)
+        elif isinstance(value, np.ndarray):
+            yield value
+
+
+class TestBatchOutput:
+    """A batch writes each finishing row into one output of its own size."""
+
+    def test_finished_rows_hold_only_their_batch_output(self):
+        # Rows finish over many sweeps; each finished row is a view of the
+        # output, never of the arrays of the sweep it finished in.
+        cfgs = [cfg(lambda_total=lam, alpha=1.0) for lam in np.logspace(-2, 2, 2000)]
+        rows = solve_many(cfgs)
+        assert len({row.iterations for row in rows}) > 10
+        bases = {}
+        for row in rows:
+            for array in state_arrays(row):
+                assert array.base is not None and array.base.shape[0] == len(cfgs)
+                bases[id(array.base)] = array.base
+        # One output array per array field, whatever sweep a row finished in.
+        assert len(bases) == sum(1 for _ in state_arrays(rows[0]))
+
+    def test_groups_hold_the_rows_of_solve_many(self):
+        base = cfg(lambda_total=1.0, alpha=0.5, m=4, h=2)
+        cfgs = [replace(base, lambda_total=lam) for lam in (0.1, 1.0, 10.0)]
+        cfgs.insert(1, replace(base, m=8))   # a group of one
+        cfgs.append(replace(cfgs[0]))
+        object.__setattr__(cfgs[-1], "lambda_total", math.nan)
+        rows = solve_many(cfgs, max_iter=30)
+        groups = analytic.solve_groups(cfgs, max_iter=30)
+        assert [indices for indices, *_ in groups] == [[0, 2, 3, 4], [1]]
+        for indices, batch, state, errors in groups:
+            assert state.s_ul.shape == (len(indices), 6)
+            assert batch.lambda_total.shape == (len(indices),)
+            for j, i in enumerate(indices):
+                if i in errors:
+                    assert str(errors[i]) == str(rows[i]) == "non-finite value in r_phy"
+                    assert np.isnan(state.s_ul[j]).all() and not state.converged[j]
+                    continue
+                row = analytic._take(state, j)
+                assert_same_state(replace(row, iterations=int(row.iterations),
+                                          residual=float(row.residual),
+                                          converged=bool(row.converged)), rows[i])
+        # Solver fields keep the types of a one-row solve.
+        assert [type(getattr(rows[0], name)) for name in ("iterations", "residual", "converged")] \
+            == [int, float, bool]
+        assert rows[0].sb1.p_t is rows[2].sb1.p_t == 1.0   # a shared scalar stays shared
+
+
 #: The model functions one sweep composes, each called once per sweep.
 SWEEP_TERMS = ("phy_rates", "demod_chain", "subband_states", "interference_survival",
                "gw_tx_survival", "ack_interference_survival", "attempt_distributions",

@@ -96,17 +96,23 @@ class TestSolve:
         assert run_cli("solve", "--set", override) == EXIT_VALIDATION
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [("solve",),
-                                      ("sweep", "--axis", "lambda_total", "--values", "0.5,1")],
-                             ids=lambda argv: argv[0])
-    def test_broken_sweep_maps_to_exit_4(self, argv, monkeypatch, capsys):
+    @pytest.mark.parametrize("argv, survival_by_m", [
+        (("solve",), {8: 1.5}),
+        (("sweep", "--axis", "lambda_total", "--values", "0.5,1"), {8: 1.5}),
+        # Each m is its own solver batch: m = 2 and 4 break, and the first
+        # broken value, not the first batch or the last error, names the error.
+        (("sweep", "--axis", "m", "--values", "1,2,3,4"), {2: 1.25, 4: 1.5}),
+    ], ids=["solve", "sweep", "sweep_m"])
+    def test_broken_sweep_maps_to_exit_4(self, argv, survival_by_m, monkeypatch, capsys):
         # An ACK survival above 1 breaks the downlink success at the default alpha = 0.
         survival = analytic.ack_interference_survival
-        monkeypatch.setattr(analytic, "ack_interference_survival",
-                            lambda cfg, rates: np.full_like(survival(cfg, rates), 1.5))
+        monkeypatch.setattr(analytic, "ack_interference_survival", lambda cfg, rates: (
+            np.full_like(survival(cfg, rates), survival_by_m[cfg.m]) if cfg.m in survival_by_m
+            else survival(cfg, rates)))
         assert run_cli(*argv) == EXIT_NO_CONVERGENCE
         assert capsys.readouterr().err == ("solver error: downlink success probability "
-                                           "exceeded 1 (max 1.5); broken iterate\n")
+                                           f"exceeded 1 (max {min(survival_by_m.values())}); "
+                                           "broken iterate\n")
 
     def test_non_convergence_exit_code(self, tmp_path):
         out = tmp_path / "solve.json"
@@ -494,6 +500,26 @@ class TestOptimize:
         for record in doc["records"]:
             assert sum(record["p_confirmed"]) == pytest.approx(1.0, abs=1e-9)
             assert record["stop"] in STOP_REASONS
+
+
+def test_one_parser_serves_every_main_call(capsys):
+    """The parser is built once per process, and no call's flags or defaults
+    reach a later call: each output equals that of the command run alone."""
+    commands = [("sweep", "--axis", "lambda_total", "--values", "0.5,1",
+                 "--set", "alpha=1", "--set", "m=4"),
+                ("sweep", "--axis", "lambda_total", "--values", "0.5,1"),
+                ("solve", "--format", "csv"),
+                ("solve",)]
+    in_turn = []
+    for argv in commands:
+        assert run_cli(*argv) == EXIT_OK
+        in_turn.append(capsys.readouterr().out)
+    assert build_parser() is build_parser()
+    for argv, out in zip(commands, in_turn):
+        build_parser.cache_clear()
+        assert run_cli(*argv) == EXIT_OK
+        assert capsys.readouterr().out == out
+    assert in_turn[0] != in_turn[1] and in_turn[2] != in_turn[3]
 
 
 class TestDefaults:

@@ -18,7 +18,6 @@ from loracell.metrics import (
     jain_index,
     loss_decomposition,
     reliability,
-    report_many,
     retx_distribution,
 )
 from loracell.scenario import ScenarioConfig, SfDistribution, preset
@@ -369,13 +368,24 @@ def batch(cfgs):
     return states, analytic._stack(states), analytic._batch(cfgs)
 
 
+def report_many(cfgs, tol=analytic._TOL):
+    """The report of every config, in order: one ``compute_report`` of each
+    batch of ``analytic.solve_groups``."""
+    reports = [None] * len(cfgs)
+    for indices, cfg, state, errors in analytic.solve_groups(cfgs, tol):
+        assert errors == {}
+        for i, report in zip(indices, compute_report(state, cfg), strict=True):
+            reports[i] = report
+    return reports
+
+
 class TestBatchedReport:
     """Each row of a batched report equals the one-row report of that row."""
 
     def test_criterion_9_configs(self, random_states):
         cfgs = [cfg for cfg, _ in random_states]
         states = [state for _, state in random_states]
-        reports = report_many(states, cfgs)
+        reports = report_many(cfgs, tol=1e-8)   # the fixture's tolerance
         keys = {tuple(getattr(c, name) for name in analytic._SHARED) for c in cfgs}
         assert len(keys) < len(cfgs) / 3   # batches of several rows
         for report, state, cfg in zip(reports, states, cfgs):
@@ -395,10 +405,10 @@ class TestBatchedReport:
     ], ids=["alpha", "lambda", "single_sf", "underflow"])
     def test_edge_rows(self, cfgs):
         states = analytic.solve_many(cfgs)
-        reports = report_many(states, cfgs)
+        reports = report_many(cfgs)
         for report, state, cfg in zip(reports, states, cfgs):
             assert report == compute_report(state, cfg)
-        # report_many batched them: one call of the batched code gives the same.
+        # One batch of stacked rows gives the same.
         _, stacked, batched = batch(cfgs)
         assert compute_report(stacked, batched) == reports
 
@@ -414,14 +424,14 @@ class TestBatchedReport:
                                 p_unconfirmed=preset(name), p_confirmed=preset(name))
                  for tau1, m, name in ((1, 1, "equal"), (0, 4, "explora")) for lam in (0.1, 1.0)]
         states = analytic.solve_many(cfgs)
-        reports = report_many(states, cfgs)
+        reports = report_many(cfgs)
         for report, state, cfg in zip(reports, states, cfgs):
             assert report == compute_report(state, cfg)
             assert 0.0 <= report.cd <= report.cu <= 1.0
 
     def test_no_configs(self):
         assert analytic.solve_many([]) == []
-        assert report_many([], []) == []
+        assert analytic.solve_groups([]) == []
 
     def test_undefined_rows(self):
         cfgs = [ScenarioConfig(lambda_total=lam, alpha=1.0) for lam in (1.0, 1e4, 1e5)]
