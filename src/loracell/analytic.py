@@ -15,7 +15,7 @@ with more than two packets are neglected.  A packet involved in a
 two-packet collision may still be captured, with probability ``w_gw``
 at the gateway and ``w_ed`` at the device.
 
-``solve_many`` solves many scenarios at once.  Those that agree on the
+:func:`solve_groups` solves many scenarios at once.  Those that agree on the
 fields fixing array shapes, loop counts or the ``gw_may_transmit`` branch
 (``m``, ``h``, ``tau1``, ``tau2``, ``n_demodulators``) and on the airtimes form
 one batch: per-SF vectors gain a leading row axis, ``(K, 6)``, per-row scalars
@@ -28,8 +28,7 @@ the one-row call of the same code.  A finishing row is copied into the
 batch's output, one batched ``SteadyState`` whose arrays have a row for
 every config of the batch, so a finished row holds no sweep's arrays.
 :func:`solve_groups` hands out that output as it is, with the batched
-config, for a caller that reports a whole batch at once; :func:`solve_many`
-takes one ``SteadyState`` per config from it.
+config, for a caller that reports a whole batch at once.
 
 A sweep of one row works on 6-element vectors, so its cost is mostly numpy's
 per-call overhead, and the sweep keeps its calls few.  The airtime terms that
@@ -431,26 +430,11 @@ def _sweep(cfg: ScenarioConfig, app, s_ul: np.ndarray,
     return fields, _failures(rates.r_phy, s_int, s_tx, new_ul, s_int_ack1, new_dl)
 
 
-def _row(fields: dict, i: int) -> dict:
-    """Row ``i`` of a batched result's fields, nested dataclasses included.
-
-    Every array has the row axis first; other values are shared.
-    """
-    return {name: (value[i] if isinstance(value, np.ndarray)
-                   else _take(value, i) if is_dataclass(value) else value)
-            for name, value in fields.items()}
-
-
-def _take(obj, i: int):
-    """Row ``i`` of a batched result dataclass."""
-    return type(obj)(**_row(vars(obj), i))
-
-
 def _stack(objs):
-    """The batched result dataclass of a list of one-row ones: the inverse of ``_take``.
+    """The batched result dataclass of a list of one-row ones.
 
-    Every field gains a leading row axis, in nested dataclasses too, so
-    ``_take(_stack(objs), i)`` equals ``objs[i]``.  For a single object the
+    Every field gains a leading row axis, in nested dataclasses too, so row
+    ``i`` of every field is that field of ``objs[i]``.  For a single object the
     array fields are views of its own arrays: a batch of one copies nothing.
     """
     return type(objs[0])(**{
@@ -458,15 +442,6 @@ def _stack(objs):
                else np.asarray(value)[None] if len(objs) == 1
                else np.array([getattr(obj, name) for obj in objs]))
         for name, value in vars(objs[0]).items()})
-
-
-def _row_state(state: SteadyState, i: int) -> SteadyState:
-    """Row ``i`` of a batch's output, with the solver fields a one-row solve gives:
-    ``iterations``, ``residual`` and ``converged`` as ``int``, ``float`` and ``bool``."""
-    fields = _row(vars(state), i)
-    return SteadyState(**{**fields, "iterations": int(fields["iterations"]),
-                          "residual": float(fields["residual"]),
-                          "converged": bool(fields["converged"])})
 
 
 def _blank(fields: dict, k: int) -> dict:
@@ -498,7 +473,7 @@ def iterate(cfg: ScenarioConfig, s_ul, s_dl) -> SteadyState:
     with ``(K, 6)`` iterates gives a batched state.  Raises ``ModelError``
     with the first broken row's message when the sweep breaks (ACK success
     above 1, or a non-finite quantity): the same per-row check with which
-    :func:`solve_many` names the broken row of a batch.
+    :func:`solve_groups` names each broken row of a batch.
     """
     fields, failures = _sweep(cfg, app_rates(cfg), _vec(s_ul), _vec(s_dl))
     if failures:
@@ -522,24 +497,32 @@ def solve(cfg: ScenarioConfig, tol: float = _TOL, max_iter: int = _MAX_ITER,
     point, e.g. with the fixed point of a nearby scenario.  ``cfg`` is one
     scenario in any form that the model functions read.
     """
-    [state] = solve_many([cfg], tol, max_iter, start)
-    if isinstance(state, ModelError):
-        raise state
+    _, state, errors = _solve_batch([cfg], tol, max_iter, _checked_start(tol, max_iter, start))
+    if errors:
+        raise errors[0]
     return state
 
 
-def _start_vectors(start) -> tuple[np.ndarray, np.ndarray]:
-    """Validated copies of a starting point ``(s_ul, s_dl)``."""
-    try:
-        s_ul, s_dl = (np.array(v, dtype=float) for v in start)
-    except (TypeError, ValueError):
-        raise ValidationError("start must be a pair (s_ul, s_dl) of per-SF vectors") from None
-    for v in (s_ul, s_dl):
-        if v.shape != (N_SF,):
-            raise ValidationError(f"start vectors must have shape ({N_SF},), got {v.shape}")
-        if not np.logical_and.reduce((v >= 0.0) & (v <= 1.0)):   # also false for NaN
-            raise ValidationError(f"start entries must be probabilities in [0, 1], got {v.tolist()}")
-    return s_ul, s_dl
+def _checked_start(tol: float, max_iter: int, start) -> tuple[np.ndarray, np.ndarray] | None:
+    """Validated copies of a starting point ``(s_ul, s_dl)``, None for all-ones,
+    once the stopping rule ``tol``, ``max_iter`` is checked too."""
+    if start is not None:
+        try:
+            s_ul, s_dl = (np.array(v, dtype=float) for v in start)
+        except (TypeError, ValueError):
+            raise ValidationError("start must be a pair (s_ul, s_dl) of per-SF vectors") from None
+        for v in (s_ul, s_dl):
+            if v.shape != (N_SF,):
+                raise ValidationError(f"start vectors must have shape ({N_SF},), got {v.shape}")
+            if not np.logical_and.reduce((v >= 0.0) & (v <= 1.0)):   # also false for NaN
+                raise ValidationError(
+                    f"start entries must be probabilities in [0, 1], got {v.tolist()}")
+        start = s_ul, s_dl
+    if not tol > 0.0:
+        raise ValidationError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
+    return start
 
 
 #: Fields that fix array shapes, loop counts or the ``gw_may_transmit`` branch,
@@ -553,8 +536,6 @@ _PER_ROW = ("delta_sb1", "delta_sb2", "c_channels", "w_gw", "w_ed")
 def _groups(cfgs) -> list[list[int]]:
     """Indices into ``cfgs`` of each group of configs that agree on the
     ``_SHARED`` fields, in order of first appearance."""
-    if len(cfgs) == 1:   # one group: nothing to sort
-        return [[0]]
     groups: dict[tuple, list[int]] = {}
     for i, cfg in enumerate(cfgs):
         groups.setdefault(tuple(getattr(cfg, name) for name in _SHARED), []).append(i)
@@ -580,27 +561,15 @@ def _batch(cfgs) -> SimpleNamespace:
     return SimpleNamespace(**fields)
 
 
-def solve_many(cfgs, tol: float = _TOL, max_iter: int = _MAX_ITER,
-               start=None) -> list[SteadyState | ModelError]:
-    """Solve every config as :func:`solve` would; one result per config, in order.
-
-    Configs that agree on ``m``, ``h``, ``tau1``, ``tau2``, ``n_demodulators``
-    and the airtimes are iterated together as one batch.  A row is frozen once
-    its own residual reaches ``tol``, and a row whose sweep breaks yields
-    its ``ModelError`` without stopping the others.  Every row starts from
-    ``start`` when it is given.
-    """
-    results: list = [None] * len(cfgs)
-    for indices, _, state, errors in _solve_groups(cfgs, tol, max_iter, start):
-        for j, i in enumerate(indices):
-            results[i] = (errors[j] if j in errors else state if len(indices) == 1
-                          else _row_state(state, j))
-    return results
-
-
 def solve_groups(cfgs, tol: float = _TOL, max_iter: int = _MAX_ITER, start=None) -> list[
         tuple[list[int], SimpleNamespace, SteadyState | None, dict[int, ModelError]]]:
-    """:func:`solve_many`'s results as one batch per group of configs solved together.
+    """Solve every config as :func:`solve` would, one batch per group of configs.
+
+    Configs that agree on ``m``, ``h``, ``tau1``, ``tau2``, ``n_demodulators``
+    and the airtimes form a group and are iterated together.  A row is frozen
+    once its own residual reaches ``tol``, and a row whose sweep breaks gives
+    its ``ModelError`` without stopping the others.  Every row starts from
+    ``start`` when it is given.
 
     Each group is ``(indices, cfg, state, errors)``: the indices into
     ``cfgs`` of its configs, their batched config and batched state, whose
@@ -611,29 +580,18 @@ def solve_groups(cfgs, tol: float = _TOL, max_iter: int = _MAX_ITER, start=None)
     state.  The batched forms are those that the model and metric functions
     accept, so ``metrics.compute_report(state, cfg)`` reports a whole group.
     """
+    start = _checked_start(tol, max_iter, start)
     groups = []
-    for indices, cfg, state, errors in _solve_groups(cfgs, tol, max_iter, start):
+    for indices in _groups(cfgs):
+        cfg, state, errors = _solve_batch([cfgs[i] for i in indices], tol, max_iter, start)
         if len(indices) == 1:
             cfg, state = _batch([cfg]), state and _stack([state])
         groups.append((indices, cfg, state, {indices[j]: e for j, e in errors.items()}))
     return groups
 
 
-def _solve_groups(cfgs, tol: float, max_iter: int, start) -> list[tuple]:
-    """``(indices, cfg, state, errors)`` of each group of ``cfgs``, as
-    :func:`_solve_batch` gives them, after the arguments are checked."""
-    if start is not None:
-        start = _start_vectors(start)
-    if not tol > 0.0:
-        raise ValidationError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
-    return [(indices, *_solve_batch([cfgs[i] for i in indices], tol, max_iter, start))
-            for indices in _groups(cfgs)]
-
-
 def _solve_batch(cfgs, tol: float, max_iter: int, start) -> tuple:
-    """:func:`solve_many` of configs that agree on ``_SHARED``, with validated arguments.
+    """Solve configs that agree on ``_SHARED`` with checked arguments, as one batch.
 
     Returns the scenario the rows ran on, their result and the ``ModelError``
     of each broken row by its index into ``cfgs``.  One config runs on its

@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Callable
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -81,10 +82,12 @@ def _config_header(cfg: ScenarioConfig, command: str, extra: dict | None = None)
     return lines
 
 
-def _emit(args, doc: dict, header: list[str], columns: list[str], rows: list[list]):
-    """Write ``doc`` as JSON or the CSV table, per ``--format``, to ``--out`` or stdout."""
+def _emit(args, doc: Callable[[], dict], header: list[str], columns: list[str],
+          rows: list[list]):
+    """Write the document ``doc()`` as JSON or the CSV table, per ``--format``, to
+    ``--out`` or stdout; ``doc`` builds the document, so a CSV never pays for it."""
     if args.format == "doc":
-        text = json.dumps(doc, sort_keys=True, indent=2, default=_fmt) + "\n"
+        text = json.dumps(doc(), sort_keys=True, indent=2, default=_fmt) + "\n"
     else:
         lines = [*header, ",".join(columns), *(",".join(map(_fmt, row)) for row in rows)]
         text = "\n".join(lines) + "\n"
@@ -102,19 +105,18 @@ def cmd_solve(args) -> int:
     report = metrics.compute_report(state, cfg)
     solver = {"converged": state.converged, "iterations": state.iterations,
               "residual": state.residual, "tol": args.tol, "max_iter": args.max_iter}
-    doc = {"command": "solve", "config": cfg.to_dict(), "solver": solver,
-           "metrics": report.to_dict()}
-    if args.full_state:
-        doc["steady_state"] = {
-            "s_ul": list(state.s_ul), "s_dl": list(state.s_dl),
-            "s_int": list(state.s_int), "s_tx": list(state.s_tx),
-            "f_tx1": list(state.f_tx1), "f_tx2": list(state.f_tx2),
-            "s_int_ack1": list(state.s_int_ack1),
-            "s_sb1": list(state.s_sb1), "s_sb2": state.s_sb2,
-            "r_phy": list(state.rates.r_phy), "d": list(state.rates.d),
-            "s_demod": state.demod.s_demod,
-            "p_lock": list(state.demod.p_lock),
-        }
+
+    def doc():
+        out = {"command": "solve", "config": cfg.to_dict(), "solver": solver,
+               "metrics": report.to_dict()}
+        if args.full_state:
+            vectors = ("s_ul", "s_dl", "s_int", "s_tx", "f_tx1", "f_tx2", "s_int_ack1", "s_sb1")
+            out["steady_state"] = {
+                **{name: list(getattr(state, name)) for name in vectors},
+                "s_sb2": state.s_sb2, "r_phy": list(state.rates.r_phy), "d": list(state.rates.d),
+                "s_demod": state.demod.s_demod, "p_lock": list(state.demod.p_lock)}
+        return out
+
     columns = list(metrics.METRICS) + ["iterations", "residual", "converged"]
     row = ([getattr(report, k) for k in metrics.METRICS]
            + [state.iterations, state.residual, state.converged])
@@ -198,10 +200,10 @@ def cmd_sweep(args) -> int:
             rows[i] = [values[i], *(getattr(report, k) for k in outputs), *row]
 
     columns = [args.axis] + outputs + ["iterations", "residual", "converged"]
-    doc = {"command": "sweep", "config": base.to_dict(), "axis": args.axis,
-           "rows": [dict(zip(columns, row)) for row in rows]}
     header = _config_header(base, "sweep", {"axis": args.axis, "values": args.values})
-    _emit(args, doc, header, columns, rows)
+    _emit(args, lambda: {"command": "sweep", "config": base.to_dict(), "axis": args.axis,
+                         "rows": [dict(zip(columns, row)) for row in rows]},
+          header, columns, rows)
     return EXIT_OK if all(row[-1] for row in rows) else EXIT_NO_CONVERGENCE
 
 
@@ -247,13 +249,13 @@ def cmd_simulate(args) -> int:
     means = (["mean", report.offered_app, report.offered_phy]
              + [s.mean for s in summaries] + [report.dc_violations])
     cis = ["ci95", None, None] + [s.halfwidth for s in summaries] + [None]
-    doc = {"command": "simulate", "config": cfg.to_dict(), "sim": _sim_doc(sim_cfg),
-           "replications": [{**dict(zip(columns, row)), "chain": rep.chain,
-                             **_saturation(rep)}
-                            for row, rep in zip(rows, report.replications)],
-           "mean": {**dict(zip(columns, means)), **_saturation(report)},
-           "ci95": dict(zip(columns, cis))}
-    _emit(args, doc, _config_header(cfg, "simulate", extra), columns, rows + [means, cis])
+    _emit(args, lambda: {
+        "command": "simulate", "config": cfg.to_dict(), "sim": _sim_doc(sim_cfg),
+        "replications": [{**dict(zip(columns, row)), "chain": rep.chain, **_saturation(rep)}
+                         for row, rep in zip(rows, report.replications)],
+        "mean": {**dict(zip(columns, means)), **_saturation(report)},
+        "ci95": dict(zip(columns, cis))},
+        _config_header(cfg, "simulate", extra), columns, rows + [means, cis])
     return EXIT_OK
 
 
@@ -284,19 +286,18 @@ def cmd_optimize(args) -> int:
     # Every GridRecord field, with ``lam`` written as ``lambda``; JSON writes tuples as lists.
     records = [{("lambda" if name == "lam" else name): value for name, value in vars(r).items()}
                for r in result.records]
-    doc = {"command": "optimize", "config": cfg.to_dict(),
-           "objective": problem.objective,
-           "m_grid": list(problem.m_grid), "h_grid": list(problem.h_grid),
-           "lambdas": list(problem.lambdas),
-           "best": {"value": result.best_value, "config": result.best_cfg.to_dict()},
-           "records": records}
     keys = ["lambda", "m", "h", "value", "iterations", "evaluations", "start", "solver_converged"]
     columns = (keys + [f"p_u_sf{s}" for s in range(7, 13)]
                + [f"p_c_sf{s}" for s in range(7, 13)])
     rows = [[*(rec[k] for k in keys), *rec["p_unconfirmed"], *rec["p_confirmed"]]
             for rec in records]
-    _emit(args, doc, _config_header(cfg, "optimize", {"objective": problem.objective}),
-          columns, rows)
+    _emit(args, lambda: {
+        "command": "optimize", "config": cfg.to_dict(), "objective": problem.objective,
+        "m_grid": list(problem.m_grid), "h_grid": list(problem.h_grid),
+        "lambdas": list(problem.lambdas),
+        "best": {"value": result.best_value, "config": result.best_cfg.to_dict()},
+        "records": records},
+        _config_header(cfg, "optimize", {"objective": problem.objective}), columns, rows)
     return EXIT_OK
 
 
@@ -324,10 +325,10 @@ def cmd_compare(args) -> int:
     extra = {"seed": sim_cfg.seed, "n_replications": sim_cfg.n_replications,
              "sim_duration": sim_cfg.sim_duration}
     columns = ["metric", "analytic", "simulated", "abs_diff", "sim_ci95"]
-    doc = {"command": "compare", "config": cfg.to_dict(), "sim": _sim_doc(sim_cfg),
-           "saturation": _saturation(sim_report),
-           "rows": [dict(zip(columns, row)) for row in rows]}
-    _emit(args, doc, _config_header(cfg, "compare", extra), columns, rows)
+    _emit(args, lambda: {"command": "compare", "config": cfg.to_dict(), "sim": _sim_doc(sim_cfg),
+                         "saturation": _saturation(sim_report),
+                         "rows": [dict(zip(columns, row)) for row in rows]},
+          _config_header(cfg, "compare", extra), columns, rows)
     return EXIT_OK if state.converged else EXIT_NO_CONVERGENCE
 
 

@@ -10,7 +10,7 @@ functions of :mod:`~loracell.analytic` accept: a batched state whose
 per-SF vectors are ``(K, 6)``, and a batched config whose per-row fields
 are ``(K,)`` arrays (or shared scalars) and whose SF distributions are
 ``(K, 6)``.  The rows of a batch share the fields on which
-:func:`~loracell.analytic.solve_many` groups a batch (``m``, ``h``, ``tau1``,
+:func:`~loracell.analytic.solve_groups` groups configs (``m``, ``h``, ``tau1``,
 ``tau2``, ``n_demodulators``, the airtimes), which fix the shapes of the
 state's and the metrics' arrays.  A metric that is undefined for a row
 reads NaN there, in a one-row call as in a batch, and each row of a batch

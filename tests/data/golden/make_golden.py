@@ -194,17 +194,22 @@ def solver_grid() -> list[ScenarioConfig]:
 def solver_digests() -> tuple[str, str]:
     """SHA-256 of the sweep count and the ``s_ul`` and ``s_dl`` bytes of each
     state of ``solver_grid``: solved one ``solve`` call at a time, and in one
-    ``solve_many`` call, which iterates each m as one batch."""
-    def digest(states) -> str:
+    ``solve_groups`` call, which iterates each m as one batch, read row by row."""
+    def digest(rows) -> str:
         h = hashlib.sha256()
-        for state in states:
-            h.update(state.iterations.to_bytes(2, "little"))
-            h.update(state.s_ul.tobytes())
-            h.update(state.s_dl.tobytes())
+        for iterations, s_ul, s_dl in rows:
+            h.update(int(iterations).to_bytes(2, "little"))
+            h.update(s_ul.tobytes())
+            h.update(s_dl.tobytes())
         return h.hexdigest()
 
     cfgs = solver_grid()
-    return digest(map(analytic.solve, cfgs)), digest(analytic.solve_many(cfgs))
+    batched: list = [None] * len(cfgs)
+    for indices, _, state, _ in analytic.solve_groups(cfgs):
+        for j, i in enumerate(indices):
+            batched[i] = state.iterations[j], state.s_ul[j], state.s_dl[j]
+    one_row = ((state.iterations, state.s_ul, state.s_dl) for state in map(analytic.solve, cfgs))
+    return digest(one_row), digest(batched)
 
 
 def optimizer_problem() -> optimize.OptimizationProblem:

@@ -24,7 +24,7 @@ from loracell.analytic import (
     iterate,
     phy_rates,
     solve,
-    solve_many,
+    solve_groups,
     subband_states,
 )
 from loracell.scenario import ScenarioConfig, SfDistribution, ValidationError
@@ -451,7 +451,7 @@ class TestSolve:
         with pytest.raises(ValidationError, match="start"):
             solve(cfg(), start=start)
         with pytest.raises(ValidationError, match="start"):
-            solve_many([cfg(), cfg(lambda_total=2.0)], start=start)
+            solve_groups([cfg(), cfg(lambda_total=2.0)], start=start)
 
     def test_probability_ranges_over_random_configs(self):
         rng = np.random.default_rng(42)
@@ -477,15 +477,32 @@ BATCH_DISTRIBUTIONS = (SfDistribution.equal(), SfDistribution.explora(), SF7_ONL
                        SfDistribution((0.0, 0.0, 0.1, 0.2, 0.3, 0.4)))
 
 
-def assert_same_state(got, want):
-    """Every field of two solver results is equal, bit for bit."""
+def assert_same_state(got, want, rows=None):
+    """Every field of two solver results is equal, bit for bit.
+
+    ``rows`` selects the rows of the batched ``got`` that ``want`` holds.  A
+    scalar that a batch shares across its rows equals every row of ``want``.
+    """
     assert type(got) is type(want)
     for f in fields(want):
         a, b = getattr(got, f.name), getattr(want, f.name)
         if is_dataclass(b):
-            assert_same_state(a, b)
+            assert_same_state(a, b, rows)
+        elif np.ndim(a) == 0:
+            assert np.array_equal(np.broadcast_to(a, np.shape(b)), b), f.name
         else:
-            assert np.array_equal(a, b), f.name
+            assert np.array_equal(a if rows is None else a[rows], b), f.name
+
+
+def assert_groups_match_solves(cfgs, **kwargs):
+    """Each group of ``solve_groups`` equals the stacked ``solve`` of its configs,
+    and the groups hold every config once."""
+    groups = solve_groups(cfgs, **kwargs)
+    assert sorted(i for indices, *_ in groups for i in indices) == list(range(len(cfgs)))
+    for indices, _, state, errors in groups:
+        assert errors == {}
+        assert_same_state(state, analytic._stack([solve(cfgs[i], **kwargs) for i in indices]))
+    return groups
 
 
 class TestSolverBits:
@@ -516,8 +533,7 @@ class TestBatchedRows:
     def test_rows_match_scalar_solves(self, base, max_iter):
         cfgs = [replace(base, p_unconfirmed=p_u, p_confirmed=p_c)
                 for p_u in BATCH_DISTRIBUTIONS for p_c in BATCH_DISTRIBUTIONS]
-        for row, c in zip(solve_many(cfgs, max_iter=max_iter), cfgs):
-            assert_same_state(row, solve(c, max_iter=max_iter))
+        assert_groups_match_solves(cfgs, max_iter=max_iter)
 
     def test_warm_started_rows_match_their_own_solves(self):
         base = cfg(lambda_total=1.0, alpha=0.3, m=8, h=8)
@@ -526,8 +542,7 @@ class TestBatchedRows:
         cfgs = [replace(base, p_unconfirmed=p_u, p_confirmed=p_c)
                 for p_u in BATCH_DISTRIBUTIONS for p_c in BATCH_DISTRIBUTIONS]
         cfgs += [replace(base, m=4), replace(base, lambda_total=0.0)]
-        for row, c in zip(solve_many(cfgs, start=start), cfgs):
-            assert_same_state(row, solve(c, start=start))
+        assert len(assert_groups_match_solves(cfgs, start=start)) == 2   # m=4 is a group of one
         warm = solve(base, start=start)
         cold = solve(base)
         assert warm.iterations < cold.iterations
@@ -555,20 +570,7 @@ class TestBatchedRows:
         rng = np.random.default_rng(7)
         cfgs = per_row + shape + [random_config(rng) for _ in range(20)]
         cfgs = [cfgs[i] for i in rng.permutation(len(cfgs))]   # groups interleave
-        for row, c in zip(solve_many(cfgs, max_iter=max_iter), cfgs):
-            assert_same_state(row, solve(c, max_iter=max_iter))
-
-    def test_stack_is_the_inverse_of_take(self):
-        base = cfg(lambda_total=1.0, alpha=0.5, m=4, h=2)
-        cfgs = [replace(base, p_unconfirmed=d, p_confirmed=d) for d in BATCH_DISTRIBUTIONS]
-        cfgs += [replace(base, alpha=0.0), replace(base, lambda_total=0.0),
-                 replace(base, tau1=0, tau2=0), replace(base, c_channels=1)]
-        states = solve_many(cfgs)
-        stacked = analytic._stack(states)
-        assert stacked.s_ul.shape == (len(states), 6)
-        assert stacked.sb1.p_t.shape == (len(states),)
-        for i, state in enumerate(states):
-            assert_same_state(analytic._take(stacked, i), state)
+        assert_groups_match_solves(cfgs, max_iter=max_iter)
 
     def test_failed_row_leaves_the_others_unchanged(self):
         base = cfg(lambda_total=1.0, alpha=0.3, m=8, h=8)
@@ -576,14 +578,15 @@ class TestBatchedRows:
         broken = list(cfgs)
         broken[1] = replace(cfgs[1])
         object.__setattr__(broken[1], "lambda_total", math.nan)
-        clean = solve_many(cfgs)
-        mixed = solve_many(broken)
-        assert isinstance(mixed[1], ModelError)
-        assert str(mixed[1]) == "non-finite value in r_phy"
+        [(_, _, clean, clean_errors)] = solve_groups(cfgs)
+        [(_, _, mixed, errors)] = solve_groups(broken)
+        assert clean_errors == {} and list(errors) == [1]
+        assert str(errors[1]) == "non-finite value in r_phy"
+        assert np.isnan(mixed.s_ul[1]).all() and not mixed.converged[1]
         for i in (0, 2, 3):
-            assert np.array_equal(mixed[i].s_ul, clean[i].s_ul)
-            assert np.array_equal(mixed[i].s_dl, clean[i].s_dl)
-            assert mixed[i].iterations == clean[i].iterations
+            assert np.array_equal(mixed.s_ul[i], clean.s_ul[i])
+            assert np.array_equal(mixed.s_dl[i], clean.s_dl[i])
+            assert mixed.iterations[i] == clean.iterations[i]
 
     def batch_rows(self):
         """Configs that form one batch but differ in every field the sweep reads per row."""
@@ -601,8 +604,8 @@ class TestBatchedRows:
         s_ul, s_dl = rng.uniform(0.2, 1.0, (2, len(cfgs), 6))
         batched = iterate(analytic._batch(cfgs), s_ul, s_dl)
         assert batched.s_ul.shape == (len(cfgs), 6)
-        for i, c in enumerate(cfgs):
-            assert_same_state(analytic._take(batched, i), iterate(c, s_ul[i], s_dl[i]))
+        assert_same_state(batched, analytic._stack([iterate(c, s_ul[i], s_dl[i])
+                                                    for i, c in enumerate(cfgs)]))
 
     def test_batched_iterate_raises_the_broken_rows_error(self, monkeypatch):
         sweep = analytic._sweep
@@ -617,16 +620,32 @@ class TestBatchedRows:
 
     def test_broken_iterate_detected(self, monkeypatch):
         # ACK success above 1 is checked once, in the sweep: ``iterate`` raises,
-        # and ``solve_many`` turns it into the ModelError of each broken row.
+        # ``solve`` raises it too, and ``solve_groups`` gives the ModelError of
+        # each broken row.
         monkeypatch.setattr(analytic, "ack_interference_survival",
                             lambda cfg, rates: np.full(rates.r_phy.shape, 1.5))
         c = cfg(lambda_total=0.001, alpha=1.0)
         with pytest.raises(ModelError, match="exceeded 1"):
             iterate(c, np.ones(6), np.ones(6))
-        rows = solve_many([c, replace(c, lambda_total=0.002)])
-        assert len(rows) == 2
-        for row in rows:
-            assert isinstance(row, ModelError) and "exceeded 1" in str(row)
+        with pytest.raises(ModelError, match="exceeded 1"):
+            solve(c)
+        [(indices, _, state, errors)] = solve_groups([c, replace(c, lambda_total=0.002)])
+        assert indices == list(errors) == [0, 1]
+        for error in errors.values():
+            assert isinstance(error, ModelError) and "exceeded 1" in str(error)
+        assert np.isnan(state.s_ul).all() and not state.converged.any()
+
+    def test_broken_group_of_one_has_no_state(self):
+        base = cfg(lambda_total=1.0, alpha=0.5, m=4)
+        broken = replace(base, m=8)
+        object.__setattr__(broken, "lambda_total", math.nan)
+        groups = solve_groups([base, broken, replace(base, lambda_total=2.0)])
+        assert [indices for indices, *_ in groups] == [[0, 2], [1]]
+        [_, (_, batch, state, errors)] = groups
+        assert state is None and batch.lambda_total.shape == (1,)
+        assert list(errors) == [1] and isinstance(errors[1], ModelError)
+        assert str(errors[1]) == "non-finite value in r_phy"
+        assert groups[0][3] == {}
 
 
 def state_arrays(state):
@@ -642,45 +661,38 @@ def state_arrays(state):
 class TestBatchOutput:
     """A batch writes each finishing row into one output of its own size."""
 
-    def test_finished_rows_hold_only_their_batch_output(self):
-        # Rows finish over many sweeps; each finished row is a view of the
-        # output, never of the arrays of the sweep it finished in.
+    def test_output_owns_one_array_per_field(self):
+        # Rows finish over many sweeps; each is copied into the output, whose
+        # arrays own their data and hold a row for every config.
         cfgs = [cfg(lambda_total=lam, alpha=1.0) for lam in np.logspace(-2, 2, 2000)]
-        rows = solve_many(cfgs)
-        assert len({row.iterations for row in rows}) > 10
-        bases = {}
-        for row in rows:
-            for array in state_arrays(row):
-                assert array.base is not None and array.base.shape[0] == len(cfgs)
-                bases[id(array.base)] = array.base
-        # One output array per array field, whatever sweep a row finished in.
-        assert len(bases) == sum(1 for _ in state_arrays(rows[0]))
+        [(_, _, state, errors)] = solve_groups(cfgs)
+        assert errors == {} and len(set(state.iterations.tolist())) > 10
+        for array in state_arrays(state):
+            assert array.base is None and array.shape[0] == len(cfgs)
 
-    def test_groups_hold_the_rows_of_solve_many(self):
+    def test_groups_hold_the_rows_of_their_solves(self):
         base = cfg(lambda_total=1.0, alpha=0.5, m=4, h=2)
         cfgs = [replace(base, lambda_total=lam) for lam in (0.1, 1.0, 10.0)]
         cfgs.insert(1, replace(base, m=8))   # a group of one
         cfgs.append(replace(cfgs[0]))
         object.__setattr__(cfgs[-1], "lambda_total", math.nan)
-        rows = solve_many(cfgs, max_iter=30)
-        groups = analytic.solve_groups(cfgs, max_iter=30)
+        groups = solve_groups(cfgs, max_iter=30)
         assert [indices for indices, *_ in groups] == [[0, 2, 3, 4], [1]]
         for indices, batch, state, errors in groups:
             assert state.s_ul.shape == (len(indices), 6)
             assert batch.lambda_total.shape == (len(indices),)
+            solved = [j for j, i in enumerate(indices) if i not in errors]
+            assert_same_state(state, analytic._stack([solve(cfgs[indices[j]], max_iter=30)
+                                                      for j in solved]), solved)
             for j, i in enumerate(indices):
                 if i in errors:
-                    assert str(errors[i]) == str(rows[i]) == "non-finite value in r_phy"
+                    assert str(errors[i]) == "non-finite value in r_phy"
                     assert np.isnan(state.s_ul[j]).all() and not state.converged[j]
-                    continue
-                row = analytic._take(state, j)
-                assert_same_state(replace(row, iterations=int(row.iterations),
-                                          residual=float(row.residual),
-                                          converged=bool(row.converged)), rows[i])
-        # Solver fields keep the types of a one-row solve.
-        assert [type(getattr(rows[0], name)) for name in ("iterations", "residual", "converged")] \
-            == [int, float, bool]
-        assert rows[0].sb1.p_t is rows[2].sb1.p_t == 1.0   # a shared scalar stays shared
+        # Solver fields are arrays of the one-row solve's types.
+        state = groups[0][2]
+        assert [getattr(state, name).dtype.kind for name in ("iterations", "residual",
+                                                             "converged")] == ["i", "f", "b"]
+        assert np.ndim(state.sb1.p_t) == 0 and state.sb1.p_t == 1.0   # a shared scalar
 
 
 #: The model functions one sweep composes, each called once per sweep.
@@ -709,9 +721,10 @@ class TestSweepComposition:
 
     def test_batch_calls_each_term_once_per_batch_sweep(self, monkeypatch):
         calls = self.count_calls(monkeypatch)
-        rows = solve_many([cfg(lambda_total=lam, alpha=0.5, m=4) for lam in (0.1, 1.0, 5.0)])
-        sweeps = max(row.iterations for row in rows)
-        assert len({row.iterations for row in rows}) > 1   # rows freeze at different sweeps
+        [(*_, state, _)] = solve_groups([cfg(lambda_total=lam, alpha=0.5, m=4)
+                                         for lam in (0.1, 1.0, 5.0)])
+        sweeps = int(state.iterations.max())
+        assert len(set(state.iterations.tolist())) > 1   # rows freeze at different sweeps
         assert calls == dict.fromkeys(SWEEP_TERMS, sweeps)
 
 

@@ -84,7 +84,7 @@ class TestReliability:
         cfgs = [replace(random_config(rng), h=3, m=5) for _ in range(30)]
         cfgs += [ScenarioConfig(lambda_total=0.0, h=3, m=5, p_unconfirmed=SF7_ONLY),
                  ScenarioConfig(lambda_total=5.0, alpha=0.0, h=3, m=5)]
-        states = analytic.solve_many(cfgs)
+        states = [analytic.solve(c) for c in cfgs]
         rows = SimpleNamespace(s_ul=np.array([s.s_ul for s in states]),
                                s_dl=np.array([s.s_dl for s in states]))
         shares = SimpleNamespace(
@@ -171,7 +171,7 @@ class TestDelays:
         cfgs = [replace(random_config(rng), m=int(rng.integers(1, 16))) for _ in range(150)]
         cfgs += [ScenarioConfig(lambda_total=lam, alpha=1.0, m=m, p_confirmed=dist)
                  for lam in (0.0, 3.0) for m in (1, 15) for dist in (SF7_ONLY, SF12_ONLY)]
-        for cfg, state in zip(cfgs, analytic.solve_many(cfgs)):
+        for cfg, state in zip(cfgs, map(analytic.solve, cfgs)):
             assert delays(state, cfg) == loop_delays(state, cfg)
 
 
@@ -195,7 +195,7 @@ class TestFairness:
             jain_index([])
 
     @pytest.mark.parametrize("x", [[[0.5, 0.5], [0.25, 0.75]], 0.5])
-    def test_takes_one_vector(self, x):
+    def test_rejects_all_but_one_vector(self, x):
         with pytest.raises(MetricsError, match="one allocation vector"):
             jain_index(x)
 
@@ -364,7 +364,7 @@ class TestReport:
 
 def batch(cfgs):
     """Solved configs that can share one report batch, and their batched forms."""
-    states = analytic.solve_many(cfgs)
+    states = [analytic.solve(c) for c in cfgs]
     return states, analytic._stack(states), analytic._batch(cfgs)
 
 
@@ -404,7 +404,7 @@ class TestBatchedReport:
         [ScenarioConfig(lambda_total=lam, alpha=1.0) for lam in (1.0, 1e4, 1e5)],
     ], ids=["alpha", "lambda", "single_sf", "underflow"])
     def test_edge_rows(self, cfgs):
-        states = analytic.solve_many(cfgs)
+        states = [analytic.solve(c) for c in cfgs]
         reports = report_many(cfgs)
         for report, state, cfg in zip(reports, states, cfgs):
             assert report == compute_report(state, cfg)
@@ -423,14 +423,13 @@ class TestBatchedReport:
         cfgs += [ScenarioConfig(lambda_total=lam, alpha=0.3, tau1=tau1, tau2=1, m=m, h=m,
                                 p_unconfirmed=preset(name), p_confirmed=preset(name))
                  for tau1, m, name in ((1, 1, "equal"), (0, 4, "explora")) for lam in (0.1, 1.0)]
-        states = analytic.solve_many(cfgs)
+        states = [analytic.solve(c) for c in cfgs]
         reports = report_many(cfgs)
         for report, state, cfg in zip(reports, states, cfgs):
             assert report == compute_report(state, cfg)
             assert 0.0 <= report.cd <= report.cu <= 1.0
 
     def test_no_configs(self):
-        assert analytic.solve_many([]) == []
         assert analytic.solve_groups([]) == []
 
     def test_undefined_rows(self):

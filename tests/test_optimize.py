@@ -289,18 +289,19 @@ class TestImplicitGradient:
 
     @pytest.mark.parametrize("lam", [1.0, 10.0])
     def test_full_report_objective_equals_per_row_reports(self, lam):
-        # The derivative sweep reports all its rows in one batched call; the
-        # gradient is bit-identical to reporting each row on its own.
+        # The derivative sweep sweeps and reports all its rows in one batched
+        # call; the gradient is bit-identical to sweeping and reporting each
+        # row on its own.
         class PerRow(_Evaluator):
-            def _objective(self, state, cfg):
-                one_row = super()._objective
-                if np.ndim(state.s_ul) == 1:
-                    return one_row(state, cfg)
-                xs = np.column_stack([cfg.p_unconfirmed.p, cfg.p_confirmed.p])
-                return [one_row(analytic._take(state, i),
-                                replace(self.cfg, p_unconfirmed=SfDistribution(tuple(x[:N_SF])),
-                                        p_confirmed=SfDistribution(tuple(x[N_SF:]))))
-                        for i, x in enumerate(xs)]
+            def sweep(self, xs, zs):
+                rows = []
+                for x, z in zip(xs, zs):
+                    row_cfg = replace(self.cfg,
+                                      p_unconfirmed=SfDistribution(tuple(x[:N_SF])),
+                                      p_confirmed=SfDistribution(tuple(x[N_SF:])))
+                    state = analytic.iterate(row_cfg, z[:N_SF], z[N_SF:])
+                    rows.append([*state.s_ul, *state.s_dl, self._objective(state, row_cfg)])
+                return np.array(rows)
 
         cfg = ScenarioConfig(lambda_total=lam, alpha=0.3, m=8, h=8)
         weights = {"cd": 1.0, "jain": 0.5, "delta_dl": -0.001}

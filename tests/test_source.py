@@ -1,6 +1,10 @@
 """Static checks on the package source that stand in for a linter."""
 
 import ast
+import importlib
+import inspect
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +12,7 @@ import pytest
 import loracell
 
 SOURCES = sorted(Path(loracell.__file__).parent.glob("*.py"))
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def unread_parameters(tree: ast.AST) -> list[str]:
@@ -149,3 +154,93 @@ def test_unread_private_constant_is_reported():
                                "_ANNOTATED: int = 8\n_COUNT = 0\n_COUNT += 1\n")}
     assert unreferenced_private_constants(trees) == [
         "a.py: _DEAD", "a.py: _ONLY_IMPORTED", "b.py: _ANNOTATED", "b.py: _COUNT"]
+
+
+def resolve(name: str, namespace: dict | None = None):
+    """The object that the dotted ``name`` names, None if there is none.
+
+    The first part is looked up in ``namespace`` when it is there; otherwise
+    the longest importable prefix is imported and the rest read as attributes.
+    """
+    parts = name.split(".")
+    if namespace is not None and parts[0] in namespace:
+        obj, rest = namespace[parts[0]], parts[1:]
+    else:
+        for i in range(len(parts), 0, -1):
+            try:
+                obj, rest = importlib.import_module(".".join(parts[:i])), parts[i:]
+                break
+            except ImportError:
+                pass
+        else:
+            return None
+    for part in rest:
+        obj = getattr(obj, part, None)
+    return obj
+
+
+#: A Sphinx cross-reference in a docstring, and what its target must be.
+ROLE = re.compile(r":(func|class|mod):`~?([^`]+)`")
+ROLE_KINDS = {"func": inspect.isroutine, "class": inspect.isclass, "mod": inspect.ismodule}
+
+
+def unresolved_docstring_references(source: str, namespace: dict) -> list[str]:
+    """Every ``:func:``, ``:class:`` or ``:mod:`` reference in a docstring of
+    ``source`` that names no object of its kind; a plain name is looked up in
+    ``namespace``, the module's own, and a dotted one is imported."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            for role, name in ROLE.findall(ast.get_docstring(node, clean=False) or ""):
+                if not ROLE_KINDS[role](resolve(name, namespace)):
+                    found.append(f":{role}:`{name}`")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_docstring_references_resolve(path):
+    module = loracell if path.stem == "__init__" else importlib.import_module(
+        f"loracell.{path.stem}")
+    assert unresolved_docstring_references(path.read_text(), vars(module)) == []
+
+
+def test_unresolved_docstring_reference_is_reported():
+    source = ('"""See :mod:`json`, :func:`json.dumps` and :func:`missing`."""\n'
+              'def f():\n    """:class:`f` is no class; :func:`f` and :class:`~pathlib.Path`."""\n')
+    assert unresolved_docstring_references(source, {"f": len}) == [
+        ":func:`missing`", ":class:`f`"]
+
+
+#: An inline code span that names a dotted object, maybe with call arguments.
+DOTTED_SPAN = re.compile(r"`((?:[A-Za-z_]\w*\.)+[A-Za-z_]\w*)(?:\([^`]*\))?`")
+
+
+def unresolved_readme_references(text: str) -> list[str]:
+    """Every inline ``module.name`` span of ``text`` that starts with a loracell
+    module (``metrics.delays``, ``loracell.run``) or a standard-library one
+    (``pathlib.Path``) and names nothing.  Fenced code blocks are skipped:
+    ``tests/test_readme.py`` runs them."""
+    text = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
+    modules = {"loracell"} | {path.stem for path in SOURCES if path.stem != "__init__"}
+    found = []
+    for name in DOTTED_SPAN.findall(text):
+        head = name.split(".")[0]
+        if head in modules:
+            target = name if head == "loracell" else f"loracell.{name}"
+        elif head in sys.stdlib_module_names:
+            target = name
+        else:
+            continue
+        if resolve(target) is None:
+            found.append(name)
+    return found
+
+
+def test_readme_references_resolve():
+    assert unresolved_readme_references(README.read_text()) == []
+
+
+def test_unresolved_readme_reference_is_reported():
+    text = ("`optimize.gone` and `metrics.delays(state, cfg)`, `pathlib.Path`, "
+            "`pathlib.Gone`, `figure.csv`\n```python\nanalytic.gone()\n```\n")
+    assert unresolved_readme_references(text) == ["optimize.gone", "pathlib.Gone"]
