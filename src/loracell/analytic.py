@@ -7,7 +7,11 @@ finds a free demodulator), and ``s_dl``, the probability that the
 matching ACK reaches the device through one of its two receive windows.
 Both feed back into each other through retransmission traffic, gateway
 duty cycling and demodulator occupancy, so the model is solved by plain
-fixed-point iteration, by default from the all-ones starting point.
+fixed-point iteration, by default from the all-ones starting point.  Given
+the Jacobian of the sweep at a nearby fixed point, :func:`solve` steps by the
+chord method instead (Kelley, *Iterative Methods for Linear and Nonlinear
+Equations*, SIAM 1995, section 5.4): the optimizer's line search solves
+each candidate this way with the Jacobian its gradient already built.
 
 Traffic is Poisson and spreading factors are treated as orthogonal:
 only same-SF packets on the same channel collide, and collision events
@@ -487,7 +491,7 @@ _MAX_ITER = 1000
 
 
 def solve(cfg: ScenarioConfig, tol: float = _TOL, max_iter: int = _MAX_ITER,
-          start=None) -> SteadyState:
+          start=None, jacobian=None) -> SteadyState:
     """Solve the fixed point by iteration from the all-ones starting point.
 
     Stops when the sup-norm change of (s_ul, s_dl) between sweeps falls
@@ -496,16 +500,25 @@ def solve(cfg: ScenarioConfig, tol: float = _TOL, max_iter: int = _MAX_ITER,
     ``(s_ul, s_dl)`` of per-SF probabilities, replaces the all-ones starting
     point, e.g. with the fixed point of a nearby scenario.  ``cfg`` is one
     scenario in any form that the model functions read.
+
+    ``jacobian``, the 12 x 12 derivative dG/dz of the sweep G at a nearby
+    fixed point with rows and columns ordered (s_ul, s_dl), turns each step
+    into a chord step: with M = (I - J)^-1, formed once per call, the next
+    iterate is z + M (G(z) - z), clipped to [0, 1], in place of G(z).  The
+    stopping rule is the same, and the state returned is the last sweep's
+    own, G(z) with residual ||G(z) - z||, never the stepped z.
     """
-    _, state, errors = _solve_batch([cfg], tol, max_iter, _checked_start(tol, max_iter, start))
+    start, chord = _checked_start(tol, max_iter, start, jacobian)
+    _, state, errors = _solve_batch([cfg], tol, max_iter, start, chord)
     if errors:
         raise errors[0]
     return state
 
 
-def _checked_start(tol: float, max_iter: int, start) -> tuple[np.ndarray, np.ndarray] | None:
+def _checked_start(tol: float, max_iter: int, start, jacobian=None) -> tuple:
     """Validated copies of a starting point ``(s_ul, s_dl)``, None for all-ones,
-    once the stopping rule ``tol``, ``max_iter`` is checked too."""
+    and the chord matrix (I - ``jacobian``)^-1, None without a Jacobian, once
+    the stopping rule ``tol``, ``max_iter`` is checked too."""
     if start is not None:
         try:
             s_ul, s_dl = (np.array(v, dtype=float) for v in start)
@@ -522,7 +535,21 @@ def _checked_start(tol: float, max_iter: int, start) -> tuple[np.ndarray, np.nda
         raise ValidationError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
-    return start
+    if jacobian is None:
+        return start, None
+    n = 2 * N_SF
+    try:
+        jacobian = np.array(jacobian, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError("jacobian must be a 12 x 12 array of numbers") from None
+    if jacobian.shape != (n, n):
+        raise ValidationError(f"jacobian must have shape ({n}, {n}), got {jacobian.shape}")
+    if not np.logical_and.reduce(np.isfinite(jacobian), None):
+        raise ValidationError("jacobian entries must be finite")
+    try:
+        return start, np.linalg.inv(np.eye(n) - jacobian)
+    except np.linalg.LinAlgError:
+        raise ValidationError("I - jacobian is singular") from None
 
 
 #: Fields that fix array shapes, loop counts or the ``gw_may_transmit`` branch,
@@ -580,7 +607,7 @@ def solve_groups(cfgs, tol: float = _TOL, max_iter: int = _MAX_ITER, start=None)
     state.  The batched forms are those that the model and metric functions
     accept, so ``metrics.compute_report(state, cfg)`` reports a whole group.
     """
-    start = _checked_start(tol, max_iter, start)
+    start, _ = _checked_start(tol, max_iter, start)
     groups = []
     for indices in _groups(cfgs):
         cfg, state, errors = _solve_batch([cfgs[i] for i in indices], tol, max_iter, start)
@@ -590,7 +617,7 @@ def solve_groups(cfgs, tol: float = _TOL, max_iter: int = _MAX_ITER, start=None)
     return groups
 
 
-def _solve_batch(cfgs, tol: float, max_iter: int, start) -> tuple:
+def _solve_batch(cfgs, tol: float, max_iter: int, start, chord=None) -> tuple:
     """Solve configs that agree on ``_SHARED`` with checked arguments, as one batch.
 
     Returns the scenario the rows ran on, their result and the ``ModelError``
@@ -598,7 +625,8 @@ def _solve_batch(cfgs, tol: float, max_iter: int, start) -> tuple:
     own and gives its one-row ``SteadyState`` (None when it broke).  More
     configs run as one batch on their batched config and give the batch's
     output, one batched ``SteadyState`` into which each row is copied when it
-    finishes; a broken row reads NaN there.
+    finishes; a broken row reads NaN there.  ``chord``, the 12 x 12 matrix
+    (I - J)^-1 of :func:`solve`, steps a single config by the chord method.
     """
     batched = len(cfgs) > 1
     if not batched:
@@ -651,5 +679,10 @@ def _solve_batch(cfgs, tol: float, max_iter: int, start) -> tuple:
                                      for name, value in vars(cfg).items()})
             app = tuple(rates[active] for rates in app)
             new_ul, new_dl = new_ul[active], new_dl[active]
+        if chord is not None:   # one config: z + M (G(z) - z), clipped to [0, 1]
+            z = np.concatenate((s_ul, s_dl))
+            z += chord @ (np.concatenate((new_ul, new_dl)) - z)
+            z = np.minimum(np.maximum(z, 0.0), 1.0)
+            new_ul, new_dl = z[:N_SF], z[N_SF:]
         s_ul, s_dl = new_ul, new_dl
     return batch, SteadyState(**out), errors

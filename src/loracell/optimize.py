@@ -23,7 +23,9 @@ are forward differences of one batched sweep (``analytic.iterate``) of 37
 rows at z: the base row, one row per unknown of z and one per probe
 direction; one 12 x 12 linear solve then combines them.  The line search
 solves one candidate at a time with ``analytic.solve``, warm-started from
-the current fixed point.  Every fixed-point solve and every derivative
+the current fixed point and chord-stepped with the step's dG/dz, the
+Jacobian that the gradient already holds, so a candidate near the current
+point takes a few sweeps.  Every fixed-point solve and every derivative
 sweep counts as one objective evaluation.
 """
 
@@ -209,11 +211,13 @@ class _Evaluator:
                                   "p_unconfirmed": SimpleNamespace(p=x[..., :N_SF]),
                                   "p_confirmed": SimpleNamespace(p=x[..., N_SF:])})
 
-    def __call__(self, x: np.ndarray, start: analytic.SteadyState | None = None
+    def __call__(self, x: np.ndarray, start: analytic.SteadyState | None = None,
+                 jacobian: np.ndarray | None = None
                  ) -> tuple[float, analytic.SteadyState | None]:
         """Objective at ``x`` and its fixed point, None if the solve broke.
 
-        ``start`` is a fixed point to iterate from instead of all-ones.
+        ``start`` is a fixed point to iterate from instead of all-ones, and
+        ``jacobian`` the sweep's dG/dz near it (see ``analytic.solve``).
         """
         self.evaluations += 1
         cfg = self._config(x)
@@ -221,7 +225,7 @@ class _Evaluator:
             # The two window terms of s_dl may round to a sum an ulp above 1.
             start = (start.s_ul, np.minimum(start.s_dl, 1.0))
         try:
-            state = analytic.solve(cfg, start=start)
+            state = analytic.solve(cfg, start=start, jacobian=jacobian)
         except analytic.ModelError as error:
             self.all_converged = False
             self.error = error
@@ -266,10 +270,12 @@ class _Evaluator:
         return value
 
 
-def _gradient(evaluate: _Evaluator, x: np.ndarray, state: analytic.SteadyState) -> np.ndarray:
-    """Gradient at ``x`` through its fixed point ``state`` (see the module docstring).
+def _gradient(evaluate: _Evaluator, x: np.ndarray,
+              state: analytic.SteadyState) -> tuple[np.ndarray, np.ndarray | None]:
+    """Gradient at ``x`` through its fixed point ``state`` (see the module docstring),
+    and the 12 x 12 Jacobian dG/dz of the sweep there.
 
-    NaN when the derivative sweep breaks.
+    A NaN gradient and no Jacobian when the derivative sweep breaks.
     """
     h = _FD_STEP
     # Rows 2i and 2i+1 probe x + h e_i and x - h e_i; projecting them keeps
@@ -286,14 +292,14 @@ def _gradient(evaluate: _Evaluator, x: np.ndarray, state: analytic.SteadyState) 
     xs[1 + n:] += t * dirs
     rows = evaluate.sweep(xs, zs)
     if rows is None:
-        return np.full(len(x), np.nan)
+        return np.full(len(x), np.nan), None
     diffs = rows[1:] - rows[0]
     by_z = diffs[:n] / dz[:, None]      # row j: d(G, Phi)/dz_j
     by_dir = diffs[n:] / t              # row k: d(G, Phi)/dx along dirs[k]
     # Adjoint form: one solve of (I - dG/dz)^T w = dPhi/dz.
     w = np.linalg.solve(np.eye(n) - by_z[:, :n], by_z[:, n])
     total = by_dir[:, n] + by_dir[:, :n] @ w
-    return (total[0::2] - total[1::2]) / (2.0 * h)
+    return (total[0::2] - total[1::2]) / (2.0 * h), by_z[:, :n].T
 
 
 def _ascend(evaluate: _Evaluator, x0: np.ndarray,
@@ -310,13 +316,13 @@ def _ascend(evaluate: _Evaluator, x0: np.ndarray,
     for _ in range(problem.max_ascent_iters):
         if state is None:
             return x, fx, steps, "flat_gradient"
-        grad = _gradient(evaluate, x, state)
+        grad, jacobian = _gradient(evaluate, x, state)
         if not np.logical_and.reduce(np.isfinite(grad)) or not np.logical_or.reduce(grad != 0.0):
             return x, fx, steps, "flat_gradient"
         alpha = min(4.0 * alpha, 1.0)
         for _ in range(30):
             x_new = _project_pair(x + alpha * grad)
-            f_new, state_new = evaluate(x_new, start=state)
+            f_new, state_new = evaluate(x_new, start=state, jacobian=jacobian)
             if f_new > fx + 1e-12:
                 break
             alpha *= 0.5

@@ -27,6 +27,7 @@ from loracell.analytic import (
     solve_groups,
     subband_states,
 )
+from loracell.optimize import OptimizationProblem, optimize
 from loracell.scenario import ScenarioConfig, SfDistribution, ValidationError
 
 from conftest import make_golden
@@ -471,6 +472,84 @@ class TestSolve:
             bumped = solve(cfg(lambda_total=float(lam) * 1.01, alpha=1.0, m=8))
             assert float(np.max(np.abs(bumped.s_ul - base.s_ul))) <= 0.05
             assert float(np.max(np.abs(bumped.s_dl - base.s_dl))) <= 0.05
+
+
+def sweep_jacobian(c, state, eps=1e-7):
+    """dG/dz of the sweep G at ``state`` by forward differences of ``iterate``,
+    rows and columns ordered (s_ul, s_dl)."""
+    def g(z):
+        swept = iterate(c, z[:6], z[6:])
+        return np.concatenate([swept.s_ul, swept.s_dl])
+
+    z = np.concatenate([state.s_ul, state.s_dl])
+    steps = np.where(z > 0.5, -eps, eps)   # step into [0, 1]
+    base = g(z)
+    return np.array([(g(z + dz) - base) / dz[j]
+                     for j, dz in enumerate(np.diag(steps))]).T
+
+
+class TestChordSolve:
+    """``solve`` with a Jacobian: chord steps z + (I - J)^-1 (G(z) - z)."""
+
+    @pytest.mark.parametrize("lam", [1.0, 10.0])
+    def test_line_search_candidates_meet_the_accuracy_gate(self, lam, monkeypatch):
+        # Every line-search solve of an optimizer grid point, stepped with its
+        # step's Jacobian, lands within 1e-10 of a plain solve to tol 1e-15.
+        plain_solve, candidates = analytic.solve, []
+
+        def recording(c, tol=analytic._TOL, max_iter=analytic._MAX_ITER, start=None,
+                      jacobian=None):
+            state = plain_solve(c, tol, max_iter, start, jacobian)
+            if jacobian is not None:
+                candidates.append((c, start, state))
+            return state
+
+        monkeypatch.setattr(analytic, "solve", recording)
+        optimize(OptimizationProblem(cfg(alpha=0.3), lambdas=(lam,), m_grid=(8,), h_grid=(8,)))
+        assert len(candidates) > 50
+        for c, start, state in candidates:
+            exact = plain_solve(c, tol=1e-15, start=start)
+            assert state.converged and exact.converged
+            assert np.max(np.abs(state.s_ul - exact.s_ul)) <= 1e-10
+            assert np.max(np.abs(state.s_dl - exact.s_dl)) <= 1e-10
+
+    def test_warm_stepped_solve_takes_fewer_sweeps(self):
+        base = cfg(lambda_total=1.0, alpha=0.3, m=8, h=8)
+        near = replace(base, lambda_total=1.05)
+        state = solve(base)
+        start = (state.s_ul, np.minimum(state.s_dl, 1.0))
+        plain = solve(near, start=start)
+        stepped = solve(near, start=start, jacobian=sweep_jacobian(base, state))
+        assert plain.converged and stepped.converged
+        assert stepped.iterations < plain.iterations
+        assert stepped.residual <= 1e-10
+        # The state is a sweep's own, not the stepped iterate.
+        assert stepped.s_ul == pytest.approx(
+            stepped.s_int * stepped.s_tx * stepped.demod.s_demod, abs=0.0)
+        assert stepped.s_dl == pytest.approx(stepped.s_sb1 + stepped.s_sb2, abs=0.0)
+        assert np.max(np.abs(stepped.s_ul - plain.s_ul)) <= 1e-9
+        assert np.max(np.abs(stepped.s_dl - plain.s_dl)) <= 1e-9
+
+    def test_non_convergence_reported_not_raised(self):
+        c = cfg(lambda_total=1.0, alpha=1.0, m=8)
+        state = solve(c, max_iter=3, jacobian=sweep_jacobian(c, solve(c)))
+        assert not state.converged
+        assert state.iterations == 3
+
+    @pytest.mark.parametrize("jacobian", [
+        np.zeros((12, 11)),                         # wrong shape
+        np.zeros(12),
+        np.zeros((2, 6, 6)),
+        np.full((12, 12), np.nan),                  # not finite
+        np.where(np.eye(12) > 0, np.inf, 0.0),
+        np.eye(12),                                 # I - J singular
+        [["x"] * 12] * 12,                          # not numbers
+    ])
+    def test_invalid_jacobian_rejected(self, jacobian):
+        with pytest.raises(ValidationError, match="jacobian"):
+            analytic._checked_start(1e-10, 10, None, jacobian)
+        with pytest.raises(ValidationError, match="jacobian"):
+            solve(cfg(), jacobian=jacobian)
 
 
 BATCH_DISTRIBUTIONS = (SfDistribution.equal(), SfDistribution.explora(), SF7_ONLY,

@@ -252,7 +252,28 @@ class TestOptimizerBits:
     def test_grid_records_are_pinned(self):
         # ``make_golden.py --pins`` prints the literal.
         assert make_golden.optimizer_digest() == \
-            "cab9733f7fb00e79410ebff74f725598a1bd0f1b3fe91f43531cc2c4e2d9eccf"
+            "9a8d6cd0e5e5abd9567e681bb28cf30e16ba660687a6cde5b62932abe1e52f3d"
+
+
+class TestChordLineSearch:
+    """The line search's solves, chord-stepped with the step's Jacobian, give the
+    records of plain warm-started iteration."""
+
+    @pytest.mark.parametrize("lam", [1.0, 10.0])
+    def test_records_match_plain_iteration(self, lam, monkeypatch):
+        problem = OptimizationProblem(ScenarioConfig(alpha=0.3), lambdas=(lam,),
+                                      m_grid=(8,), h_grid=(8,))
+        stepped = optimize(problem).records[0]
+        solve = analytic.solve
+        monkeypatch.setattr(analytic, "solve",
+                            lambda cfg, jacobian=None, **kw: solve(cfg, **kw))
+        plain = optimize(problem).records[0]
+        for name in ("iterations", "evaluations", "stop", "start", "solver_converged"):
+            assert getattr(stepped, name) == getattr(plain, name), name
+        assert abs(stepped.value - plain.value) <= 1e-8
+        shares = np.subtract(stepped.p_unconfirmed + stepped.p_confirmed,
+                             plain.p_unconfirmed + plain.p_confirmed)
+        assert np.max(np.abs(shares)) <= 1e-6
 
 
 def central_difference_gradient(evaluate, x):
@@ -281,7 +302,7 @@ class TestImplicitGradient:
         for x in points:
             evaluate = _Evaluator(cfg, weights)
             _, state = evaluate(x)
-            grad = _gradient(evaluate, x, state)
+            grad, _ = _gradient(evaluate, x, state)
             assert evaluate.evaluations == 2   # one solve, one derivative sweep
             want = central_difference_gradient(evaluate, x)
             assert np.max(np.abs(grad - want)) <= 1e-6
@@ -312,7 +333,7 @@ class TestImplicitGradient:
             for evaluator in (_Evaluator, PerRow):
                 evaluate = evaluator(cfg, weights)
                 _, state = evaluate(x)
-                grads.append(_gradient(evaluate, x, state))
+                grads.append(_gradient(evaluate, x, state)[0])
             assert np.all(np.isfinite(grads[0]))
             assert np.array_equal(grads[0], grads[1])
 
