@@ -489,6 +489,11 @@ def iterate(cfg: ScenarioConfig, s_ul, s_dl) -> SteadyState:
 _TOL = 1e-10
 _MAX_ITER = 1000
 
+#: A chord-stepped solve steps plainly from the first sweep whose residual is
+#: above this share of the previous sweep's: the ratio past which the chord
+#: code ``nsol`` of Kelley (1995) evaluates a new Jacobian.
+_CHORD_RATIO = 0.5
+
 
 def solve(cfg: ScenarioConfig, tol: float = _TOL, max_iter: int = _MAX_ITER,
           start=None, jacobian=None) -> SteadyState:
@@ -504,9 +509,12 @@ def solve(cfg: ScenarioConfig, tol: float = _TOL, max_iter: int = _MAX_ITER,
     ``jacobian``, the 12 x 12 derivative dG/dz of the sweep G at a nearby
     fixed point with rows and columns ordered (s_ul, s_dl), turns each step
     into a chord step: with M = (I - J)^-1, formed once per call, the next
-    iterate is z + M (G(z) - z), clipped to [0, 1], in place of G(z).  The
-    stopping rule is the same, and the state returned is the last sweep's
-    own, G(z) with residual ||G(z) - z||, never the stepped z.
+    iterate is z + M (G(z) - z), clipped to [0, 1], in place of G(z).  Far
+    from the point where J was taken the chord steps can stall, so from the
+    first sweep whose residual ||G(z) - z|| is above ``_CHORD_RATIO`` times
+    the previous sweep's, the solve steps plainly, to G(z).  The stopping
+    rule is the same, and the state returned is the last sweep's own, G(z)
+    with its residual, never the stepped z.
     """
     start, chord = _checked_start(tol, max_iter, start, jacobian)
     _, state, errors = _solve_batch([cfg], tol, max_iter, start, chord)
@@ -643,6 +651,7 @@ def _solve_batch(cfgs, tol: float, max_iter: int, start, chord=None) -> tuple:
     app = app_rates(batch)
     # Every row starts from the same (6,) pair, which a batch's first sweep broadcasts.
     s_ul, s_dl = (np.ones(N_SF),) * 2 if start is None else start
+    previous = np.inf   # the last sweep's residual
     for iterations in range(1, max_iter + 1):
         fields, failures = _sweep(cfg, app, s_ul, s_dl)
         new_ul, new_dl = fields["s_ul"], fields["s_dl"]
@@ -680,9 +689,13 @@ def _solve_batch(cfgs, tol: float, max_iter: int, start, chord=None) -> tuple:
             app = tuple(rates[active] for rates in app)
             new_ul, new_dl = new_ul[active], new_dl[active]
         if chord is not None:   # one config: z + M (G(z) - z), clipped to [0, 1]
-            z = np.concatenate((s_ul, s_dl))
-            z += chord @ (np.concatenate((new_ul, new_dl)) - z)
-            z = np.minimum(np.maximum(z, 0.0), 1.0)
-            new_ul, new_dl = z[:N_SF], z[N_SF:]
+            if residual > _CHORD_RATIO * previous:
+                chord = None    # too slow a contraction: plain steps G(z) from here on
+            else:
+                z = np.concatenate((s_ul, s_dl))
+                z += chord @ (np.concatenate((new_ul, new_dl)) - z)
+                z = np.minimum(np.maximum(z, 0.0), 1.0)
+                new_ul, new_dl = z[:N_SF], z[N_SF:]
+            previous = residual
         s_ul, s_dl = new_ul, new_dl
     return batch, SteadyState(**out), errors

@@ -17,7 +17,9 @@ interferers by the co-channel rejection margin.
 A listener (the gateway receiving an uplink, or a device receiving its
 RX1 acknowledgement) is the list of same-channel same-SF transmissions
 that overlap it.  Their received powers are evaluated only when the
-reception resolves, by one capture rule shared by uplinks and ACKs.
+reception resolves, by one capture rule shared by uplinks and ACKs.  A
+reception that met none survives without the rule, and so without a
+capture coin.
 
 A run is a batch-means run (Schmeiser, "Batch size effects in the
 analysis of simulation output", Operations Research 1982).  Its
@@ -312,17 +314,20 @@ class _Device:
 
 
 class _Tx:
-    """One uplink transmission on the air."""
+    """One uplink transmission on the air.
 
-    __slots__ = ("device", "slot", "start", "end", "counted", "fate")
+    It has no ``__init__``: ``_Chain.on_tx_start``, which makes every one,
+    sets its fields itself, which saves a Python call per uplink.
+    """
 
-    def __init__(self, device, slot, start, end, counted):
-        self.device = device
-        self.slot = slot            # ch * N_SF + device.sfi: index into on_air and listeners
-        self.start = start
-        self.end = end
-        self.counted = counted      # batch of the start, None: uncounted
-        self.fate = None            # set when lost at arrival or aborted
+    __slots__ = (
+        "device",
+        "slot",                     # ch * N_SF + device.sfi: index into on_air and listeners
+        "start",
+        "end",
+        "counted",                  # batch of the start, None: uncounted
+        "fate",                     # None, or the outcome if lost at arrival or aborted
+    )
 
 
 def _max_concurrent_power(interferers, start, end) -> float:
@@ -440,11 +445,22 @@ class _Chain:
 
     Tests replace some methods to observe or alter a run, so the event
     handlers call them through ``self``: ``rx1_surely_blocked``,
-    ``rx2_surely_blocked`` and ``confirmed_attempt_failed`` (on the class),
-    and ``on_tx_start`` (on the instance).  Each push therefore binds its
-    handler afresh.  A handler bound once and stored on ``self`` would
-    also make a reference cycle, so a finished chain would wait for the
-    cycle collector instead of being freed at once.
+    ``rx2_surely_blocked``, ``confirmed_attempt_failed``, ``captured`` and
+    ``gw_blocked`` (on the class), and ``on_tx_start`` (on the instance);
+    the main loop calls the module-level ``heappop``.  Each push therefore
+    binds its handler afresh.  A handler bound once and stored on ``self``
+    would also make a reference cycle, so a finished chain would wait for
+    the cycle collector instead of being freed at once.
+
+    The uplink path makes few calls.  ``on_tx_end`` calls ``captured`` only
+    for a reception that met an interferer; for a delivered confirmed
+    uplink it calls ``rx1_surely_blocked``, then, if RX1 is surely blocked,
+    ``rx2_surely_blocked``, and if RX2 is too, ``drop_ack``, which calls
+    ``confirmed_attempt_failed``.  So the uplink's end decides the drop of
+    an ACK whose two windows are surely blocked then; the RX1 event decides
+    it when its window turns out blocked and RX2 is surely blocked, and the
+    RX2 event when its own window is blocked.  All three drop through
+    ``drop_ack``.
     """
 
     def __init__(self, sim_cfg: SimConfig, rng: np.random.Generator, index: int,
@@ -585,17 +601,27 @@ class _Chain:
         return dist ** (-self.cfg.path_loss_exponent)
 
     def captured(self, interferers, dev, power, start, end, w) -> bool:
-        """Whether a reception of ``power`` over [start, end] survives, at
-        device ``dev`` or, if None, at the gateway."""
-        if not interferers:
-            return True
-        if self.geometric:
+        """Whether a reception of ``power`` over [start, end] survives the
+        non-empty list ``interferers``, at device ``dev`` or, if None, at the
+        gateway.
+
+        One interferer is the peak interference power over the reception if
+        the two overlap, and no interference if they do not, which is what
+        ``_max_concurrent_power`` finds for a list of one.
+        """
+        if not self.geometric:
+            return len(interferers) == 1 and self.next_coin() < w
+        if len(interferers) == 1:
+            tx = interferers[0]
+            if min(tx.end, end) <= max(tx.start, start):
+                return True
+            peak = tx.device.power if dev is None else self.power_at(tx, dev)
+        else:
             peak = _max_concurrent_power(
                 [(tx.device.power if dev is None else self.power_at(tx, dev), tx.start, tx.end)
                  for tx in interferers],
                 start, end)
-            return peak == 0.0 or power >= self.margin * peak
-        return len(interferers) == 1 and self.next_coin() < w
+        return peak == 0.0 or power >= self.margin * peak
 
     def rx1_surely_blocked(self, rx1_at) -> bool:
         """Whether SB1's duty cycle blocks the RX1 window at ``rx1_at`` already.
@@ -688,7 +714,13 @@ class _Chain:
                     tally.offered_app_u[sfi] += 1
         dev.next_allowed = end + self.delta_sb1 * airtime
 
-        tx = _Tx(dev, slot, now, end, batch)
+        tx = _Tx()
+        tx.device = dev
+        tx.slot = slot
+        tx.start = now
+        tx.end = end
+        tx.counted = batch
+        tx.fate = None
         ears = self.listeners[slot]
         if ears:
             for interferers in ears.values():
@@ -715,8 +747,10 @@ class _Chain:
             outcome = tx.fate
         else:
             del self.listeners[slot][tx]
-            ok = self.captured(rx, None, dev.power, tx.start, now, self.w_gw)
-            outcome = _OUT_DELIVERED if ok else _OUT_INTERFERENCE
+            if rx and not self.captured(rx, None, dev.power, tx.start, now, self.w_gw):
+                outcome = _OUT_INTERFERENCE
+            else:
+                outcome = _OUT_DELIVERED
         if tx.counted is not None:
             self.tallies[tx.counted].phy_outcomes[outcome][dev.sfi] += 1
         if self.trace is not None:
@@ -729,10 +763,12 @@ class _Chain:
             dev.backoff = self.next_timeout()
             if not delivered:
                 self.confirmed_attempt_failed(dev, now)
-            elif self.rx1_surely_blocked(now + 1.0):
-                self.open_rx2(now, (dev, slot, now))
-            else:
+            elif not self.rx1_surely_blocked(now + 1.0):
                 heappush(self.heap, (now + 1.0, next(self.seq), self.on_rx1, (dev, slot, now)))
+            elif self.rx2_surely_blocked(dev, now + 2.0):
+                self.drop_ack(now, dev, slot, now)
+            else:
+                heappush(self.heap, (now + 2.0, next(self.seq), self.on_rx2, (dev, slot, now)))
         elif dev.attempts < self.h:
             # Next copy after both receive windows, duty cycle allowing.
             copy_at = now + 2.0
@@ -742,18 +778,9 @@ class _Chain:
         else:
             self.finish_packet(dev, acked=False, now=now + 2.0)
 
-    def open_rx2(self, now, ctx):
-        """Schedule the RX2 window of ``ctx``, or drop its ACK now if it is surely blocked."""
-        dev, _, ul_end = ctx
-        rx2_at = ul_end + 2.0
-        if self.rx2_surely_blocked(dev, rx2_at):
-            self.drop_ack(now, ctx)
-        else:
-            heappush(self.heap, (rx2_at, next(self.seq), self.on_rx2, ctx))
-
-    def drop_ack(self, now, ctx):
-        """No window is left for the ACK of ``ctx``: the attempt fails."""
-        dev, slot, ul_end = ctx
+    def drop_ack(self, now, dev, slot, ul_end):
+        """No window is left for the ACK of ``dev``'s uplink that ended at
+        ``ul_end``: the attempt fails."""
         if dev.counted is not None:
             self.tallies[dev.counted].dl_no_window += 1
         if self.trace is not None:
@@ -763,7 +790,11 @@ class _Chain:
     def on_rx1(self, now, ctx):
         dev, slot, ul_end = ctx
         if self.gw_blocked(now, self.sb1_free_at, self.sc.tau1):
-            self.open_rx2(now, ctx)
+            # Schedule the RX2 window, or drop the ACK now if it is surely blocked.
+            if self.rx2_surely_blocked(dev, ul_end + 2.0):
+                self.drop_ack(now, dev, slot, ul_end)
+            else:
+                heappush(self.heap, (ul_end + 2.0, next(self.seq), self.on_rx2, ctx))
             return
         airtime = self.t_ack1[dev.sfi]
         self.gw_transmit(now, airtime, self.sc.tau1)
@@ -779,7 +810,7 @@ class _Chain:
     def on_rx2(self, now, ctx):
         dev, slot, ul_end = ctx
         if self.gw_blocked(now, self.sb2_free_at, self.sc.tau2):
-            self.drop_ack(now, ctx)
+            self.drop_ack(now, dev, slot, ul_end)
             return
         airtime = self.t_ack2[dev.sfi]
         self.gw_transmit(now, airtime, self.sc.tau2)
@@ -795,7 +826,8 @@ class _Chain:
         dev, slot, ul_end, window, interferers, start = ctx
         if window == 1:
             del self.listeners[slot][dev]
-            if not self.captured(interferers, dev, dev.power, start, now, self.sc.w_ed):
+            if interferers and not self.captured(interferers, dev, dev.power, start, now,
+                                                 self.sc.w_ed):
                 if dev.counted is not None:
                     self.tallies[dev.counted].dl_rx1_corrupted += 1
                 if self.trace is not None:

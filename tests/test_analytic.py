@@ -513,6 +513,30 @@ class TestChordSolve:
             assert np.max(np.abs(state.s_ul - exact.s_ul)) <= 1e-10
             assert np.max(np.abs(state.s_dl - exact.s_dl)) <= 1e-10
 
+    def test_stalling_chord_steps_plainly(self, monkeypatch):
+        # The first line-search candidate of the bench's lambda = 10 grid point
+        # lies far from the point whose Jacobian steps it: its chord steps stall
+        # (44 sweeps when they went on), so the solve steps plainly and takes
+        # no more sweeps than plain iteration, as accurately.
+        plain_solve, candidates = analytic.solve, []
+
+        def recording(c, tol=analytic._TOL, max_iter=analytic._MAX_ITER, start=None,
+                      jacobian=None):
+            if jacobian is not None:
+                candidates.append((c, start, jacobian))
+            return plain_solve(c, tol, max_iter, start, jacobian)
+
+        monkeypatch.setattr(analytic, "solve", recording)
+        optimize(OptimizationProblem(cfg(alpha=0.3), lambdas=(10.0,), m_grid=(8,), h_grid=(8,)))
+        c, start, jacobian = candidates[0]
+        stepped = plain_solve(c, start=start, jacobian=jacobian)
+        plain = plain_solve(c, start=start)
+        exact = plain_solve(c, tol=1e-15, start=start)
+        assert stepped.converged and exact.converged
+        assert stepped.iterations <= plain.iterations
+        assert np.max(np.abs(stepped.s_ul - exact.s_ul)) <= 1e-10
+        assert np.max(np.abs(stepped.s_dl - exact.s_dl)) <= 1e-10
+
     def test_warm_stepped_solve_takes_fewer_sweeps(self):
         base = cfg(lambda_total=1.0, alpha=0.3, m=8, h=8)
         near = replace(base, lambda_total=1.05)

@@ -252,7 +252,7 @@ class TestOptimizerBits:
     def test_grid_records_are_pinned(self):
         # ``make_golden.py --pins`` prints the literal.
         assert make_golden.optimizer_digest() == \
-            "9a8d6cd0e5e5abd9567e681bb28cf30e16ba660687a6cde5b62932abe1e52f3d"
+            "e255e10cfda1afbee3809aed35f53441f15776ba0e0988b640032a35644e55ab"
 
 
 class TestChordLineSearch:

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
 import loracell
@@ -29,6 +31,8 @@ from loracell.simulate import (
     SimulationError,
     _max_concurrent_power,
     _Chain,
+    _Device,
+    _Tx,
     _summary,
     _t975,
     place_devices,
@@ -659,6 +663,73 @@ class TestPeakInterference:
 
     def test_no_interferers_gives_zero(self):
         assert _max_concurrent_power([], 0.0, 1.0) == 0.0
+
+
+def _general_capture_rule(self, interferers, dev, power, start, end, w):
+    """``_Chain.captured`` before its one-interferer shortcut: any list, the
+    geometric peak always found by ``_max_concurrent_power``."""
+    if not interferers:
+        return True
+    if self.geometric:
+        peak = _max_concurrent_power(
+            [(tx.device.power if dev is None else self.power_at(tx, dev), tx.start, tx.end)
+             for tx in interferers],
+            start, end)
+        return peak == 0.0 or power >= self.margin * peak
+    return len(interferers) == 1 and self.next_coin() < w
+
+
+# Interval edges: a few shared values make touching and equal edges common.
+_EDGES = st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(-1.0, 3.0)
+_POWERS = st.sampled_from([0.0, 1e-12, 1.0]) | st.floats(0.0, 10.0)
+
+
+class TestOneInterferer:
+    """One interferer takes a comparison in place of the peak scan."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(cr_db=st.sampled_from([0.0, 6.0]), at_device=st.booleans(),
+           edges=st.lists(_EDGES, min_size=4, max_size=4),
+           interferer_power=_POWERS,
+           ratio=st.sampled_from([0.0, 1.0, 10.0 ** 0.6]) | st.floats(0.0, 10.0),
+           position=st.tuples(*[st.floats(-3000.0, 3000.0)] * 4))
+    def test_geometric_check_equals_the_peak_rule(self, cr_db, at_device, edges,
+                                                   interferer_power, ratio, position):
+        chain = _Chain(sim(capture_model="geometric", cr_db=cr_db, n_devices=2,
+                           n_replications=1), np.random.default_rng(0), 0, range(1))
+        start, end = sorted(edges[:2])
+        tx_start, tx_end = sorted(edges[2:])
+        x0, y0, x1, y1 = position
+        tx = _Tx()
+        tx.device = _Device(0, True, 0, x0, y0, interferer_power)
+        tx.start, tx.end = tx_start, tx_end
+        dev = _Device(1, True, 0, x1, y1, 0.0) if at_device else None
+        # Ratio 1 at 0 dB and 10^0.6 at 6 dB put the reception on the margin.
+        heard = interferer_power if dev is None else chain.power_at(tx, dev)
+        power = ratio * heard
+        peak = _max_concurrent_power([(heard, tx_start, tx_end)], start, end)
+        assert chain.captured([tx], dev, power, start, end, 0.0) == \
+            (peak == 0.0 or power >= chain.margin * peak)
+
+    @pytest.mark.parametrize("arrivals", ["poisson", "periodic"])
+    @pytest.mark.parametrize("capture", ["probabilistic", "geometric"])
+    def test_every_result_is_unchanged(self, monkeypatch, capture, arrivals):
+        # A cell dense enough that receptions meet two and more interferers.
+        cfg = sim(scenario_kw={"lambda_total": 3.0, "alpha": 0.8, "m": 4},
+                  n_devices=150, capture_model=capture, arrival_model=arrivals,
+                  sim_duration=500.0, warmup=50.0)
+        shortcut = run(cfg)
+        sizes = []
+
+        def general(self, interferers, *args):
+            sizes.append(len(interferers))
+            return _general_capture_rule(self, interferers, *args)
+
+        monkeypatch.setattr(_Chain, "captured", general)
+        assert run(cfg) == shortcut
+        # A clean reception makes no capture call; both list sizes occur.
+        assert min(sizes) == 1
+        assert max(sizes) >= 2
 
 
 class TestEventBudget:
