@@ -105,6 +105,9 @@ _BATCHES_PER_CHAIN = 5  # the most replications one chain runs
 
 _MAX_EVENTS = 50_000_000  # heap events a chain may handle per replication
 
+#: The handler of an uplink start's heap entry, which ``_Chain.run`` runs itself.
+_UPLINK_START = object()
+
 #: A chain holds about 340 B per device, so a million devices take about
 #: 340 MB before the first event; that is three times the largest cell studied
 #: so far (300,000 devices).
@@ -292,17 +295,19 @@ def place_devices(sim_cfg: SimConfig, seed) -> tuple[np.ndarray, np.ndarray, np.
 
 
 class _Device:
-    __slots__ = ("idx", "confirmed", "sfi", "x", "y", "power", "next_allowed",
-                 "queued", "busy", "attempts", "first_attempt", "counted",
+    __slots__ = ("idx", "confirmed", "sfi", "x", "y", "power", "airtime", "silence",
+                 "next_allowed", "queued", "busy", "attempts", "first_attempt", "counted",
                  "delivered_time", "backoff")
 
-    def __init__(self, idx, confirmed, sfi, x, y, power):
+    def __init__(self, idx, confirmed, sfi, x, y, power, airtime, silence):
         self.idx = idx
         self.confirmed = confirmed
         self.sfi = sfi
         self.x = x
         self.y = y
         self.power = power          # received power at the gateway (geometric mode)
+        self.airtime = airtime      # of one uplink on the device's SF
+        self.silence = silence      # duty-cycle silence after an uplink: delta_sb1 * airtime
         self.next_allowed = 0.0     # duty-cycle gate for the next uplink
         self.queued = 0             # arrivals waiting for the radio
         self.busy = False
@@ -316,8 +321,8 @@ class _Device:
 class _Tx:
     """One uplink transmission on the air.
 
-    It has no ``__init__``: ``_Chain.on_tx_start``, which makes every one,
-    sets its fields itself, which saves a Python call per uplink.
+    It has no ``__init__``: the uplink start in ``_Chain.run``, which makes
+    every one, sets its fields itself, which saves a Python call per uplink.
     """
 
     __slots__ = (
@@ -433,8 +438,12 @@ class _Chain:
     local to the chain.
 
     A heap entry is ``(time, seq, handler, payload)``, pushed with
-    ``heappush``: ``seq`` breaks ties in schedule order and
-    ``handler(time, payload)`` runs the event.
+    ``heappush``: ``seq`` breaks ties in schedule order.  ``handler`` is a
+    plain function, looked up on the class (``_Chain.on_rx1``), and the loop
+    runs the event as ``handler(self, time, payload)``, so no push binds a
+    method.  An uplink start is the exception, since it is the most frequent
+    event with the uplink's end: its handler is the tag ``_UPLINK_START``,
+    its payload the device, and ``run`` runs it itself, in the loop.
 
     ``batches`` holds the run's numbers of the chain's replications, one
     tally each; ``batch`` is the index into ``tallies`` of the batch under
@@ -443,24 +452,24 @@ class _Chain:
     the batch they fall in, the warmup's in the first and the tail's in the
     last.
 
-    Tests replace some methods to observe or alter a run, so the event
-    handlers call them through ``self``: ``rx1_surely_blocked``,
-    ``rx2_surely_blocked``, ``confirmed_attempt_failed``, ``captured`` and
-    ``gw_blocked`` (on the class), and ``on_tx_start`` (on the instance);
-    the main loop calls the module-level ``heappop``.  Each push therefore
-    binds its handler afresh.  A handler bound once and stored on ``self``
-    would also make a reference cycle, so a finished chain would wait for
-    the cycle collector instead of being freed at once.
+    Tests wrap some methods on the class to observe or alter a run, so the
+    handlers call them through ``self`` and pushes look them up on the class:
+    ``on_tx_end`` and ``on_rx1`` (the every-window oracle of
+    ``tests/data/golden/make_golden.py``), ``captured``,
+    ``confirmed_attempt_failed`` and ``gw_blocked``; the main loop calls the
+    module-level ``heappop``.  ``run`` reads ``on_tx_end`` once, when it
+    starts.
 
     The uplink path makes few calls.  ``on_tx_end`` calls ``captured`` only
-    for a reception that met an interferer; for a delivered confirmed
-    uplink it calls ``rx1_surely_blocked``, then, if RX1 is surely blocked,
-    ``rx2_surely_blocked``, and if RX2 is too, ``drop_ack``, which calls
-    ``confirmed_attempt_failed``.  So the uplink's end decides the drop of
-    an ACK whose two windows are surely blocked then; the RX1 event decides
-    it when its window turns out blocked and RX2 is surely blocked, and the
-    RX2 event when its own window is blocked.  All three drop through
-    ``drop_ack``.
+    for a reception that met an interferer.  For a delivered confirmed
+    uplink it compares the RX1 window with ``sb1_free_at`` and, if SB1
+    surely blocks it, the RX2 window with ``sb2_free_at``; if that is surely
+    blocked too and the packet has attempts left, it calls ``drop_ack``,
+    which calls ``confirmed_attempt_failed``.  So the uplink's end decides
+    the drop of an ACK whose two windows are surely blocked then; the RX1
+    event decides it when its window turns out blocked and RX2 is surely
+    blocked, and the RX2 event when its own window is blocked.  All three
+    drop through ``drop_ack``.
     """
 
     def __init__(self, sim_cfg: SimConfig, rng: np.random.Generator, index: int,
@@ -475,7 +484,6 @@ class _Chain:
         self.geometric = sim_cfg.capture_model == "geometric"
         self.margin = 10.0 ** (sim_cfg.cr_db / 10.0)
 
-        self.t_data = sc.airtimes.t_data
         self.t_ack1 = sc.airtimes.t_ack1
         self.t_ack2 = sc.airtimes.t_ack2
         # Scenario scalars read on every event.
@@ -488,10 +496,12 @@ class _Chain:
         x, y, confirmed, sf_idx = place_devices(sim_cfg, rng)
         dist = np.maximum(np.hypot(x, y), 1.0)
         power = dist ** (-sim_cfg.path_loss_exponent)
+        t_data = sc.airtimes.t_data
+        silence = [sc.delta_sb1 * airtime for airtime in t_data]
         self.devices = [
-            _Device(i, bool(confirmed[i]), int(sf_idx[i]), float(x[i]), float(y[i]),
-                    float(power[i]))
-            for i in range(sim_cfg.n_devices)
+            _Device(i, bool(confirmed[i]), sfi, float(x[i]), float(y[i]), float(power[i]),
+                    t_data[sfi], silence[sfi])
+            for i, sfi in enumerate(sf_idx.tolist())
         ]
 
         # One block-drawn stream per purpose.  The draw closures and the
@@ -555,7 +565,7 @@ class _Chain:
         dev.delivered_time = None
         allowed = dev.next_allowed
         heappush(self.heap, (allowed if allowed > now else now, next(self.seq),
-                             self.on_tx_start, dev))
+                             _UPLINK_START, dev))
 
     def finish_packet(self, dev, acked, now):
         if dev.counted is not None:
@@ -581,7 +591,7 @@ class _Chain:
         if self.tail_open and dev.first_attempt < self.horizon:
             self.tail_open -= 1
             if not self.tail_open:
-                heappush(self.heap, (now, next(self.seq), self.on_end, None))
+                heappush(self.heap, (now, next(self.seq), _Chain.on_end, None))
 
     def confirmed_attempt_failed(self, dev, ul_end):
         fail_at = ul_end + 2.0  # the attempt ends when its second window closes
@@ -589,7 +599,7 @@ class _Chain:
             retx_at = fail_at + dev.backoff
             allowed = dev.next_allowed
             heappush(self.heap, (allowed if allowed > retx_at else retx_at, next(self.seq),
-                                 self.on_tx_start, dev))
+                                 _UPLINK_START, dev))
         else:
             self.finish_packet(dev, acked=False, now=fail_at)
 
@@ -622,24 +632,6 @@ class _Chain:
                  for tx in interferers],
                 start, end)
         return peak == 0.0 or power >= self.margin * peak
-
-    def rx1_surely_blocked(self, rx1_at) -> bool:
-        """Whether SB1's duty cycle blocks the RX1 window at ``rx1_at`` already.
-
-        ``sb1_free_at`` never decreases, so this is the duty-cycle test that
-        ``on_rx1`` would make at ``rx1_at``, decided early.
-        """
-        return rx1_at < self.sb1_free_at
-
-    def rx2_surely_blocked(self, dev, rx2_at) -> bool:
-        """Whether ``dev``'s ACK can be dropped now: SB2's duty cycle already
-        blocks its RX2 window at ``rx2_at``, and the packet has attempts left
-        (on the last one, the window's own event finishes the packet).
-
-        ``sb2_free_at`` never decreases, so this is the duty-cycle test that
-        ``on_rx2`` would make at ``rx2_at``, decided early.
-        """
-        return rx2_at < self.sb2_free_at and dev.attempts < self.m
 
     def gw_blocked(self, now, free_at, tau) -> bool:
         """The gateway cannot answer in a window whose sub-band frees at ``free_at``."""
@@ -678,7 +670,7 @@ class _Chain:
 
     def schedule_arrival(self):
         time, dev = self.next_arrival()
-        heappush(self.heap, (time, next(self.seq), self.on_arrival, dev))
+        heappush(self.heap, (time, next(self.seq), _Chain.on_arrival, dev))
 
     def on_arrival(self, now, dev):
         self.schedule_arrival()
@@ -691,52 +683,6 @@ class _Chain:
         dev.queued += 1
         if not dev.busy:
             self.start_packet(dev, now)
-
-    def on_tx_start(self, now, dev):
-        if now < dev.next_allowed - 1e-9:
-            self.tallies[self.window].dc_violations += 1
-        sfi = dev.sfi
-        airtime = self.t_data[sfi]
-        end = now + airtime
-        slot = self.next_channel() * N_SF + sfi
-        batch = self.batch
-        dev.attempts = attempts = dev.attempts + 1
-        if attempts == 1:
-            dev.first_attempt = now
-            dev.counted = batch
-        if batch is not None:
-            tally = self.tallies[batch]
-            tally.offered_phy[sfi] += 1
-            if attempts == 1:
-                if dev.confirmed:
-                    tally.offered_app_c[sfi] += 1
-                else:
-                    tally.offered_app_u[sfi] += 1
-        dev.next_allowed = end + self.delta_sb1 * airtime
-
-        tx = _Tx()
-        tx.device = dev
-        tx.slot = slot
-        tx.start = now
-        tx.end = end
-        tx.counted = batch
-        tx.fate = None
-        ears = self.listeners[slot]
-        if ears:
-            for interferers in ears.values():
-                interferers.append(tx)
-        air = self.on_air[slot]
-        receptions = self.receptions
-        if now < self.tx_until:
-            tx.fate = _OUT_GWTX          # gateway radio is transmitting
-        elif len(receptions) == self.n_demodulators:
-            tx.fate = _OUT_NMD           # all demodulators locked
-        else:
-            receptions[tx] = ears[tx] = list(air) if air else []
-        air[tx] = None
-        heappush(self.heap, (end, next(self.seq), self.on_tx_end, tx))
-        if self.trace is not None:
-            self.emit(now, dev, slot, "ul_start", "")
 
     def on_tx_end(self, now, tx):
         slot = tx.slot
@@ -763,18 +709,18 @@ class _Chain:
             dev.backoff = self.next_timeout()
             if not delivered:
                 self.confirmed_attempt_failed(dev, now)
-            elif not self.rx1_surely_blocked(now + 1.0):
-                heappush(self.heap, (now + 1.0, next(self.seq), self.on_rx1, (dev, slot, now)))
-            elif self.rx2_surely_blocked(dev, now + 2.0):
-                self.drop_ack(now, dev, slot, now)
+            elif now + 1.0 >= self.sb1_free_at:
+                heappush(self.heap, (now + 1.0, next(self.seq), _Chain.on_rx1, (dev, slot, now)))
+            elif now + 2.0 < self.sb2_free_at and dev.attempts < self.m:
+                self.drop_ack(now, dev, slot, now)   # both windows surely blocked
             else:
-                heappush(self.heap, (now + 2.0, next(self.seq), self.on_rx2, (dev, slot, now)))
+                heappush(self.heap, (now + 2.0, next(self.seq), _Chain.on_rx2, (dev, slot, now)))
         elif dev.attempts < self.h:
             # Next copy after both receive windows, duty cycle allowing.
             copy_at = now + 2.0
             allowed = dev.next_allowed
             heappush(self.heap, (allowed if allowed > copy_at else copy_at, next(self.seq),
-                                 self.on_tx_start, dev))
+                                 _UPLINK_START, dev))
         else:
             self.finish_packet(dev, acked=False, now=now + 2.0)
 
@@ -791,10 +737,10 @@ class _Chain:
         dev, slot, ul_end = ctx
         if self.gw_blocked(now, self.sb1_free_at, self.sc.tau1):
             # Schedule the RX2 window, or drop the ACK now if it is surely blocked.
-            if self.rx2_surely_blocked(dev, ul_end + 2.0):
+            if ul_end + 2.0 < self.sb2_free_at and dev.attempts < self.m:
                 self.drop_ack(now, dev, slot, ul_end)
             else:
-                heappush(self.heap, (ul_end + 2.0, next(self.seq), self.on_rx2, ctx))
+                heappush(self.heap, (ul_end + 2.0, next(self.seq), _Chain.on_rx2, ctx))
             return
         airtime = self.t_ack1[dev.sfi]
         self.gw_transmit(now, airtime, self.sc.tau1)
@@ -802,7 +748,7 @@ class _Chain:
         if dev.counted is not None:
             self.tallies[dev.counted].dl_sb1_sent += 1
         self.listeners[slot][dev] = interferers = list(self.on_air[slot])
-        heappush(self.heap, (now + airtime, next(self.seq), self.on_ack_end,
+        heappush(self.heap, (now + airtime, next(self.seq), _Chain.on_ack_end,
                              (dev, slot, ul_end, 1, interferers, now)))
         if self.trace is not None:
             self.emit(now, dev, slot, "ack1_start", "")
@@ -817,7 +763,7 @@ class _Chain:
         self.sb2_free_at = now + airtime * (1.0 + self.sc.delta_sb2)
         if dev.counted is not None:
             self.tallies[dev.counted].dl_sb2_sent += 1
-        heappush(self.heap, (now + airtime, next(self.seq), self.on_ack_end,
+        heappush(self.heap, (now + airtime, next(self.seq), _Chain.on_ack_end,
                              (dev, slot, ul_end, 2, None, now)))
         if self.trace is not None:
             self.emit(now, dev, slot, "ack2_start", "")
@@ -845,22 +791,76 @@ class _Chain:
         if self.cfg.trace_path is not None:
             self.trace = open(self.cfg.trace_path, "a")
         heap = self.heap
+        seq = self.seq
+        tallies = self.tallies
+        listeners = self.listeners
+        on_air = self.on_air
+        receptions = self.receptions
+        next_channel = self.next_channel
+        n_demodulators = self.n_demodulators
+        on_tx_end = _Chain.on_tx_end
         self.budget = budget = _MAX_EVENTS * len(self.batches)
         # Batch boundaries read how many event numbers the loop has drawn.
         self.ticks = ticks = iter(range(budget))
         events = 0
         try:
             for i in range(len(self.batches)):
-                heappush(heap, (self.warmup + i * self.batch_length, next(self.seq),
-                                self.on_batch_start, i))
-            heappush(heap, (self.horizon, next(self.seq), self.on_tail_start, None))
+                heappush(heap, (self.warmup + i * self.batch_length, next(seq),
+                                _Chain.on_batch_start, i))
+            heappush(heap, (self.horizon, next(seq), _Chain.on_tail_start, None))
             if self.next_arrival is not None:
                 self.schedule_arrival()
             for events in ticks:  # ``events`` counts the events handled so far
                 if not heap:
                     break
                 now, _, handler, payload = heappop(heap)
-                handler(now, payload)
+                if handler is not _UPLINK_START:
+                    handler(self, now, payload)
+                    continue
+                # An uplink of the device ``payload`` starts.
+                dev = payload
+                if now < dev.next_allowed - 1e-9:
+                    tallies[self.window].dc_violations += 1
+                sfi = dev.sfi
+                end = now + dev.airtime
+                slot = next_channel() * N_SF + sfi
+                batch = self.batch
+                dev.attempts = attempts = dev.attempts + 1
+                if attempts == 1:
+                    dev.first_attempt = now
+                    dev.counted = batch
+                if batch is not None:
+                    tally = tallies[batch]
+                    tally.offered_phy[sfi] += 1
+                    if attempts == 1:
+                        if dev.confirmed:
+                            tally.offered_app_c[sfi] += 1
+                        else:
+                            tally.offered_app_u[sfi] += 1
+                dev.next_allowed = end + dev.silence
+
+                tx = _Tx()
+                tx.device = dev
+                tx.slot = slot
+                tx.start = now
+                tx.end = end
+                tx.counted = batch
+                tx.fate = None
+                ears = listeners[slot]
+                if ears:
+                    for interferers in ears.values():
+                        interferers.append(tx)
+                air = on_air[slot]
+                if now < self.tx_until:
+                    tx.fate = _OUT_GWTX          # gateway radio is transmitting
+                elif len(receptions) == n_demodulators:
+                    tx.fate = _OUT_NMD           # all demodulators locked
+                else:
+                    receptions[tx] = ears[tx] = list(air) if air else []
+                air[tx] = None
+                heappush(heap, (end, next(seq), on_tx_end, tx))
+                if self.trace is not None:
+                    self.emit(now, dev, slot, "ul_start", "")
             else:
                 events = budget
                 if heap:

@@ -31,6 +31,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import math
 import os
 import sys
 import tempfile
@@ -183,6 +184,37 @@ def rx2_cell(capture="probabilistic", arrivals="poisson", tau1=1, delta=(9.0, 9.
         **settings)
 
 
+@contextlib.contextmanager
+def every_window(rx: int):
+    """Within the block, every RX``rx`` window that its sub-band's duty cycle
+    surely blocks is an event all the same.
+
+    The uplink's end (``_Chain.on_tx_end``), and for RX2 also a blocked RX1
+    window (``_Chain.on_rx1``), decide a window surely blocked by comparing
+    it with the sub-band's ``sb<rx>_free_at``.  During each call of those
+    methods that attribute reads -inf, and is restored after it; neither
+    method writes it.  The window's own event then makes the duty-cycle test
+    at its time.
+    """
+    name = f"sb{rx}_free_at"
+
+    def hiding(method):
+        def wrapped(self, now, payload):
+            free_at = getattr(self, name)
+            setattr(self, name, -math.inf)
+            try:
+                method(self, now, payload)
+            finally:
+                setattr(self, name, free_at)
+        return wrapped
+
+    with contextlib.ExitStack() as stack:
+        for handler in ["on_tx_end"] if rx == 1 else ["on_tx_end", "on_rx1"]:
+            stack.enter_context(mock.patch.object(
+                simulate._Chain, handler, hiding(getattr(simulate._Chain, handler))))
+        yield
+
+
 def solver_grid() -> list[ScenarioConfig]:
     """Criterion 1's 480 configs: 40 loads log-spaced over [0.01, 100] at each
     m in (1, 2, 4, 8) and alpha in (0, 0.3, 1), with h = 1."""
@@ -231,20 +263,17 @@ def optimizer_digest() -> str:
 def pins() -> dict[str, tuple]:
     """The literals of ``tests/test_simulate.py``, ``tests/test_analytic.py``
     and ``tests/test_optimize.py``, by test: the events of one replication
-    with the window shortcuts and with every RX1 or RX2 window an event, the
+    with the window shortcuts and with every RX1 or RX2 window an event
+    (``every_window``), the
     trace digest and per-replication events of ``rx2_cell``, the two
     ``solver_digests`` and the ``optimizer_digest``."""
     def events(cfg):
         return simulate.run(cfg).replications[0].events
 
-    every_rx1 = mock.patch.object(simulate._Chain, "rx1_surely_blocked",
-                                  lambda self, rx1_at: False)
-    every_rx2 = mock.patch.object(simulate._Chain, "rx2_surely_blocked",
-                                  lambda self, dev, rx2_at: False)
     shortcut = events(readme_point())
-    with every_rx1:
+    with every_window(1):
         rx1 = events(readme_point())
-    with every_rx2:
+    with every_window(2):
         rx2 = events(readme_point())
     found = {"TestRx1Shortcut.test_fewer_events_at_readme_compare_point": (shortcut, rx1),
              "TestRx2Shortcut.test_fewer_events_at_readme_compare_point": (shortcut, rx2)}

@@ -701,9 +701,9 @@ class TestOneInterferer:
         tx_start, tx_end = sorted(edges[2:])
         x0, y0, x1, y1 = position
         tx = _Tx()
-        tx.device = _Device(0, True, 0, x0, y0, interferer_power)
+        tx.device = _Device(0, True, 0, x0, y0, interferer_power, 0.1, 0.0)
         tx.start, tx.end = tx_start, tx_end
-        dev = _Device(1, True, 0, x1, y1, 0.0) if at_device else None
+        dev = _Device(1, True, 0, x1, y1, 0.0, 0.1, 0.0) if at_device else None
         # Ratio 1 at 0 dB and 10^0.6 at 6 dB put the reception on the margin.
         heard = interferer_power if dev is None else chain.power_at(tx, dev)
         power = ratio * heard
@@ -779,6 +779,10 @@ def _without_events(rep):
     return dataclasses.replace(rep, events=0)
 
 
+def _total_events(report):
+    return sum(rep.events for rep in report.replications)
+
+
 def _assert_only_events_drop(shortcut, every_window):
     """Two reports of one config agree on everything but per-replication
     ``events``, and the first never handles more events."""
@@ -797,13 +801,14 @@ class TestSingleArrivalEvent:
                   arrival_model=arrivals, n_replications=1)
         rep = _Chain(cfg, np.random.default_rng(1), 0, range(1))
         pending = []
-        on_tx_start = rep.on_tx_start
+        next_channel = rep.next_channel
 
-        def counting_tx_start(now, dev):
-            pending.append(sum(entry[2] == rep.on_arrival for entry in rep.heap))
-            on_tx_start(now, dev)
+        def counting_next_channel():
+            # Every uplink start draws its channel once.
+            pending.append(sum(entry[2] is _Chain.on_arrival for entry in rep.heap))
+            return next_channel()
 
-        rep.on_tx_start = counting_tx_start
+        rep.next_channel = counting_next_channel
         rep.run()
         assert len(pending) > 100
         assert max(pending) == 1
@@ -838,22 +843,25 @@ class TestRx1Shortcut:
     @pytest.mark.parametrize("tau1", [0, 1])
     @pytest.mark.parametrize("arrivals", ["poisson", "periodic"])
     @pytest.mark.parametrize("capture", ["probabilistic", "geometric"])
-    def test_every_result_but_events_is_unchanged(self, monkeypatch, capture, arrivals,
-                                                  tau1, delta):
+    def test_every_result_but_events_is_unchanged(self, capture, arrivals, tau1, delta):
         cfg = sim(scenario_kw={"lambda_total": 3.0, "alpha": 0.8, "m": 4, "tau1": tau1,
                                "delta_sb1": delta[0], "delta_sb2": delta[1]},
                   n_devices=150, capture_model=capture, arrival_model=arrivals,
                   sim_duration=500.0, warmup=50.0)
         shortcut = run(cfg)
-        monkeypatch.setattr(_Chain, "rx1_surely_blocked", lambda self, rx1_at: False)
-        _assert_only_events_drop(shortcut, run(cfg))
+        with make_golden.every_window(1):
+            every_window = run(cfg)
+        _assert_only_events_drop(shortcut, every_window)
+        # In these cells only a duty-cycled sub-band blocks a window surely, so
+        # only then do the oracle's windows add events.
+        assert (_total_events(every_window) > _total_events(shortcut)) == (delta != (0.0, 0.0))
 
-    def test_fewer_events_at_readme_compare_point(self, monkeypatch):
+    def test_fewer_events_at_readme_compare_point(self):
         # ``make_golden.py --pins`` prints the literal.
         cfg = make_golden.readme_point()
         shortcut = run(cfg).replications[0]
-        monkeypatch.setattr(_Chain, "rx1_surely_blocked", lambda self, rx1_at: False)
-        every_window = run(cfg).replications[0]
+        with make_golden.every_window(1):
+            every_window = run(cfg).replications[0]
         assert _without_events(shortcut) == _without_events(every_window)
         assert (shortcut.events, every_window.events) == (26482, 32815)
 
@@ -864,21 +872,18 @@ class TestRx2Shortcut:
 
     cell = staticmethod(make_golden.rx2_cell)
 
-    @staticmethod
-    def every_window(monkeypatch):
-        monkeypatch.setattr(_Chain, "rx2_surely_blocked", lambda self, dev, rx2_at: False)
-
     @pytest.mark.parametrize("delta", [(99.0, 9.0), (0.0, 0.0), (9.0, 9.0)],
                              ids=["dc", "no_dc", "dc_backoff_binds"])
     @pytest.mark.parametrize("tau1", [0, 1])
     @pytest.mark.parametrize("arrivals", ["poisson", "periodic"])
     @pytest.mark.parametrize("capture", ["probabilistic", "geometric"])
-    def test_every_result_but_events_is_unchanged(self, monkeypatch, capture, arrivals,
-                                                  tau1, delta):
+    def test_every_result_but_events_is_unchanged(self, capture, arrivals, tau1, delta):
         cfg = self.cell(capture, arrivals, tau1, delta)
         shortcut = run(cfg)
-        self.every_window(monkeypatch)
-        _assert_only_events_drop(shortcut, run(cfg))
+        with make_golden.every_window(2):
+            every_window = run(cfg)
+        _assert_only_events_drop(shortcut, every_window)
+        assert (_total_events(every_window) > _total_events(shortcut)) == (delta != (0.0, 0.0))
 
     @pytest.mark.parametrize("delta_sb1, binds", [(99.0, False), (9.0, True)])
     def test_backoff_binds_only_below_the_duty_cycle_gap(self, monkeypatch, delta_sb1, binds):
@@ -899,18 +904,18 @@ class TestRx2Shortcut:
         shortcut = run(cfg)
         assert decided
         assert any(decided) == binds
-        self.every_window(monkeypatch)
-        every_window = run(cfg)
+        with make_golden.every_window(2):
+            every_window = run(cfg)
         _assert_only_events_drop(shortcut, every_window)
         assert sum(r.events for r in shortcut.replications) < \
             sum(r.events for r in every_window.replications)
 
-    def test_fewer_events_at_readme_compare_point(self, monkeypatch):
+    def test_fewer_events_at_readme_compare_point(self):
         # ``make_golden.py --pins`` prints the literal.
         cfg = make_golden.readme_point()
         shortcut = run(cfg).replications[0]
-        self.every_window(monkeypatch)
-        every_window = run(cfg).replications[0]
+        with make_golden.every_window(2):
+            every_window = run(cfg).replications[0]
         assert _without_events(shortcut) == _without_events(every_window)
         assert (shortcut.events, every_window.events) == (26482, 31528)
 

@@ -5,6 +5,7 @@ import importlib
 import inspect
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -119,6 +120,45 @@ def test_unreferenced_private_function_is_reported():
                                "def public():\n    pass\n"),
              "b.py": ast.parse("from a import _only_imported\nimport a\na._used()\n")}
     assert unreferenced_private_functions(trees) == ["a.py: _dead", "a.py: _only_imported"]
+
+
+def unreferenced_private_methods(trees: dict[str, ast.AST]) -> list[str]:
+    """``module: Class.method`` for every method of a private module-level
+    class that no code in ``trees`` reads outside the method's own ``def``.
+
+    A read counts as for :func:`unreferenced_private_functions`, as a plain
+    name or as an attribute (``self.m``, ``_C.m``); dunder methods are exempt.
+    """
+    def reads(root) -> Counter:
+        return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(root)
+                       if isinstance(n, (ast.Name, ast.Attribute))
+                       and isinstance(n.ctx, ast.Load))
+
+    total = sum((reads(tree) for tree in trees.values()), Counter())
+    return [f"{module}: {cls.name}.{node.name}"
+            for module, tree in trees.items() for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and cls.name.startswith("_")
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("__")
+            and total[node.name] == reads(node)[node.name]]
+
+
+def test_every_private_class_method_is_referenced():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    assert unreferenced_private_methods(trees) == []
+
+
+def test_unreferenced_private_method_is_reported():
+    trees = {"a.py": ast.parse("class _C:\n"
+                               "    def __init__(self):\n        self.used()\n"
+                               "    def used(self):\n        pass\n"
+                               "    def dead(self):\n        return self.dead()\n"
+                               "    def stored_only(self):\n        self.stored_only = 1\n"
+                               "    def from_class(self):\n        pass\n"
+                               "class Public:\n    def unread(self):\n        pass\n"),
+             "b.py": ast.parse("from a import _C\nhandler = _C.from_class\n")}
+    assert unreferenced_private_methods(trees) == ["a.py: _C.dead", "a.py: _C.stored_only"]
 
 
 def unreferenced_private_constants(trees: dict[str, ast.AST]) -> list[str]:
