@@ -28,9 +28,10 @@ become ``(K,)`` arrays, an SF distribution is read by its ``p`` alone, and the
 model functions below, :func:`iterate` among them, accept either form.
 Each row stops when its own residual reaches the tolerance and is then
 frozen, so its numbers and sweep count are those of its own ``solve``,
-the one-row call of the same code.  A finishing row is copied into the
-batch's output, one batched ``SteadyState`` whose arrays have a row for
-every config of the batch, so a finished row holds no sweep's arrays.
+the one-row call of the same code.  A finishing row keeps only the input of
+its last sweep, so a finished row holds no sweep's arrays; one more sweep of
+the whole batch from those inputs gives the batch's output, one batched
+``SteadyState`` whose arrays have a row for every config of the batch.
 :func:`solve_groups` hands out that output as it is, with the batched
 config, for a caller that reports a whole batch at once.
 
@@ -255,10 +256,10 @@ def demod_chain(cfg: ScenarioConfig, rates: TrafficRates) -> DemodChainState:
     e_avail, p_lock = np.array(e_avail), np.array(p_lock)   # demodulator axis first
     # Arrival stream to the later demodulators dies out geometrically: once a
     # predecessor is never locked, or its idle time is infinite or would
-    # overflow, every later demodulator is idle.  The comparison also fails
-    # for a NaN lock probability, which only a row whose rates are already
-    # non-finite (and that therefore fails its checks) can produce.
-    dead = ~(e_avail[:-1] < p_lock[:-1] * 1e300)
+    # overflow, every later demodulator is idle.  A NaN, which only a row
+    # whose rates are already non-finite (and that therefore fails its
+    # checks) can produce, is no dead end: such a row stays NaN.
+    dead = e_avail[:-1] >= p_lock[:-1] * 1e300
     if _any(dead):
         dead = np.logical_or.accumulate(dead, axis=0)
         e_avail[1:][dead] = np.inf
@@ -417,8 +418,8 @@ def _sweep(cfg: ScenarioConfig, app, s_ul: np.ndarray,
     The arrays are ``(K, 6)``, or ``(6,)`` for one row without a row axis.
     Returns the new state's fields except ``iterations``, ``residual`` and
     ``converged``, and the failure message of each broken row.  No
-    ``SteadyState`` is built here: the solver builds one per row that
-    finishes, so a sweep after which every row iterates on costs none.
+    ``SteadyState`` is built here: the solver builds one once its rows
+    finish, so a sweep after which every row iterates on costs none.
     """
     rates = phy_rates(cfg, attempt_distributions(s_ul * s_dl, cfg.m), app)
     demod = demod_chain(cfg, rates)
@@ -446,25 +447,6 @@ def _stack(objs):
                else np.asarray(value)[None] if len(objs) == 1
                else np.array([getattr(obj, name) for obj in objs]))
         for name, value in vars(objs[0]).items()})
-
-
-def _blank(fields: dict, k: int) -> dict:
-    """Output of a ``k``-row batch for the fields of one of its sweeps: every
-    array becomes a NaN array of ``k`` rows, in nested dataclasses too; other
-    values are shared."""
-    return {name: (np.full((k,) + value.shape[1:], np.nan) if isinstance(value, np.ndarray)
-                   else type(value)(**_blank(vars(value), k)) if is_dataclass(value) else value)
-            for name, value in fields.items()}
-
-
-def _put(out: dict, fields: dict, at, rows) -> None:
-    """Copy rows ``rows`` of every array of a sweep's ``fields`` to rows ``at``
-    of the same array of the output ``out``, nested dataclasses included."""
-    for name, value in fields.items():
-        if isinstance(value, np.ndarray):
-            out[name][at] = value.take(rows, 0)   # cheaper than value[rows]
-        elif is_dataclass(value):
-            _put(vars(out[name]), vars(value), at, rows)
 
 
 def iterate(cfg: ScenarioConfig, s_ul, s_dl) -> SteadyState:
@@ -631,10 +613,14 @@ def _solve_batch(cfgs, tol: float, max_iter: int, start, chord=None) -> tuple:
     Returns the scenario the rows ran on, their result and the ``ModelError``
     of each broken row by its index into ``cfgs``.  One config runs on its
     own and gives its one-row ``SteadyState`` (None when it broke).  More
-    configs run as one batch on their batched config and give the batch's
-    output, one batched ``SteadyState`` into which each row is copied when it
-    finishes; a broken row reads NaN there.  ``chord``, the 12 x 12 matrix
-    (I - J)^-1 of :func:`solve`, steps a single config by the chord method.
+    configs run as one batch on their batched config.  A finishing row keeps
+    only the input ``(s_ul, s_dl)`` of its last sweep and its ``iterations``,
+    ``residual`` and ``converged``.  Once every row has finished, one more
+    sweep of the whole batch from those inputs gives the batched
+    ``SteadyState``: a batched row equals its own sweep, so each row reads
+    its last sweep's fields, and a broken row, swept from NaN, reads NaN.
+    ``chord``, the 12 x 12 matrix (I - J)^-1 of :func:`solve`, steps a
+    single config by the chord method.
     """
     batched = len(cfgs) > 1
     if not batched:
@@ -646,8 +632,12 @@ def _solve_batch(cfgs, tol: float, max_iter: int, start, chord=None) -> tuple:
         # One scenario for all rows: each per-row field is a (K,) array, rates (K, 6).
         batch = _batch(cfgs)
         cfg = SimpleNamespace(**{name: getattr(batch, name) for name in _SHARED + _PER_ROW})
-        rows = np.arange(len(cfgs))   # index in ``cfgs`` of each active row
-        out, errors = None, {}
+        k = len(cfgs)
+        rows = np.arange(k)   # index in ``cfgs`` of each active row
+        last = np.full((2, k, N_SF), np.nan)   # each row's last sweep input (s_ul, s_dl)
+        solver = dict(iterations=np.zeros(k, dtype=int), residual=np.full(k, np.nan),
+                      converged=np.zeros(k, dtype=bool))
+        errors = {}
     app = app_rates(batch)
     # Every row starts from the same (6,) pair, which a batch's first sweep broadcasts.
     s_ul, s_dl = (np.ones(N_SF),) * 2 if start is None else start
@@ -665,21 +655,17 @@ def _solve_batch(cfgs, tol: float, max_iter: int, start, chord=None) -> tuple:
                 return batch, SteadyState(**fields, iterations=iterations,
                                           residual=float(residual),
                                           converged=bool(converged)), {}
-            if out is None:
-                out = _blank(fields, len(cfgs))
-                out.update(iterations=np.zeros(len(cfgs), dtype=int),
-                           residual=np.full(len(cfgs), np.nan),
-                           converged=np.zeros(len(cfgs), dtype=bool))
             done = converged | (iterations == max_iter)
             finished = done.copy()
             for i, message in failures.items():
                 errors[int(rows[i])] = ModelError(message)
                 done[i], finished[i] = True, False
             at, finished = rows[finished], np.flatnonzero(finished)
-            _put(out, fields, at, finished)
-            out["iterations"][at] = iterations
-            out["residual"][at] = residual[finished]
-            out["converged"][at] = converged[finished]
+            for last_v, v in zip(last, (s_ul, s_dl)):   # a (6,) start is every row's
+                last_v[at] = v if v.ndim == 1 else v[finished]
+            solver["iterations"][at] = iterations
+            solver["residual"][at] = residual[finished]
+            solver["converged"][at] = converged[finished]
             if done.all():
                 break
             active = np.flatnonzero(~done)
@@ -698,4 +684,8 @@ def _solve_batch(cfgs, tol: float, max_iter: int, start, chord=None) -> tuple:
                 new_ul, new_dl = z[:N_SF], z[N_SF:]
             previous = residual
         s_ul, s_dl = new_ul, new_dl
-    return batch, SteadyState(**out), errors
+    app = app_rates(batch)
+    for rates in app:   # a broken row's rates are NaN too, so all its fields are
+        rates[list(errors)] = np.nan
+    fields, _ = _sweep(batch, app, *last)
+    return batch, SteadyState(**fields, **solver), errors

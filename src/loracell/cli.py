@@ -126,8 +126,9 @@ def cmd_solve(args) -> int:
 
 # -- sweep -------------------------------------------------------------------
 
-#: Most values of one ``--values`` or ``--lambdas``: a sweep's memory grows with its
-#: point count (231 MB at 40,000 points, 489 MB at 100,000), so a sweep stays below ~0.5 GB.
+#: Most values of one ``--values`` or ``--lambdas``: a sweep's memory grows with its point
+#: count (``ru_maxrss`` with glibc's default allocator: 252 MB at 40,000 points, 428 MB at
+#: 100,000), so a sweep stays below ~0.5 GB.
 _MAX_VALUES = 100_000
 
 

@@ -51,6 +51,39 @@ def test_unread_parameter_is_reported():
     assert unread_parameters(tree) == ["_f: b", "_f: kw", "_m: x"]
 
 
+def unread_imports(tree: ast.AST) -> list[str]:
+    """Every name an import binds that the module never reads.
+
+    ``from __future__`` imports and the names of a literal ``__all__`` (a
+    package's re-exports) are exempt; a read inside a function counts.
+    """
+    exported = {elt.value for top in tree.body if isinstance(top, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in top.targets)
+                for elt in getattr(top.value, "elts", ()) if isinstance(elt, ast.Constant)}
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [name for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+            for name in [alias.asname or alias.name.split(".")[0]]
+            if name not in read and name not in exported]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_import_is_read(path):
+    assert unread_imports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_unread_import_is_reported():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os, os.path as osp\nimport json\nimport xml.dom\n"
+                     "from math import pi, tau as TAU, e\n"
+                     "from .x import Exported\n"
+                     "__all__ = ['Exported']\n"
+                     "def f():\n    import re\n    return json.dumps(pi) + xml\n")
+    assert unread_imports(tree) == ["os", "osp", "TAU", "e", "re"]
+
+
 def unreferenced_private_functions(trees: dict[str, ast.AST]) -> list[str]:
     """``module: function`` for every private module-level function that no
     code in ``trees`` names outside its own ``def``.
